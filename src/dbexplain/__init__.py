@@ -8,8 +8,10 @@ causes with contingency sets, subset- and cardinality-repairs of the
 query's denial constraint, the repair core (both by repair intersection
 and by a polynomial minimal-witness rewriting), chase-style construction of
 a minimal sufficient set through a given tuple, and the monotone-DNF
-lineage with minimal-model enumeration.  Exhaustive enumerators serve as
-reference semantics for the polynomial fast path throughout.
+lineage with minimal-model enumeration.  The sufficiency and necessity
+families, degrees and causes are all derived from one object, the
+antichain of endogenous witness projections: its members are the minimal
+sufficient sets and its minimal transversals the minimal necessary sets.
 """
 
 from . import errors

@@ -73,12 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="query text, e.g. 'q :- S(x), R(x,y), S(y).'")
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--max-endo", type=int, default=None,
-                        help="subset-scan bound on |D^n| "
-                             "(default: EXPLAIN_MAX_ENDO or 20)")
+                        help="size bound on the endogenous part for the "
+                             "oracle families, and on the deletable tuples "
+                             "for repairs (default: EXPLAIN_MAX_ENDO or 20)")
     common.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS,
                         help="simple-path enumeration bound")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the subset scans")
 
     sub.add_parser("eval", parents=[common], help="evaluate the query")
     sub.add_parser("witnesses", parents=[common],
@@ -123,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, instance: Instance, query) -> dict:
     max_endo = args.max_endo if args.max_endo is not None else _env_max_endo()
-    jobs = max(1, args.jobs)
     cmd = args.command
     if cmd == "eval":
         return {"satisfied": evaluate(query, instance)}
@@ -151,7 +149,7 @@ def _dispatch(args, instance: Instance, query) -> dict:
             got = fastpath.chase_mss(instance, query, seed)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}
         family = oracle.enumerate_mss(instance, query, max_endo=max_endo,
-                                      jobs=jobs, max_paths=args.max_paths)
+                                      max_paths=args.max_paths)
         if args.tuple_id is not None:
             family = tuple(s for s in family if args.tuple_id in s)
         if args.min and family:
@@ -160,11 +158,11 @@ def _dispatch(args, instance: Instance, query) -> dict:
         return {"mode": "oracle", "sets": _sets(family)}
     if cmd == "mns":
         family = oracle.enumerate_mns(instance, query, max_endo=max_endo,
-                                      jobs=jobs, max_paths=args.max_paths)
+                                      max_paths=args.max_paths)
         return {"sets": _sets(family)}
     if cmd == "degrees":
         report = oracle.degrees(instance, query, max_endo=max_endo,
-                                jobs=jobs, max_paths=args.max_paths)
+                                max_paths=args.max_paths)
         return {"degrees": report.to_dict()}
     if cmd == "causes":
         report = oracle.actual_causes(instance, query, max_endo=max_endo,
@@ -193,7 +191,7 @@ def _dispatch(args, instance: Instance, query) -> dict:
         return formula.to_dict()
     if cmd == "check-duality":
         res = oracle.check_duality(instance, query, max_endo=max_endo,
-                                   jobs=jobs, max_paths=args.max_paths)
+                                   max_paths=args.max_paths)
         return {"holds": res.holds,
                 "violations": [{"family": kind, "set": list(s), "reason": why}
                                for kind, s, why in res.violations]}

@@ -42,7 +42,7 @@ class BoundExceeded(ExplainError):
 
 
 class OracleBoundExceeded(BoundExceeded):
-    """The endogenous part is too large for an exhaustive subset scan."""
+    """The endogenous (or deletable) part exceeds its enumeration bound."""
 
 
 class PathBoundExceeded(BoundExceeded):

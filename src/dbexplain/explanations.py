@@ -1,7 +1,7 @@
 """Explanation-set containers and their definition-level checkers.
 
 The checkers deliberately go through ``restrict`` + ``evaluate`` only, so
-they are independent of both the subset-scan enumerators and the
+they are independent of both the witness-antichain enumerators and the
 chase/rewriting fast path; every construction site routes its candidate
 sets through them.
 """
@@ -24,8 +24,10 @@ __all__ = [
 
 ExplanationKind = Literal["SS", "MSS", "NS", "MNS", "witness", "repair-removal"]
 
-# Exhaustive subset scans cover 2^n candidate sets; 20 endogenous tuples
-# (about one million subsets) is the default ceiling for desk-scale use.
+# Minimal necessary sets and repairs are minimal transversals of the
+# witness family; their number can grow exponentially with the endogenous
+# (for repairs, the deletable) part.  20 tuples is the default ceiling for
+# desk-scale use.
 DEFAULT_MAX_ENDO = 20
 
 

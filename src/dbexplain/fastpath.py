@@ -165,6 +165,20 @@ def _is_minimal_image(image: frozenset[str],
                    for sub in combinations(image, size))
 
 
+def _core_and_participants(instance: Instance,
+                           cq: BooleanCQ) -> tuple[frozenset[str], frozenset[str]]:
+    """The rewritten core, and the union of the images of all satisfying
+    combinations (the tuples that participate in one)."""
+    images = {frozenset(f.tid for f in bound)
+              for _, bound in _assignments(cq, instance)}
+    endo = instance.endogenous_part()
+    removed: set[str] = set()
+    for image in images:
+        if _is_minimal_image(image, images):
+            removed |= image & endo
+    return instance.tids() - removed, frozenset().union(*images)
+
+
 def core_fast(instance: Instance, query: Query) -> CoreResult:
     """Repair core via the minimal-witness rewriting, in O(|D|^k).
 
@@ -174,14 +188,8 @@ def core_fast(instance: Instance, query: Query) -> CoreResult:
     """
     cq = _require_cq(query)
     _check_partition(instance, cq)
-    images = {frozenset(f.tid for f in bound)
-              for _, bound in _assignments(cq, instance)}
-    endo = instance.endogenous_part()
-    removed: set[str] = set()
-    for image in images:
-        if _is_minimal_image(image, images):
-            removed |= image & endo
-    return CoreResult(tuples=instance.tids() - removed, method="lemma1")
+    core, _ = _core_and_participants(instance, cq)
+    return CoreResult(tuples=core, method="lemma1")
 
 
 def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
@@ -223,8 +231,7 @@ def _chase_candidates(instance: Instance, cq: BooleanCQ, seed: Fact,
 
 
 def chase_mss(instance: Instance, query: Query, tid: str,
-              repair: Repair | None = None, *,
-              backend: str | None = None) -> ExplanationSet:
+              repair: Repair | None = None) -> ExplanationSet:
     """A minimal sufficient set containing the seed, of size <= k, built by
     binding one atom position at a time to a join-compatible tuple outside
     the core (inside the repair's kept part when one is given).
@@ -243,7 +250,7 @@ def chase_mss(instance: Instance, query: Query, tid: str,
     seed = instance.fact(tid)
     if not seed.endo:
         raise ChaseSeedError(f"seed {tid!r} is exogenous")
-    core = core_fast(instance, cq).tuples
+    core, participants = _core_and_participants(instance, cq)
     if repair is not None:
         if tid not in repair.removed:
             raise ChaseSeedError(f"seed {tid!r} is not removed by the repair")
@@ -251,7 +258,7 @@ def chase_mss(instance: Instance, query: Query, tid: str,
         kept = repair.kept
     else:
         if tid in core:
-            if tid in participating_sets(instance, cq, backend=backend).union():
+            if tid in participants:
                 raise ChaseDefect(
                     f"seed {tid!r} lies in no minimal sufficient set: it occurs "
                     "in satisfying combinations, but in no minimal witness")
@@ -324,11 +331,11 @@ def min_mss_sjf(instance: Instance, query: Query, tid: str | None = None, *,
             raise UnknownTupleId(f"unknown tid {tid!r}")
         if tid not in participating:
             return MinMssResult(mss=None, sigma=Fraction(0))
-        mss = chase_mss(instance, cq, tid, backend=backend)
+        mss = chase_mss(instance, cq, tid)
         return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)))
     if not participating:
         empty = ExplanationSet.checked("MSS", frozenset(), instance, query)
         return MinMssResult(mss=empty, sigma=None)
     seed = min(participating)
-    mss = chase_mss(instance, cq, seed, backend=backend)
+    mss = chase_mss(instance, cq, seed)
     return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)))

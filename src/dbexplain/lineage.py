@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedQuery
 from .model import Instance
-from .query import BooleanCQ, Query, enumerate_witnesses
+from .query import BooleanCQ, Query, _antichain, enumerate_witnesses
 
 __all__ = ["LineageFormula", "lineage_of", "eliminate_exogenous", "minimal_models"]
-
-
-def _absorbed(clauses: frozenset[frozenset[str]]) -> frozenset[frozenset[str]]:
-    kept: list[frozenset[str]] = []
-    for c in sorted(clauses, key=lambda s: (len(s), sorted(s))):
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ def lineage_of(instance: Instance, query: Query) -> LineageFormula:
         raise UnsupportedQuery("lineage is built for Boolean conjunctive "
                                "queries; path witnesses have unbounded width")
     clauses = frozenset(w.tuples for w in enumerate_witnesses(query, instance))
-    return LineageFormula(clauses=_absorbed(clauses))
+    return LineageFormula(clauses=frozenset(_antichain(clauses)))
 
 
 def eliminate_exogenous(formula: LineageFormula, instance: Instance, *,
@@ -81,10 +73,12 @@ def eliminate_exogenous(formula: LineageFormula, instance: Instance, *,
     """
     exo = instance.exogenous_part()
     reduced = frozenset(frozenset(c - exo) for c in formula.clauses)
-    return LineageFormula(clauses=_absorbed(reduced) if absorb else reduced)
+    if absorb:
+        reduced = frozenset(_antichain(reduced))
+    return LineageFormula(clauses=reduced)
 
 
 def minimal_models(formula: LineageFormula) -> tuple[frozenset[str], ...]:
     """Subset-minimal true-sets of a monotone DNF: exactly the clauses,
     once absorbed to an antichain."""
-    return tuple(sorted(_absorbed(formula.clauses), key=lambda s: tuple(sorted(s))))
+    return tuple(sorted(_antichain(formula.clauses), key=lambda s: tuple(sorted(s))))

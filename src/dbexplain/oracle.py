@@ -1,31 +1,33 @@
-"""Brute-force reference semantics for necessity and sufficiency.
+"""Necessity and sufficiency families, derived from the witness antichain.
 
-Everything here enumerates subsets of the endogenous part by ascending
-cardinality, exactly as the definitions read:
+Every family here is a function of one object: the antichain W of the
+endogenous projections of the minimal witnesses, built once per call.
 
-* a sufficient set S satisfies the query together with all exogenous
-  tuples; an MSS is a subset-minimal one;
-* a necessary set N falsifies the query when removed; an MNS is a
-  subset-minimal one;
-* degrees: eta(t) = 1/min{|N| : N minimal necessary, t in N} (0 when t is
-  in no MNS), sigma(t) likewise over minimal sufficient sets, and the
-  responsibility rho(t) = 1/(1+|G|) for the smallest contingency set G
-  with D\\G true but D\\(G+{t}) false.  All values are exact rationals.
+* A set is sufficient (it satisfies the query together with all exogenous
+  tuples) exactly when it contains a member of W, so the minimal
+  sufficient sets (MSS) are the members of W.
+* A set is necessary (its removal falsifies the query) exactly when it
+  meets every member of W, so the minimal necessary sets (MNS) are the
+  minimal transversals of W.  When W holds the empty set, the exogenous
+  part alone satisfies the query: the MSS family is the empty set alone
+  and there is no MNS.
+* Degrees: eta(t) = 1/min{|N| : N an MNS, t in N} (0 when t is in no MNS)
+  and sigma(t) likewise over the MSS.  The responsibility
+  rho(t) = 1/(1+|G|) for the smallest contingency set G equals eta(t).
+  The subset-minimal contingency sets of t are the sets N - {t} for the
+  MNS N through t (Bertossi & Salimi, "From causes for database queries
+  to repairs and model-based diagnosis and back", 2017).  All values are
+  exact rationals.
 
-Per-subset satisfaction is decided against the minimal-witness family
-(bitmask containment), which is equivalent for monotone queries; the
-final families are re-verified through the definition-level checkers in
-:mod:`dbexplain.explanations`, and the scans remain independent of the
-polynomial fast path they are used to validate.
+The returned sets are re-verified through the definition-level checkers
+in :mod:`dbexplain.explanations`, and the test suite compares every
+family with an exhaustive subset scan.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     OracleBoundExceeded,
@@ -45,11 +47,12 @@ from .query import (
     DEFAULT_MAX_PATHS,
     BooleanCQ,
     Query,
+    _antichain,
     denial_constraint_of,
     enumerate_witnesses,
     evaluate,
 )
-from .repairs import enumerate_s_repairs
+from .repairs import enumerate_s_repairs, minimal_hitting_sets
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -59,149 +62,64 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# shared scaffolding
+# the witness antichain and its transversals
 
-def _require_satisfied(instance: Instance, query: Query) -> None:
+def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
+    return tuple(sorted(s))
+
+
+def _mss(instance: Instance, query: Query, max_endo: int | None,
+         max_paths: int) -> list[frozenset[str]]:
+    """The witness antichain W, i.e. the MSS family, ordered by tids."""
     if not evaluate(query, instance):
         raise QueryNotSatisfied("the query is false in the instance")
-
-
-def _endo_order(instance: Instance, max_endo: int | None) -> list[str]:
-    endo = sorted(instance.endogenous_part())
+    endo = instance.endogenous_part()
     bound = DEFAULT_MAX_ENDO if max_endo is None else max_endo
     if len(endo) > bound:
         raise OracleBoundExceeded(
             f"{len(endo)} endogenous tuples exceed the oracle bound {bound}")
-    return endo
+    witnesses = enumerate_witnesses(query, instance, max_paths=max_paths)
+    return sorted(_antichain(w.tuples & endo for w in witnesses), key=_by_tids)
 
 
-def _witness_masks(instance: Instance, query: Query, endo: Sequence[str],
-                   max_paths: int) -> list[int]:
-    """Endogenous projections of the minimal witnesses, as an antichain of
-    bitmasks over the given tid order."""
-    pos = {tid: i for i, tid in enumerate(endo)}
-    masks = set()
-    for w in enumerate_witnesses(query, instance, max_paths=max_paths):
-        masks.add(sum(1 << pos[t] for t in w.tuples if t in pos))
-    ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-    kept: list[int] = []
-    for m in ordered:
-        if not any(p & m == p for p in kept):
-            kept.append(m)
-    return kept
-
-
-def _sufficient(masks: list[int], subset: int) -> bool:
-    return any(w & ~subset == 0 for w in masks)
-
-
-def _necessary(masks: list[int], subset: int) -> bool:
-    return bool(masks) and all(w & subset for w in masks)
-
-
-def _sat_chunk(args: tuple[list[int], list[tuple[int, ...]], str]) -> list[int]:
-    masks, combos, mode = args
-    test = _sufficient if mode == "suff" else _necessary
-    out = []
-    for combo in combos:
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        if test(masks, m):
-            out.append(m)
-    return out
-
-
-def _scan_minimal(n: int, masks: list[int], mode: str, jobs: int = 1) -> list[int]:
-    """Subset-minimal satisfying subsets, by ascending-cardinality scan."""
-    found: list[int] = []
-    test = _sufficient if mode == "suff" else _necessary
-    for card in range(n + 1):
-        combos = itertools.combinations(range(n), card)
-        if jobs > 1:
-            combo_list = list(combos)
-            chunk = max(1, (len(combo_list) + jobs - 1) // jobs)
-            parts = [combo_list[i:i + chunk] for i in range(0, len(combo_list), chunk)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                hits_per_part = list(pool.map(
-                    _sat_chunk, [(masks, p, mode) for p in parts]))
-            hits = [m for part in hits_per_part for m in part]
-        else:
-            hits = []
-            for combo in combos:
-                m = 0
-                for i in combo:
-                    m |= 1 << i
-                if test(masks, m):
-                    hits.append(m)
-        for m in hits:
-            if not any(f & m == f for f in found):
-                found.append(m)
-    return found
-
-
-def _to_tids(mask: int, endo: Sequence[str]) -> frozenset[str]:
-    return frozenset(endo[i] for i in range(len(endo)) if mask >> i & 1)
-
-
-def _family(instance: Instance, query: Query, mode: str, *,
-            max_endo: int | None, jobs: int, max_paths: int) -> tuple[list[str], list[frozenset[str]]]:
-    _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
-    masks = _witness_masks(instance, query, endo, max_paths)
-    fam = [_to_tids(m, endo) for m in _scan_minimal(len(endo), masks, mode, jobs)]
-    return endo, sorted(fam, key=lambda s: tuple(sorted(s)))
+def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
+    """The minimal transversals of W, i.e. the MNS family, ordered by
+    tids; none when W holds the empty set."""
+    if frozenset() in mss:
+        return []
+    return sorted(minimal_hitting_sets(mss), key=_by_tids)
 
 
 # ---------------------------------------------------------------------------
 # families
 
 def enumerate_mss(instance: Instance, query: Query, *,
-                  max_endo: int | None = None, jobs: int = 1,
+                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
     """All minimal sufficient sets (subsets of the endogenous part)."""
-    _, fam = _family(instance, query, "suff",
-                     max_endo=max_endo, jobs=jobs, max_paths=max_paths)
-    return tuple(ExplanationSet.checked("MSS", s, instance, query) for s in fam)
+    return tuple(ExplanationSet.checked("MSS", s, instance, query)
+                 for s in _mss(instance, query, max_endo, max_paths))
 
 
 def enumerate_mns(instance: Instance, query: Query, *,
-                  max_endo: int | None = None, jobs: int = 1,
+                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
     """All minimal necessary sets; empty when no endogenous deletion can
     falsify the query (e.g. the exogenous part alone satisfies it)."""
-    _, fam = _family(instance, query, "nec",
-                     max_endo=max_endo, jobs=jobs, max_paths=max_paths)
-    return tuple(ExplanationSet.checked("MNS", s, instance, query) for s in fam)
+    return tuple(ExplanationSet.checked("MNS", s, instance, query)
+                 for s in _mns(_mss(instance, query, max_endo, max_paths)))
 
 
 # ---------------------------------------------------------------------------
 # degrees
 
-def _rho_chunk(args: tuple[list[int], int, list[int]]) -> list[tuple[int, Fraction]]:
-    masks, n, targets = args
-    out = []
-    for t in targets:
-        out.append((t, _rho_single(masks, n, t)))
-    return out
-
-
-def _rho_single(masks: list[int], n: int, t: int) -> Fraction:
-    tbit = 1 << t
-    others = [i for i in range(n) if i != t]
-    for card in range(len(others) + 1):
-        for combo in itertools.combinations(others, card):
-            gamma = 0
-            for i in combo:
-                gamma |= 1 << i
-            if _sufficient(masks, ((1 << n) - 1) & ~gamma) and \
-                    not _sufficient(masks, ((1 << n) - 1) & ~(gamma | tbit)):
-                return Fraction(1, card + 1)
-    return Fraction(0)
+def _inverse_min_size(family: list[frozenset[str]], tid: str) -> Fraction:
+    sizes = [len(s) for s in family if tid in s]
+    return Fraction(1, min(sizes)) if sizes else Fraction(0)
 
 
 def degrees(instance: Instance, query: Query, *,
-            max_endo: int | None = None, jobs: int = 1,
+            max_endo: int | None = None,
             max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
     """Exact necessity/sufficiency/responsibility degrees per tuple.
 
@@ -209,35 +127,17 @@ def degrees(instance: Instance, query: Query, *,
     sufficient set by definition.  Strong flags mean membership in every
     MNS (resp. every MSS), with an empty family counting as not strong.
     """
-    _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
-    masks = _witness_masks(instance, query, endo, max_paths)
-    n = len(endo)
-    mss = _scan_minimal(n, masks, "suff", jobs)
-    mns = _scan_minimal(n, masks, "nec", jobs)
-
-    if jobs > 1 and n:
-        chunk = max(1, (n + jobs - 1) // jobs)
-        parts = [list(range(n))[i:i + chunk] for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rho_pairs = [p for part in pool.map(
-                _rho_chunk, [(masks, n, p) for p in parts]) for p in part]
-        rho_by_idx = dict(rho_pairs)
-    else:
-        rho_by_idx = {t: _rho_single(masks, n, t) for t in range(n)}
-
-    def min_size(families: list[int], bit: int) -> Fraction:
-        sizes = [bin(m).count("1") for m in families if m >> bit & 1]
-        return Fraction(1, min(sizes)) if sizes else Fraction(0)
-
+    mss = _mss(instance, query, max_endo, max_paths)
+    mns = _mns(mss)
     per: dict[str, TupleDegrees] = {}
-    for i, tid in enumerate(endo):
+    for tid in sorted(instance.endogenous_part()):
+        eta = _inverse_min_size(mns, tid)
         per[tid] = TupleDegrees(
-            eta=min_size(mns, i),
-            sigma=min_size(mss, i),
-            rho=rho_by_idx[i],
-            strong_necessary=bool(mns) and all(m >> i & 1 for m in mns),
-            strong_sufficient=bool(mss) and all(m >> i & 1 for m in mss),
+            eta=eta,
+            sigma=_inverse_min_size(mss, tid),
+            rho=eta,
+            strong_necessary=bool(mns) and all(tid in s for s in mns),
+            strong_sufficient=bool(mss) and all(tid in s for s in mss),
         )
     zero = TupleDegrees(Fraction(0), Fraction(0), Fraction(0), False, False)
     for tid in instance.exogenous_part():
@@ -253,29 +153,11 @@ def actual_causes(instance: Instance, query: Query, *,
     t is an actual cause when some contingency set G (endogenous, t not in
     G) leaves the query true but removing t on top falsifies it.
     """
-    _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
-    masks = _witness_masks(instance, query, endo, max_paths)
-    n = len(endo)
-    full = (1 << n) - 1
-    report: dict[str, tuple[frozenset[str], ...]] = {}
-    for t, tid in enumerate(endo):
-        tbit = 1 << t
-        others = [i for i in range(n) if i != t]
-        found: list[int] = []
-        for card in range(len(others) + 1):
-            for combo in itertools.combinations(others, card):
-                gamma = 0
-                for i in combo:
-                    gamma |= 1 << i
-                if any(f & gamma == f for f in found):
-                    continue
-                if _sufficient(masks, full & ~gamma) and \
-                        not _sufficient(masks, full & ~(gamma | tbit)):
-                    found.append(gamma)
-        if found:
-            report[tid] = tuple(sorted((_to_tids(g, endo) for g in found),
-                                       key=lambda s: tuple(sorted(s))))
+    mns = _mns(_mss(instance, query, max_endo, max_paths))
+    report = {
+        tid: tuple(sorted((s - {tid} for s in mns if tid in s), key=_by_tids))
+        for tid in sorted(set().union(*mns))
+    }
     return ContingencyReport(contingencies=report)
 
 
@@ -301,14 +183,12 @@ def _is_minimal_hitting_set(s: frozenset[str], family: list[frozenset[str]]) -> 
 
 
 def check_duality(instance: Instance, query: Query, *,
-                  max_endo: int | None = None, jobs: int = 1,
+                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> DualityResult:
     """Each MSS must be a minimal hitting set of the MNS family and vice
     versa; on failure the certificate names the offending set."""
-    _, mss = _family(instance, query, "suff",
-                     max_endo=max_endo, jobs=jobs, max_paths=max_paths)
-    _, mns = _family(instance, query, "nec",
-                     max_endo=max_endo, jobs=jobs, max_paths=max_paths)
+    mss = _mss(instance, query, max_endo, max_paths)
+    mns = _mns(mss)
     violations: list[tuple[str, tuple[str, ...], str]] = []
     for s in mss:
         reason = _is_minimal_hitting_set(s, mns)
@@ -343,23 +223,21 @@ def cause_repair_correspondence(instance: Instance, query: Query, *,
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("repairs are defined via the denial constraint "
                                "of a Boolean conjunctive query")
-    _require_satisfied(instance, query)
-    _, mns = _family(instance, query, "nec",
-                     max_endo=max_endo, jobs=1, max_paths=max_paths)
+    mns = _mns(_mss(instance, query, max_endo, max_paths))
     cont = actual_causes(instance, query, max_endo=max_endo, max_paths=max_paths)
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in cont.contingencies.items() for g in gs},
-        key=lambda s: tuple(sorted(s)))
+        key=_by_tids)
     try:
         reps = enumerate_s_repairs(instance, denial_constraint_of(query),
                                    endogenous_only=True, max_deletable=max_endo)
-        removals = sorted((r.removed for r in reps), key=lambda s: tuple(sorted(s)))
+        removals = sorted((r.removed for r in reps), key=_by_tids)
         c_removals = sorted((r.removed for r in reps if r.cardinality_minimal),
-                            key=lambda s: tuple(sorted(s)))
+                            key=_by_tids)
     except RepairNotFound:
         removals, c_removals = [], []
     min_mns = [s for s in mns if len(s) == min(len(x) for x in mns)] if mns else []
-    holds_a = list(mns) == removals == cause_sets
+    holds_a = mns == removals == cause_sets
     holds_b = min_mns == c_removals
     detail = {
         "mns": [sorted(s) for s in mns],

@@ -22,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     PathBoundExceeded,
@@ -360,30 +360,37 @@ def evaluate(query: Query, instance: Instance) -> bool:
 
 def _simple_paths(instance: Instance, query: ReachabilityQuery,
                   max_paths: int) -> list[frozenset[str]]:
+    """Edge sets of the simple source-to-target paths, depth first, with
+    an explicit stack so that path length is not bounded by recursion."""
     by_src: dict[str, list[Fact]] = {}
     for f in instance.relation(query.edge_pred):
         by_src.setdefault(f.vals[0], []).append(f)
     paths: list[frozenset[str]] = []
-
-    def rec(node: str, visited: frozenset[str], edges: tuple[str, ...]):
-        for f in by_src.get(node, ()):
-            nxt = f.vals[1]
-            if nxt == query.target:
-                paths.append(frozenset(edges + (f.tid,)))
-                if len(paths) > max_paths:
-                    raise PathBoundExceeded(
-                        f"more than {max_paths} simple paths; raise the path bound")
-                continue
-            if nxt in visited:
-                continue
-            rec(nxt, visited | {nxt}, edges + (f.tid,))
-
-    rec(query.source, frozenset({query.source}), ())
+    stack = [(iter(by_src.get(query.source, ())),
+              frozenset({query.source}), ())]
+    while stack:
+        edges_out, visited, edges = stack[-1]
+        f = next(edges_out, None)
+        if f is None:
+            stack.pop()
+            continue
+        nxt = f.vals[1]
+        if nxt == query.target:
+            paths.append(frozenset(edges + (f.tid,)))
+            if len(paths) > max_paths:
+                raise PathBoundExceeded(
+                    f"more than {max_paths} simple paths; raise the path bound")
+            continue
+        if nxt in visited:
+            continue
+        stack.append((iter(by_src.get(nxt, ())), visited | {nxt},
+                      edges + (f.tid,)))
     return paths
 
 
-def _antichain(sets: list[frozenset[str]]) -> list[frozenset[str]]:
-    """Keep the subset-minimal members (deduplicated)."""
+def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """Keep the subset-minimal members (deduplicated), ordered by
+    (size, tids)."""
     uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
     kept: list[frozenset[str]] = []
     for s in uniq:
@@ -408,7 +415,7 @@ def enumerate_witnesses(query: Query, instance: Instance, *,
     for env, bound in _assignments(query, instance):
         image = frozenset(f.tid for f in bound)
         images.setdefault(image, env)
-    minimal = _antichain(list(images))
+    minimal = _antichain(images)
     witnesses = [Witness(tuples=s, assignment=dict(images[s])) for s in minimal]
     return tuple(sorted(witnesses, key=Witness.sort_key))
 

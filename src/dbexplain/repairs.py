@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import OracleBoundExceeded, RepairNotFound
 from .explanations import DEFAULT_MAX_ENDO
 from .model import Instance
-from .query import DenialConstraint, enumerate_witnesses
+from .query import DenialConstraint, _antichain, enumerate_witnesses
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
@@ -45,38 +45,30 @@ class CoreResult:
     method: str
 
 
-def _antichain(sets: list[frozenset[str]]) -> list[frozenset[str]]:
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    kept: list[frozenset[str]] = []
-    for s in uniq:
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return kept
-
-
 def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
     """All subset-minimal hitting sets of a family of nonempty sets.
 
     Branch on the elements of the first unhit set; prune branches already
-    dominated by a recorded hitting set; keep the final antichain.
+    dominated by a recorded hitting set; keep the final antichain.  The
+    search runs on an explicit stack, so a transversal's size is not
+    bounded by the recursion limit.
     """
-    family = _antichain(list(family))
+    family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
     found: list[frozenset[str]] = []
-
-    def rec(current: frozenset[str]) -> None:
+    stack = [frozenset()]
+    while stack:
+        current = stack.pop()
         if any(f <= current for f in found):
-            return
-        for s in family:
-            if not (s & current):
-                for t in sorted(s):
-                    rec(current | {t})
-                return
-        found.append(current)
-
-    rec(frozenset())
-    return sorted(_antichain(found), key=lambda s: (len(s), sorted(s)))
+            continue
+        unhit = next((s for s in family if not (s & current)), None)
+        if unhit is None:
+            found.append(current)
+        else:
+            # reversed, so that the smallest element is expanded first
+            stack.extend(current | {t} for t in sorted(unhit, reverse=True))
+    return _antichain(found)
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,

@@ -1,0 +1,203 @@
+"""Brute-force reference semantics for necessity and sufficiency.
+
+The library derives every family from the antichain of endogenous witness
+projections; this module keeps the exhaustive definition-level scans the
+tests judge it by.  Everything here enumerates subsets of the endogenous
+part by ascending cardinality, exactly as the definitions read:
+
+* a sufficient set S satisfies the query together with all exogenous
+  tuples; an MSS is a subset-minimal one;
+* a necessary set N falsifies the query when removed; an MNS is a
+  subset-minimal one;
+* degrees: eta(t) = 1/min{|N| : N minimal necessary, t in N} (0 when t is
+  in no MNS), sigma(t) likewise over minimal sufficient sets, and the
+  responsibility rho(t) = 1/(1+|G|) for the smallest contingency set G
+  with D\\G true but D\\(G+{t}) false.  All values are exact rationals.
+
+Per-subset satisfaction is decided against the minimal-witness family
+(bitmask containment), which is equivalent for monotone queries.  The
+functions mirror the library's signatures and return types, so results
+compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
+reproduced.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Sequence
+
+from dbexplain import (
+    DEFAULT_MAX_ENDO,
+    DEFAULT_MAX_PATHS,
+    ContingencyReport,
+    DegreeReport,
+    ExplanationSet,
+    Instance,
+    OracleBoundExceeded,
+    Query,
+    QueryNotSatisfied,
+    TupleDegrees,
+    enumerate_witnesses,
+    evaluate,
+)
+
+__all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes"]
+
+
+def _require_satisfied(instance: Instance, query: Query) -> None:
+    if not evaluate(query, instance):
+        raise QueryNotSatisfied("the query is false in the instance")
+
+
+def _endo_order(instance: Instance, max_endo: int | None) -> list[str]:
+    endo = sorted(instance.endogenous_part())
+    bound = DEFAULT_MAX_ENDO if max_endo is None else max_endo
+    if len(endo) > bound:
+        raise OracleBoundExceeded(
+            f"{len(endo)} endogenous tuples exceed the oracle bound {bound}")
+    return endo
+
+
+def _witness_masks(instance: Instance, query: Query, endo: Sequence[str],
+                   max_paths: int) -> list[int]:
+    """Endogenous projections of the minimal witnesses, as an antichain of
+    bitmasks over the given tid order."""
+    pos = {tid: i for i, tid in enumerate(endo)}
+    masks = set()
+    for w in enumerate_witnesses(query, instance, max_paths=max_paths):
+        masks.add(sum(1 << pos[t] for t in w.tuples if t in pos))
+    ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    kept: list[int] = []
+    for m in ordered:
+        if not any(p & m == p for p in kept):
+            kept.append(m)
+    return kept
+
+
+def _sufficient(masks: list[int], subset: int) -> bool:
+    return any(w & ~subset == 0 for w in masks)
+
+
+def _necessary(masks: list[int], subset: int) -> bool:
+    return bool(masks) and all(w & subset for w in masks)
+
+
+def _scan_minimal(n: int, masks: list[int], mode: str) -> list[int]:
+    """Subset-minimal satisfying subsets, by ascending-cardinality scan."""
+    found: list[int] = []
+    test = _sufficient if mode == "suff" else _necessary
+    for card in range(n + 1):
+        hits = []
+        for combo in itertools.combinations(range(n), card):
+            m = 0
+            for i in combo:
+                m |= 1 << i
+            if test(masks, m):
+                hits.append(m)
+        for m in hits:
+            if not any(f & m == f for f in found):
+                found.append(m)
+    return found
+
+
+def _to_tids(mask: int, endo: Sequence[str]) -> frozenset[str]:
+    return frozenset(endo[i] for i in range(len(endo)) if mask >> i & 1)
+
+
+def _family(instance: Instance, query: Query, mode: str, *,
+            max_endo: int | None, max_paths: int) -> tuple[list[str], list[frozenset[str]]]:
+    _require_satisfied(instance, query)
+    endo = _endo_order(instance, max_endo)
+    masks = _witness_masks(instance, query, endo, max_paths)
+    fam = [_to_tids(m, endo) for m in _scan_minimal(len(endo), masks, mode)]
+    return endo, sorted(fam, key=lambda s: tuple(sorted(s)))
+
+
+def enumerate_mss(instance: Instance, query: Query, *,
+                  max_endo: int | None = None,
+                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
+    _, fam = _family(instance, query, "suff",
+                     max_endo=max_endo, max_paths=max_paths)
+    return tuple(ExplanationSet("MSS", s) for s in fam)
+
+
+def enumerate_mns(instance: Instance, query: Query, *,
+                  max_endo: int | None = None,
+                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
+    _, fam = _family(instance, query, "nec",
+                     max_endo=max_endo, max_paths=max_paths)
+    return tuple(ExplanationSet("MNS", s) for s in fam)
+
+
+def _rho_single(masks: list[int], n: int, t: int) -> Fraction:
+    tbit = 1 << t
+    others = [i for i in range(n) if i != t]
+    for card in range(len(others) + 1):
+        for combo in itertools.combinations(others, card):
+            gamma = 0
+            for i in combo:
+                gamma |= 1 << i
+            if _sufficient(masks, ((1 << n) - 1) & ~gamma) and \
+                    not _sufficient(masks, ((1 << n) - 1) & ~(gamma | tbit)):
+                return Fraction(1, card + 1)
+    return Fraction(0)
+
+
+def degrees(instance: Instance, query: Query, *,
+            max_endo: int | None = None,
+            max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
+    _require_satisfied(instance, query)
+    endo = _endo_order(instance, max_endo)
+    masks = _witness_masks(instance, query, endo, max_paths)
+    n = len(endo)
+    mss = _scan_minimal(n, masks, "suff")
+    mns = _scan_minimal(n, masks, "nec")
+    rho_by_idx = {t: _rho_single(masks, n, t) for t in range(n)}
+
+    def min_size(families: list[int], bit: int) -> Fraction:
+        sizes = [bin(m).count("1") for m in families if m >> bit & 1]
+        return Fraction(1, min(sizes)) if sizes else Fraction(0)
+
+    per: dict[str, TupleDegrees] = {}
+    for i, tid in enumerate(endo):
+        per[tid] = TupleDegrees(
+            eta=min_size(mns, i),
+            sigma=min_size(mss, i),
+            rho=rho_by_idx[i],
+            strong_necessary=bool(mns) and all(m >> i & 1 for m in mns),
+            strong_sufficient=bool(mss) and all(m >> i & 1 for m in mss),
+        )
+    zero = TupleDegrees(Fraction(0), Fraction(0), Fraction(0), False, False)
+    for tid in instance.exogenous_part():
+        per[tid] = zero
+    return DegreeReport(per_tuple=per)
+
+
+def actual_causes(instance: Instance, query: Query, *,
+                  max_endo: int | None = None,
+                  max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
+    _require_satisfied(instance, query)
+    endo = _endo_order(instance, max_endo)
+    masks = _witness_masks(instance, query, endo, max_paths)
+    n = len(endo)
+    full = (1 << n) - 1
+    report: dict[str, tuple[frozenset[str], ...]] = {}
+    for t, tid in enumerate(endo):
+        tbit = 1 << t
+        others = [i for i in range(n) if i != t]
+        found: list[int] = []
+        for card in range(len(others) + 1):
+            for combo in itertools.combinations(others, card):
+                gamma = 0
+                for i in combo:
+                    gamma |= 1 << i
+                if any(f & gamma == f for f in found):
+                    continue
+                if _sufficient(masks, full & ~gamma) and \
+                        not _sufficient(masks, full & ~(gamma | tbit)):
+                    found.append(gamma)
+        if found:
+            report[tid] = tuple(sorted((_to_tids(g, endo) for g in found),
+                                       key=lambda s: tuple(sorted(s))))
+    return ContingencyReport(contingencies=report)

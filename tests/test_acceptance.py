@@ -32,6 +32,7 @@ from dbexplain import (
     OracleBoundExceeded,
     UnsupportedPartition,
     UnsupportedQuery,
+    actual_causes,
     chase_mss,
     check_duality,
     core_fast,
@@ -54,6 +55,7 @@ from dbexplain import (
 )
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
+import bruteforce
 from conftest import inst, tids
 
 F = Fraction
@@ -221,8 +223,10 @@ def test_criterion_08_lineage_goldens():
 
 def _percase_checks(instance, q, violations, counts):
     deg = degrees(instance, q)
-    mss = tids(enumerate_mss(instance, q))
-    mns = tids(enumerate_mns(instance, q))
+    mss_sets = enumerate_mss(instance, q)
+    mns_sets = enumerate_mns(instance, q)
+    mss = tids(mss_sets)
+    mns = tids(mns_sets)
     label = f"{str(q)!r} on {sorted(map(str, instance.facts))}"
     all_endo = not instance.exogenous_part()
 
@@ -234,12 +238,22 @@ def _percase_checks(instance, q, violations, counts):
     dual = check_duality(instance, q)
     if not dual.holds:
         violations["b"].append(f"{label}: duality {dual.violations}")
+    # both families are derived from the witness antichain, which makes
+    # the two checks above hold by construction: judge them by the scan
+    if mss_sets != bruteforce.enumerate_mss(instance, q):
+        violations["b"].append(f"{label}: MSS differ from the subset scan")
+    if mns_sets != bruteforce.enumerate_mns(instance, q):
+        violations["b"].append(f"{label}: MNS differ from the subset scan")
 
     # (c) necessity degree equals responsibility, exactly
     counts["c"] += 1
     for tid, d in deg.per_tuple.items():
         if d.eta != d.rho:
             violations["c"].append(f"{label}: eta({tid})={d.eta} rho={d.rho}")
+    if deg != bruteforce.degrees(instance, q):
+        violations["c"].append(f"{label}: degrees differ from the subset scan")
+    if actual_causes(instance, q) != bruteforce.actual_causes(instance, q):
+        violations["c"].append(f"{label}: causes differ from the subset scan")
 
     if all_endo:
         # (a) rewritten core against the naive core

@@ -160,6 +160,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate", "-i", "x", "-q", "y"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
+             "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_byte_identical_reports(capsys):
@@ -187,10 +191,3 @@ def test_table_format(capsys):
     code, _, out = invoke(capsys, "core", "-i", str(data_path("srs_prime.json")),
                           "-q", Q_SRS, "--format=table")
     assert "core (lemma1):" in out
-
-
-def test_jobs_flag(capsys):
-    argv = ["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS]
-    _, serial, _ = invoke(capsys, *argv)
-    _, parallel, _ = invoke(capsys, *argv, "--jobs", "2")
-    assert serial["result"] == parallel["result"]

@@ -23,7 +23,8 @@ from dbexplain import (
 )
 from dbexplain.synth import planted_query, random_instance
 
-from conftest import tids
+import bruteforce
+from conftest import inst, tids
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +55,6 @@ def test_mss_requires_satisfaction(rt_small):
 def test_oracle_bound(rt_small, q_rt):
     with pytest.raises(OracleBoundExceeded):
         enumerate_mss(rt_small, q_rt, max_endo=3)
-
-
-def test_mss_parallel_scan_matches_serial(srs_prime, q_srs):
-    assert tids(enumerate_mss(srs_prime, q_srs, jobs=2)) == \
-        tids(enumerate_mss(srs_prime, q_srs))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +139,6 @@ def test_degrees_eta_equals_rho(g_routes, g_diamond, rt_small, srs_prime,
             assert d.eta == d.rho, tid
 
 
-def test_degrees_parallel_matches_serial(rt_small, q_rt):
-    assert degrees(rt_small, q_rt, jobs=2) == degrees(rt_small, q_rt)
-
-
 # ---------------------------------------------------------------------------
 # actual causes
 
@@ -224,6 +216,33 @@ def test_correspondence_vacuous_with_exogenous_witness():
     res = cause_repair_correspondence(inst, q)
     assert res.holds
     assert res.detail["mns"] == [] and res.detail["s_repair_removals"] == []
+
+
+# ---------------------------------------------------------------------------
+# agreement with the exhaustive subset scan
+
+FIXTURE_QUERIES = [
+    ("g_routes.json", "q :- path(E, a, b)."),
+    ("g_routes_exo23.json", "q :- path(E, a, b)."),
+    ("g_routes_exo24.json", "q :- path(E, a, b)."),
+    ("g_diamond.json", "q :- path(E, s, t)."),
+    ("rt_small.json", "q :- R(x,y), T(y)."),
+    ("srs_base.json", "q :- S(x), R(x,y), S(y)."),
+    ("srs_prime.json", "q :- S(x), R(x,y), S(y)."),
+    ("srs_prime_exoR.json", "q :- S(x), R(x,y), S(y)."),
+    ("rrs_loop.json", "q :- R(x,y), R(y,z), S(x,y)."),
+]
+
+
+def test_families_match_bruteforce_on_fixtures():
+    for name, text in FIXTURE_QUERIES:
+        instance = inst(name)
+        q = parse_query(text, instance)
+        for ours, scan in [(enumerate_mss, bruteforce.enumerate_mss),
+                           (enumerate_mns, bruteforce.enumerate_mns),
+                           (degrees, bruteforce.degrees),
+                           (actual_causes, bruteforce.actual_causes)]:
+            assert ours(instance, q) == scan(instance, q), (name, ours.__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,16 @@ def test_path_bound_exceeded(g_routes, q_path_ab):
         enumerate_witnesses(q_path_ab, g_routes, max_paths=2)
 
 
+def test_long_chain_path_is_one_witness():
+    # deeper than the interpreter's default recursion limit
+    n = 1500
+    chain = Instance.build({"E": 2}, [Fact(f"e{i}", "E", (f"n{i}", f"n{i + 1}"))
+                                      for i in range(n)])
+    q = parse_query(f"q :- path(E, n0, n{n}).", chain)
+    wits = enumerate_witnesses(q, chain)
+    assert len(wits) == 1 and len(wits[0].tuples) == n
+
+
 def _product_witnesses(query: BooleanCQ, instance: Instance) -> list[list[str]]:
     """Raw |ext1| x ... x |extk| combination scan, for cross-checking."""
     images = set()

@@ -150,3 +150,14 @@ def test_minimal_hitting_sets_basic():
     assert minimal_hitting_sets(fam) == [frozenset({"b"}), frozenset({"a", "c"})]
     with pytest.raises(ValueError):
         minimal_hitting_sets([frozenset()])
+
+
+def test_wide_transversal_is_one_set():
+    # a transversal deeper than the interpreter's default recursion limit
+    n = 1200
+    edges = [frozenset({f"t{i}"}) for i in range(n)]
+    assert minimal_hitting_sets(edges) == [frozenset().union(*edges)]
+    inst = Instance.build({"R": 1}, [Fact(f"t{i}", "R", (f"c{i}",)) for i in range(n)])
+    reps = enumerate_s_repairs(inst, denial_constraint_of(parse_query("q :- R(x).", inst)),
+                               max_deletable=5000)
+    assert len(reps) == 1 and reps[0].removed == inst.tids()
