@@ -35,7 +35,6 @@ from .fastpath import (
     participating_sets,
     sufficient_set_from,
 )
-from .kernels import available_backends, backend_name
 from .lineage import LineageFormula, eliminate_exogenous, lineage_of, minimal_models
 from .model import Fact, Instance, load_instance, load_instance_csv
 from .oracle import (
@@ -77,6 +76,19 @@ from .repairs import (
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """The join engine in use: there is one, in pure Python.  Kept, with
+    ``available_backends``, because ``perfbench/run.py`` records both in
+    the machine description of every benchmark result."""
+    return "python"
+
+
+def available_backends() -> tuple[str, ...]:
+    """All join engines; see ``backend_name``."""
+    return ("python",)
+
+
 __all__ = [
     "__version__",
     # model
@@ -101,7 +113,7 @@ __all__ = [
     "sufficient_set_from", "chase_mss", "min_mss_sjf",
     # lineage
     "LineageFormula", "lineage_of", "eliminate_exogenous", "minimal_models",
-    # kernels
+    # engine
     "backend_name", "available_backends",
     "errors",
 ] + list(errors.__all__)

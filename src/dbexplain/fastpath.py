@@ -37,7 +37,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from . import kernels
 from .errors import (
     CallerMustUseOracle,
     ChaseDefect,
@@ -54,7 +53,6 @@ from .query import (
     BooleanCQ,
     Query,
     _assignments,
-    _shared_positions,
     evaluate,
     fact_matches_atom,
     join_compatible,
@@ -116,43 +114,15 @@ def _check_partition(instance: Instance, query: BooleanCQ) -> dict[str, bool]:
     return out
 
 
-def _compile(instance: Instance, query: BooleanCQ):
-    """Integer-encode the per-atom candidate rows and join constraints."""
-    vid: dict[str, int] = {}
-
-    def enc(v: str) -> int:
-        if v not in vid:
-            vid[v] = len(vid)
-        return vid[v]
-
-    k = query.k
-    rows: list[list[tuple[int, ...]]] = []
-    tids: list[list[str]] = []
-    for atom in query.atoms:
-        atom_rows, atom_tids = [], []
-        for f in instance.relation(atom.pred):
-            if fact_matches_atom(atom, f):
-                atom_rows.append(tuple(enc(v) for v in f.vals))
-                atom_tids.append(f.tid)
-        rows.append(atom_rows)
-        tids.append(atom_tids)
-    pair_eqs = [[(() if i == j else _shared_positions(query, i, j))
-                 for j in range(k)] for i in range(k)]
-    return rows, tids, pair_eqs
-
-
-def participating_sets(instance: Instance, query: Query, *,
-                       backend: str | None = None) -> ParticipatingSets:
-    """The R_i sets: companions are tried exhaustively, so each tuple costs
-    at most |D|^(k-1) checks (early exit on the first success)."""
+def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
+    """The R_i sets: the per-atom projection of the satisfying
+    combinations, enumerated once in O(|D|^k)."""
     cq = _require_cq(query)
-    rows, tids, pair_eqs = _compile(instance, cq)
-    masks = kernels.participation_masks(rows, pair_eqs, backend=backend)
-    per_atom = tuple(
-        frozenset(t for t, hit in zip(tids[i], masks[i]) if hit)
-        for i in range(cq.k)
-    )
-    return ParticipatingSets(per_atom=per_atom)
+    per_atom: list[set[str]] = [set() for _ in cq.atoms]
+    for _, bound in _assignments(cq, instance):
+        for r_i, f in zip(per_atom, bound):
+            r_i.add(f.tid)
+    return ParticipatingSets(per_atom=tuple(frozenset(r_i) for r_i in per_atom))
 
 
 def _is_minimal_image(image: frozenset[str],
@@ -305,8 +275,8 @@ def chase_mss(instance: Instance, query: Query, tid: str,
         "avoiding it, or no companions outside the core complete it")
 
 
-def min_mss_sjf(instance: Instance, query: Query, tid: str | None = None, *,
-                backend: str | None = None) -> MinMssResult:
+def min_mss_sjf(instance: Instance, query: Query,
+                tid: str | None = None) -> MinMssResult:
     """Minimum-size minimal sufficient set (optionally through a given
     tuple) for a self-join-free query, plus the sufficiency degree.
 
@@ -321,7 +291,7 @@ def min_mss_sjf(instance: Instance, query: Query, tid: str | None = None, *,
     endo_pred = _check_partition(instance, cq)
     if not evaluate(cq, instance):
         raise QueryNotSatisfied("the query is false in the instance")
-    psets = participating_sets(instance, cq, backend=backend)
+    psets = participating_sets(instance, cq)
     participating: set[str] = set()
     for atom, r_i in zip(cq.atoms, psets.per_atom):
         if endo_pred[atom.pred]:

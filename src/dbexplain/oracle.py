@@ -145,6 +145,15 @@ def degrees(instance: Instance, query: Query, *,
     return DegreeReport(per_tuple=per)
 
 
+def _contingencies(mns: list[frozenset[str]]) -> dict[str, tuple[frozenset[str], ...]]:
+    """Each actual cause t mapped to its minimal contingency sets N - {t},
+    for the MNS N through t."""
+    return {
+        tid: tuple(sorted((s - {tid} for s in mns if tid in s), key=_by_tids))
+        for tid in sorted(set().union(*mns))
+    }
+
+
 def actual_causes(instance: Instance, query: Query, *,
                   max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
@@ -154,11 +163,7 @@ def actual_causes(instance: Instance, query: Query, *,
     G) leaves the query true but removing t on top falsifies it.
     """
     mns = _mns(_mss(instance, query, max_endo, max_paths))
-    report = {
-        tid: tuple(sorted((s - {tid} for s in mns if tid in s), key=_by_tids))
-        for tid in sorted(set().union(*mns))
-    }
-    return ContingencyReport(contingencies=report)
+    return ContingencyReport(contingencies=_contingencies(mns))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +229,8 @@ def cause_repair_correspondence(instance: Instance, query: Query, *,
         raise UnsupportedQuery("repairs are defined via the denial constraint "
                                "of a Boolean conjunctive query")
     mns = _mns(_mss(instance, query, max_endo, max_paths))
-    cont = actual_causes(instance, query, max_endo=max_endo, max_paths=max_paths)
     cause_sets = sorted(
-        {frozenset(g | {t}) for t, gs in cont.contingencies.items() for g in gs},
+        {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)
     try:
         reps = enumerate_s_repairs(instance, denial_constraint_of(query),

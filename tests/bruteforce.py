@@ -18,7 +18,8 @@ Per-subset satisfaction is decided against the minimal-witness family
 (bitmask containment), which is equivalent for monotone queries.  The
 functions mirror the library's signatures and return types, so results
 compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
-reproduced.
+reproduced.  ``participating_sets`` filters the full cartesian product of
+each atom's matching facts, sharing no code with the library's join.
 """
 
 from __future__ import annotations
@@ -35,14 +36,18 @@ from dbexplain import (
     ExplanationSet,
     Instance,
     OracleBoundExceeded,
+    ParticipatingSets,
     Query,
     QueryNotSatisfied,
     TupleDegrees,
     enumerate_witnesses,
     evaluate,
+    fact_matches_atom,
+    join_compatible,
 )
 
-__all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes"]
+__all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
+           "participating_sets"]
 
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
@@ -201,3 +206,19 @@ def actual_causes(instance: Instance, query: Query, *,
             report[tid] = tuple(sorted((_to_tids(g, endo) for g in found),
                                        key=lambda s: tuple(sorted(s))))
     return ContingencyReport(contingencies=report)
+
+
+def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
+    """Per atom position, the tuples at that position in some satisfying
+    combination: the full cartesian product of each atom's matching facts,
+    filtered by pairwise join compatibility over every pair of atoms."""
+    k = len(query.atoms)
+    candidates = [[f for f in instance.relation(atom.pred)
+                   if fact_matches_atom(atom, f)] for atom in query.atoms]
+    per_atom: list[set[str]] = [set() for _ in range(k)]
+    for combo in itertools.product(*candidates):
+        if all(join_compatible(query, i, combo[i], j, combo[j])
+               for i in range(k) for j in range(i + 1, k)):
+            for r_i, f in zip(per_atom, combo):
+                r_i.add(f.tid)
+    return ParticipatingSets(per_atom=tuple(frozenset(r_i) for r_i in per_atom))

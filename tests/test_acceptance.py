@@ -353,7 +353,7 @@ def test_criterion_09_randomized_property_suite():
 # criterion 10: scaling smoke test for the rewritten core
 
 def _time_core(instance, q) -> float:
-    core_fast(instance, q)  # warm up encoding caches
+    core_fast(instance, q)  # warm-up call, left out of the timing
     reps, total = 0, 0.0
     while total < 0.05 and reps < 200:
         t0 = time.perf_counter()

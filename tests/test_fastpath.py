@@ -15,6 +15,8 @@ from dbexplain import (
     QueryNotSatisfied,
     UnsupportedPartition,
     UnsupportedQuery,
+    available_backends,
+    backend_name,
     chase_mss,
     core_fast,
     core_naive,
@@ -28,8 +30,9 @@ from dbexplain import (
     sufficient_set_from,
     verify_explanation,
 )
-from dbexplain.kernels import available_backends
 from dbexplain.synth import planted_query, random_instance
+
+import bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +56,31 @@ def test_participating_sets_loop_instance(rrs_loop, q_rrs):
     assert ps.union() == rrs_loop.tids() - {"S:b,c"}
 
 
-def test_participating_sets_backends_agree(srs_prime, rrs_loop, q_srs, q_rrs):
-    for instance, q in [(srs_prime, q_srs), (rrs_loop, q_rrs)]:
-        per_backend = [participating_sets(instance, q, backend=b).per_atom
-                       for b in available_backends()]
-        assert all(p == per_backend[0] for p in per_backend)
+def test_participating_sets_match_bruteforce():
+    """The projection of the join enumeration against the cartesian
+    product filtered pairwise, on planted queries (1-4 atoms self-join
+    free, 2-3 atoms with self-joins, every exo mode) and on random
+    subinstances of their instances, where the query may be false."""
+    rng = random.Random(4242)
+    done = 0
+    while done < 300:
+        instance = random_instance(rng, max_tuples=10, n_preds=4,
+                                   exo_mode=rng.choice(["none", "tuples", "predicates"]))
+        n_atoms = rng.choice([1, 2, 3, 4])
+        q = planted_query(rng, instance, n_atoms=n_atoms,
+                          self_join=n_atoms > 1 and rng.random() < 0.5)
+        if q is None:
+            continue
+        sub = instance.restrict(t for t in instance.tids() if rng.random() < 0.6)
+        for inst in (instance, sub):
+            assert participating_sets(inst, q) == \
+                bruteforce.participating_sets(inst, q), (inst.to_dict(), str(q))
+        done += 1
+
+
+def test_backend_name_is_python():
+    assert backend_name() == "python"
+    assert available_backends() == ("python",)
 
 
 # ---------------------------------------------------------------------------
