@@ -6,12 +6,13 @@ endogenous and exogenous tuples: minimal sufficient and minimal necessary
 tuple sets, exact necessity/sufficiency/responsibility degrees, actual
 causes with contingency sets, subset- and cardinality-repairs of the
 query's denial constraint, the repair core (both by repair intersection
-and by a polynomial minimal-witness rewriting), chase-style construction of
-a minimal sufficient set through a given tuple, and the monotone-DNF
-lineage with minimal-model enumeration.  The sufficiency and necessity
-families, degrees and causes are all derived from one object, the
-antichain of endogenous witness projections: its members are the minimal
-sufficient sets and its minimal transversals the minimal necessary sets.
+and in polynomial time), chase-style construction of a minimal sufficient
+set through a given tuple, and the monotone-DNF lineage with minimal-model
+enumeration.  The sufficiency and necessity families, degrees, causes and
+the polynomial core are all derived from one object, the antichain W of
+endogenous witness projections: its members are the minimal sufficient
+sets, its minimal transversals the minimal necessary sets, and the
+instance minus the union of its members is the repair core.
 """
 
 from . import errors

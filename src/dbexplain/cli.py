@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import fastpath, lineage, oracle, repairs
 from .errors import ExplainError
@@ -49,14 +48,22 @@ def _sets(family) -> list[list[str]]:
     return [sorted(s.tuples if hasattr(s, "tuples") else s) for s in family]
 
 
-def _env_max_endo() -> int:
-    raw = os.environ.get("EXPLAIN_MAX_ENDO")
-    if raw is None:
-        return DEFAULT_MAX_ENDO
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _max_endo(parser: argparse.ArgumentParser, flag: int | None) -> int:
+    """--max-endo, else EXPLAIN_MAX_ENDO, else the default."""
+    if flag is not None:
+        return flag
     try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_MAX_ENDO
+        return _non_negative_int(
+            os.environ.get("EXPLAIN_MAX_ENDO", str(DEFAULT_MAX_ENDO)))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"EXPLAIN_MAX_ENDO: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-q", "--query", required=True,
                         help="query text, e.g. 'q :- S(x), R(x,y), S(y).'")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--max-endo", type=int, default=None,
+    common.add_argument("--max-endo", type=_non_negative_int, default=None,
                         help="size bound on the endogenous part for the "
                              "oracle families, and on the deletable tuples "
                              "for repairs (default: EXPLAIN_MAX_ENDO or 20)")
@@ -121,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args, instance: Instance, query) -> dict:
-    max_endo = args.max_endo if args.max_endo is not None else _env_max_endo()
+    max_endo = args.max_endo
     cmd = args.command
     if cmd == "eval":
         return {"satisfied": evaluate(query, instance)}
@@ -247,6 +254,7 @@ def _render_table(report: dict) -> str:
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.max_endo = _max_endo(parser, args.max_endo)
     started = time.perf_counter()
     try:
         instance = _load(args.instance)

@@ -78,12 +78,9 @@ class ChaseSeedError(ExplainError):
 
 
 class ChaseDefect(ExplainError):
-    """No subset-minimal sufficient set through the seed exists or is
-    reachable by the chase.  Two cases raise it.  A seed that occurs in
-    satisfying combinations but in no minimal witness lies in the repair
-    core and in no minimal sufficient set; this is detected before the
-    search starts.  Over predicate-exogenous inputs a seed can also lie in
-    minimal witnesses whose endogenous projections are all non-minimal;
-    this is found when the search runs out (see README, "known
-    divergences").  When every query atom ranges over endogenous tuples,
-    the second case indicates a bug."""
+    """The chase found no subset-minimal sufficient set through the seed.
+    It is raised before searching for a seed that occurs in satisfying
+    combinations but in no member of the witness antichain W: such a seed
+    lies in the repair core and in no minimal sufficient set.  Every seed
+    outside the core lies in a member of W, which the search reaches; so
+    without a repair to stay inside, a search that runs out is a bug."""

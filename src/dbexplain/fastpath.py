@@ -1,24 +1,17 @@
 """Polynomial-time repair core and chase-style minimal sufficient sets.
 
-The repair core (tuples kept by every subset-repair) is computed without
-enumerating repairs: the satisfying combinations of the conjunctive query
-(one fact per atom position) are enumerated once, and a combination counts
-only if its image is a minimal witness, i.e. no proper subset of the image
-is itself the image of a satisfying combination.  The core is the instance
-minus the endogenous tuples of minimal witnesses.  The enumeration costs
-O(|D|^k); the minimality check looks up at most 2^k sub-images per
-combination, a constant in data complexity.
-
-When every query atom ranges over endogenous tuples, this core equals the
-intersection of all repairs, self-joins included.  A tuple inside some
-minimal witness is removed by some repair.  A tuple outside every minimal
-witness is kept by every repair, even when a self-join puts it into a
-larger, non-minimal satisfying combination.  For self-join-free queries
-every image is already minimal, so the rule reduces to subtracting the
-participating tuples.  Over predicate-exogenous inputs a minimal witness
-can have a non-minimal endogenous projection.  There the core can be a
-strict subset of the core of the repairs that delete endogenous tuples
-only (see README, "known divergences").
+Both read the witness index of :mod:`dbexplain.query`: one O(|D|^k)
+enumeration of the satisfying combinations per call.  Its antichain W
+holds the minimal endogenous projections of the images.  These are the
+minimal sufficient sets, and the removal sets of the repairs that delete
+endogenous tuples only are their minimal transversals (Bertossi & Salimi,
+"From causes for database queries to repairs and model-based diagnosis
+and back", 2017).  Every tuple of a member of W lies in some minimal
+transversal, so the repair core, the tuples every such repair keeps, is
+the instance minus the union of W.  This holds under self-joins and over
+predicate-exogenous inputs alike; when every tuple is endogenous it is the
+core of all repairs.  Finding W costs at most 2^k subset lookups per set,
+a constant in data complexity.
 
 From the core, a chase-style construction extends a seed tuple with
 join-compatible companions drawn outside the core, one atom position at a
@@ -34,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -52,8 +44,8 @@ from .model import Fact, Instance
 from .query import (
     BooleanCQ,
     Query,
-    _assignments,
-    evaluate,
+    _witness_index,
+    _WitnessIndex,
     fact_matches_atom,
     join_compatible,
 )
@@ -118,47 +110,19 @@ def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
     """The R_i sets: the per-atom projection of the satisfying
     combinations, enumerated once in O(|D|^k)."""
     cq = _require_cq(query)
-    per_atom: list[set[str]] = [set() for _ in cq.atoms]
-    for _, bound in _assignments(cq, instance):
-        for r_i, f in zip(per_atom, bound):
-            r_i.add(f.tid)
-    return ParticipatingSets(per_atom=tuple(frozenset(r_i) for r_i in per_atom))
-
-
-def _is_minimal_image(image: frozenset[str],
-                      images: set[frozenset[str]]) -> bool:
-    """Is the image a minimal witness?  A proper subset of it satisfies the
-    query exactly when it contains the image of some satisfying
-    combination, so looking up the proper subsets decides minimality."""
-    return not any(frozenset(sub) in images
-                   for size in range(1, len(image))
-                   for sub in combinations(image, size))
-
-
-def _core_and_participants(instance: Instance,
-                           cq: BooleanCQ) -> tuple[frozenset[str], frozenset[str]]:
-    """The rewritten core, and the union of the images of all satisfying
-    combinations (the tuples that participate in one)."""
-    images = {frozenset(f.tid for f in bound)
-              for _, bound in _assignments(cq, instance)}
-    endo = instance.endogenous_part()
-    removed: set[str] = set()
-    for image in images:
-        if _is_minimal_image(image, images):
-            removed |= image & endo
-    return instance.tids() - removed, frozenset().union(*images)
+    return ParticipatingSets(per_atom=_witness_index(cq, instance).per_atom)
 
 
 def core_fast(instance: Instance, query: Query) -> CoreResult:
-    """Repair core via the minimal-witness rewriting, in O(|D|^k).
+    """Repair core as D minus the union of W, in O(|D|^k).
 
-    The core is the instance minus the endogenous tuples of minimal
-    witnesses; exogenous tuples are kept by every repair.  Exact when all
-    query atoms range over endogenous tuples, self-joins included.
+    Exact for the repairs that delete endogenous tuples only, and so for
+    all repairs when every tuple is endogenous; all of D when the
+    exogenous part alone satisfies the query.
     """
     cq = _require_cq(query)
     _check_partition(instance, cq)
-    core, _ = _core_and_participants(instance, cq)
+    core = instance.tids() - _witness_index(cq, instance).union()
     return CoreResult(tuples=core, method="lemma1")
 
 
@@ -210,33 +174,35 @@ def chase_mss(instance: Instance, query: Query, tid: str,
     candidates in tid order; dead ends backtrack.  The raw result is
     minimized (it can be non-minimal under self-joins) and re-verified.
 
-    Without a repair, a seed inside the core is refused up front: with
-    ``ChaseDefect`` when it occurs in satisfying combinations but in no
-    minimal witness (so in no minimal sufficient set), with
-    ``ChaseSeedError`` when it occurs in no satisfying combination.
+    Without a repair, a seed inside the core lies in no minimal sufficient
+    set and is refused up front: with ``ChaseDefect`` when it occurs in
+    satisfying combinations, with ``ChaseSeedError`` when it occurs in
+    none.  Every seed outside the core lies in a member of W, and the
+    search reaches that member.
     """
     cq = _require_cq(query)
     endo_pred = _check_partition(instance, cq)
+    return _chase(instance, cq, tid, repair, endo_pred, _witness_index(cq, instance))
+
+
+def _chase(instance: Instance, cq: BooleanCQ, tid: str, repair: Repair | None,
+           endo_pred: dict[str, bool], index: _WitnessIndex) -> ExplanationSet:
     seed = instance.fact(tid)
     if not seed.endo:
         raise ChaseSeedError(f"seed {tid!r} is exogenous")
-    core, participants = _core_and_participants(instance, cq)
+    base, kept = index.union(), None
     if repair is not None:
         if tid not in repair.removed:
             raise ChaseSeedError(f"seed {tid!r} is not removed by the repair")
-        base = repair.kept - core
-        kept = repair.kept
-    else:
-        if tid in core:
-            if tid in participants:
-                raise ChaseDefect(
-                    f"seed {tid!r} lies in no minimal sufficient set: it occurs "
-                    "in satisfying combinations, but in no minimal witness")
-            raise ChaseSeedError(
-                f"seed {tid!r} lies in the repair core: it participates in no "
-                "satisfying combination")
-        base = instance.tids() - core
-        kept = None
+        base, kept = base & repair.kept, repair.kept
+    elif tid not in base:
+        if any(tid in r_i for r_i in index.per_atom):
+            raise ChaseDefect(
+                f"seed {tid!r} lies in no minimal sufficient set, although "
+                "it occurs in satisfying combinations")
+        raise ChaseSeedError(
+            f"seed {tid!r} lies in the repair core: it participates in no "
+            "satisfying combination")
     pools = _chase_candidates(instance, cq, seed, base, endo_pred, kept)
     seed_positions = [i for i, atom in enumerate(cq.atoms)
                       if atom.pred == seed.pred and fact_matches_atom(atom, seed)]
@@ -263,16 +229,16 @@ def chase_mss(instance: Instance, query: Query, tid: str,
         for complete in completions({p: seed}, order, 0):
             result = {f.tid for f in complete.values() if f.endo}
             for u in sorted(result - {tid}):
-                if is_sufficient(instance, query, result - {u}):
+                if is_sufficient(instance, cq, result - {u}):
                     result.discard(u)
             try:
-                return ExplanationSet.checked("MSS", result, instance, query)
+                return ExplanationSet.checked("MSS", result, instance, cq)
             except ExplanationInvalid:
                 continue
+    # Without a repair this is unreachable: a member of W contains the
+    # seed, and some completion binds a minimal image projecting onto it.
     raise ChaseDefect(
-        f"no minimal sufficient set through seed {tid!r} is reachable: every "
-        "combination the seed supports has a sufficient proper subset "
-        "avoiding it, or no companions outside the core complete it")
+        f"no minimal sufficient set through seed {tid!r} is reachable")
 
 
 def min_mss_sjf(instance: Instance, query: Query,
@@ -289,23 +255,18 @@ def min_mss_sjf(instance: Instance, query: Query,
         raise CallerMustUseOracle(
             "minimum-size shortcut requires a self-join-free query")
     endo_pred = _check_partition(instance, cq)
-    if not evaluate(cq, instance):
+    index = _witness_index(cq, instance)
+    if not index.images:
         raise QueryNotSatisfied("the query is false in the instance")
-    psets = participating_sets(instance, cq)
-    participating: set[str] = set()
-    for atom, r_i in zip(cq.atoms, psets.per_atom):
-        if endo_pred[atom.pred]:
-            participating |= r_i
-    if tid is not None:
-        if tid not in instance:
-            raise UnknownTupleId(f"unknown tid {tid!r}")
-        if tid not in participating:
-            return MinMssResult(mss=None, sigma=Fraction(0))
-        mss = chase_mss(instance, cq, tid)
-        return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)))
-    if not participating:
-        empty = ExplanationSet.checked("MSS", frozenset(), instance, query)
-        return MinMssResult(mss=empty, sigma=None)
-    seed = min(participating)
-    mss = chase_mss(instance, cq, seed)
+    participating = index.union()
+    if tid is None:
+        if not participating:
+            empty = ExplanationSet.checked("MSS", frozenset(), instance, query)
+            return MinMssResult(mss=empty, sigma=None)
+        tid = min(participating)
+    elif tid not in instance:
+        raise UnknownTupleId(f"unknown tid {tid!r}")
+    elif tid not in participating:
+        return MinMssResult(mss=None, sigma=Fraction(0))
+    mss = _chase(instance, cq, tid, None, endo_pred, index)
     return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedQuery
 from .model import Instance
-from .query import BooleanCQ, Query, _antichain, enumerate_witnesses
+from .query import BooleanCQ, Query, _antichain, _witness_index
 
 __all__ = ["LineageFormula", "lineage_of", "eliminate_exogenous", "minimal_models"]
 
@@ -59,8 +59,7 @@ def lineage_of(instance: Instance, query: Query) -> LineageFormula:
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("lineage is built for Boolean conjunctive "
                                "queries; path witnesses have unbounded width")
-    clauses = frozenset(w.tuples for w in enumerate_witnesses(query, instance))
-    return LineageFormula(clauses=frozenset(_antichain(clauses)))
+    return LineageFormula(clauses=frozenset(_witness_index(query, instance).minimal))
 
 
 def eliminate_exogenous(formula: LineageFormula, instance: Instance, *,

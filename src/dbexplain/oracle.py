@@ -48,6 +48,7 @@ from .query import (
     BooleanCQ,
     Query,
     _antichain,
+    _witness_index,
     denial_constraint_of,
     enumerate_witnesses,
     evaluate,
@@ -78,6 +79,8 @@ def _mss(instance: Instance, query: Query, max_endo: int | None,
     if len(endo) > bound:
         raise OracleBoundExceeded(
             f"{len(endo)} endogenous tuples exceed the oracle bound {bound}")
+    if isinstance(query, BooleanCQ):
+        return sorted(_witness_index(query, instance).antichain, key=_by_tids)
     witnesses = enumerate_witnesses(query, instance, max_paths=max_paths)
     return sorted(_antichain(w.tuples & endo for w in witnesses), key=_by_tids)
 

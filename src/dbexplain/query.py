@@ -22,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     PathBoundExceeded,
@@ -277,20 +277,8 @@ def parse_query(
 
 def fact_matches_atom(atom: Atom, fact: Fact) -> bool:
     """Check constants and repeated variables of one atom against one fact."""
-    if fact.pred != atom.pred or len(fact.vals) != len(atom.args):
-        return False
-    env: dict[str, str] = {}
-    for term, val in zip(atom.args, fact.vals):
-        if isinstance(term, Const):
-            if term.value != val:
-                return False
-        else:
-            bound = env.get(term.name)
-            if bound is None:
-                env[term.name] = val
-            elif bound != val:
-                return False
-    return True
+    return (fact.pred == atom.pred and len(fact.vals) == len(atom.args)
+            and _extend_env(atom, fact, {}) is not None)
 
 
 def _extend_env(atom: Atom, fact: Fact, env: dict[str, str]) -> dict[str, str] | None:
@@ -399,6 +387,47 @@ def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     return kept
 
 
+def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]:
+    """The members with no proper subset in the family, decided by looking
+    up each member's proper subsets of the sizes that members have: at
+    most 2^k, as no member here has more than k tuples."""
+    sizes = {len(s) for s in family}
+    return [s for s in family
+            if not any(frozenset(sub) in family
+                       for size in sizes if size < len(s)
+                       for sub in itertools.combinations(s, size))]
+
+
+class _WitnessIndex(NamedTuple):
+    images: dict[frozenset[str], dict[str, str]]  # image -> first assignment
+    minimal: list[frozenset[str]]  # the minimal images: the witnesses
+    per_atom: tuple[frozenset[str], ...]  # per atom position, its tuples
+    antichain: list[frozenset[str]]  # W: minimal endogenous projections
+
+    def union(self) -> frozenset[str]:
+        """The tuples in some minimal sufficient set."""
+        return frozenset().union(*self.antichain)
+
+
+def _witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
+    """One pass over the satisfying assignments.  A set satisfies the
+    query when it contains an image, and a set of endogenous tuples is
+    sufficient when it contains an image's endogenous projection; so the
+    minimal images are the witnesses, and their minimal projections are
+    the minimal sufficient sets."""
+    _check_preds(query, instance)
+    images: dict[frozenset[str], dict[str, str]] = {}
+    per_atom: list[set[str]] = [set() for _ in query.atoms]
+    for env, bound in _assignments(query, instance):
+        images.setdefault(frozenset(f.tid for f in bound), env)
+        for r_i, f in zip(per_atom, bound):
+            r_i.add(f.tid)
+    minimal = _minimal_members(images)
+    endo = instance.endogenous_part()
+    return _WitnessIndex(images, minimal, tuple(map(frozenset, per_atom)),
+                         _minimal_members({image & endo for image in minimal}))
+
+
 def enumerate_witnesses(query: Query, instance: Instance, *,
                         max_paths: int = DEFAULT_MAX_PATHS) -> tuple[Witness, ...]:
     """All subset-minimal witnesses; empty iff the query is false."""
@@ -410,13 +439,9 @@ def enumerate_witnesses(query: Query, instance: Instance, *,
         paths = _simple_paths(instance, query, max_paths)
         witnesses = [Witness(tuples=p) for p in sorted(set(paths), key=sorted)]
         return tuple(sorted(witnesses, key=Witness.sort_key))
-    _check_preds(query, instance)
-    images: dict[frozenset[str], dict[str, str]] = {}
-    for env, bound in _assignments(query, instance):
-        image = frozenset(f.tid for f in bound)
-        images.setdefault(image, env)
-    minimal = _antichain(images)
-    witnesses = [Witness(tuples=s, assignment=dict(images[s])) for s in minimal]
+    index = _witness_index(query, instance)
+    witnesses = [Witness(tuples=s, assignment=dict(index.images[s]))
+                 for s in index.minimal]
     return tuple(sorted(witnesses, key=Witness.sort_key))
 
 
@@ -431,7 +456,7 @@ def denial_constraint_of(query: Query) -> DenialConstraint:
 # ---------------------------------------------------------------------------
 # subtuple restriction (join-compatibility test used by the chase)
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _shared_positions(query: BooleanCQ, i: int, j: int) -> tuple[tuple[int, int], ...]:
     """First positions, in atom i and atom j, of their shared variables.
 

@@ -164,6 +164,13 @@ def test_usage_error_exit_code(capsys):
         run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
              "--jobs", "2"])
     assert exc.value.code == 2
+    for bad in ("-1", "abc"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
+                 "--max-endo", bad])
+        assert exc.value.code == 2
+        assert "--max-endo" in capsys.readouterr().err
 
 
 def test_byte_identical_reports(capsys):
@@ -181,6 +188,13 @@ def test_env_var_mirrors_max_endo(capsys, monkeypatch):
     code, doc, _ = invoke(capsys, "mss", "-i", str(data_path("rt_small.json")),
                           "-q", Q_RT, "--max-endo", "10")
     assert code == 0
+    # a malformed or negative value is a usage error, not the default
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("EXPLAIN_MAX_ENDO", bad)
+        with pytest.raises(SystemExit) as exc:
+            run(["mss", "-i", str(data_path("rt_small.json")), "-q", Q_RT])
+        assert exc.value.code == 2
+        assert "EXPLAIN_MAX_ENDO" in capsys.readouterr().err
 
 
 def test_table_format(capsys):

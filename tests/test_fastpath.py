@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import dbexplain.fastpath
+import dbexplain.query
 from dbexplain import (
     CallerMustUseOracle,
     ChaseDefect,
@@ -13,6 +15,7 @@ from dbexplain import (
     Fact,
     Instance,
     QueryNotSatisfied,
+    RepairNotFound,
     UnsupportedPartition,
     UnsupportedQuery,
     available_backends,
@@ -115,11 +118,17 @@ def test_core_fast_rejects_mixed_partition(srs_prime, q_srs):
 
 
 def test_core_fast_skips_exogenous_predicates(srs_prime_exoR):
+    """Every R tuple is exogenous, so every repair keeps it.  The minimal
+    witness {S:c, R:c,b, S:b} projects to {S:b, S:c}, which contains the
+    projection {S:b} of the witness {S:b, R:b,b}; so S:b alone lies in a
+    minimal sufficient set, and the one endogenous-deletion repair removes
+    S:b only."""
     q = parse_query("q :- S(x), R(x,y), S(y).", srs_prime_exoR)
     core = core_fast(srs_prime_exoR, q).tuples
-    # every R tuple is shielded, hence kept; participating S tuples drop out
-    assert {"R:a,d", "R:b,b", "R:c,b", "R:e,f"} <= core
-    assert sorted(srs_prime_exoR.tids() - core) == ["S:b", "S:c"]
+    naive = core_naive(srs_prime_exoR, denial_constraint_of(q),
+                       endogenous_only=True).tuples
+    assert core == naive
+    assert sorted(srs_prime_exoR.tids() - core) == ["S:b"]
 
 
 def test_core_fast_equals_naive_on_sjf_randoms():
@@ -132,6 +141,31 @@ def test_core_fast_equals_naive_on_sjf_randoms():
             continue
         fast = core_fast(instance, q).tuples
         naive = core_naive(instance, denial_constraint_of(q)).tuples
+        assert fast == naive, (instance.to_dict(), str(q))
+        done += 1
+
+
+def test_core_fast_equals_endogenous_naive_on_randoms():
+    """D minus the union of W against the intersection of the repairs that
+    delete endogenous tuples only, on self-join-free and self-join queries
+    over all-endogenous and predicate-exogenous instances.  Where the
+    exogenous part alone satisfies the query no such repair exists, and
+    the core is the whole instance."""
+    rng = random.Random(11)
+    done = 0
+    while done < 300:
+        instance = random_instance(rng, max_tuples=10,
+                                   exo_mode=rng.choice(["none", "predicates"]))
+        q = planted_query(rng, instance, n_atoms=rng.choice([2, 3]),
+                          self_join=rng.random() < 0.5)
+        if q is None:
+            continue
+        fast = core_fast(instance, q).tuples
+        try:
+            naive = core_naive(instance, denial_constraint_of(q),
+                               endogenous_only=True).tuples
+        except RepairNotFound:
+            naive = instance.tids()
         assert fast == naive, (instance.to_dict(), str(q))
         done += 1
 
@@ -334,3 +368,35 @@ def test_min_mss_sjf_matches_oracle_sigma(rt_small, q_rt):
         res = min_mss_sjf(rt_small, q_rt, tid)
         got = res.sigma if res.sigma is not None else Fraction(0)
         assert got == rep.sigma(tid), tid
+
+
+# ---------------------------------------------------------------------------
+# one enumeration per call
+
+def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
+                                                srs_prime, q_srs):
+    """Each fast-path call enumerates the satisfying assignments of its
+    input instance once.  The chase's sufficiency checks enumerate
+    restricted copies, which are other objects."""
+    seen = []
+    original = dbexplain.query._assignments
+
+    def counting(query, instance):
+        seen.append(instance)
+        return original(query, instance)
+
+    # every module binding of the name, so that a direct import counts too
+    for module in (dbexplain.query, dbexplain.fastpath):
+        if hasattr(module, "_assignments"):
+            monkeypatch.setattr(module, "_assignments", counting)
+    calls = [
+        ("min_mss_sjf", rt_small, lambda: min_mss_sjf(rt_small, q_rt)),
+        ("min_mss_sjf:tuple", rt_small,
+         lambda: min_mss_sjf(rt_small, q_rt, "R:a3,a3")),
+        ("chase_mss", srs_prime, lambda: chase_mss(srs_prime, q_srs, "S:b")),
+        ("core_fast", srs_prime, lambda: core_fast(srs_prime, q_srs)),
+    ]
+    for name, instance, call in calls:
+        seen.clear()
+        call()
+        assert sum(i is instance for i in seen) == 1, name
