@@ -23,7 +23,7 @@ from .errors import ExplainError
 from .explanations import DEFAULT_MAX_ENDO, frac_str
 from .model import Instance, load_instance, load_instance_csv
 from .query import DEFAULT_MAX_PATHS, denial_constraint_of, evaluate, parse_query
-from .query import enumerate_witnesses
+from .query import _witness_index, enumerate_witnesses
 
 __all__ = ["main", "run"]
 
@@ -146,14 +146,17 @@ def _dispatch(args, instance: Instance, query) -> dict:
                         "set": sorted(res.mss.tuples) if res.mss else None,
                         "sigma": frac_str(res.sigma) if res.sigma is not None else None}
             if args.tuple_id is None:
-                core = fastpath.core_fast(instance, query).tuples
-                outside = sorted(instance.endogenous_part() - core)
+                # the least tuple outside the core seeds the chase
+                cq = fastpath._require_cq(query)
+                endo_pred = fastpath._check_partition(instance, cq)
+                index = _witness_index(cq, instance)
+                outside = index.union()
                 if not outside:
                     return {"mode": "chase", "set": None, "sigma": None}
-                seed = outside[0]
+                got = fastpath._chase(instance, cq, min(outside), None,
+                                      endo_pred, index)
             else:
-                seed = args.tuple_id
-            got = fastpath.chase_mss(instance, query, seed)
+                got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}
         family = oracle.enumerate_mss(instance, query, max_endo=max_endo,
                                       max_paths=args.max_paths)

@@ -65,10 +65,7 @@ class ParticipatingSets:
     per_atom: tuple[frozenset[str], ...]
 
     def union(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for s in self.per_atom:
-            out |= s
-        return out
+        return frozenset().union(*self.per_atom)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ endogenous projections of the minimal witnesses, built once per call.
   part alone satisfies the query: the MSS family is the empty set alone
   and there is no MNS.
 * Degrees: eta(t) = 1/min{|N| : N an MNS, t in N} (0 when t is in no MNS)
-  and sigma(t) likewise over the MSS.  The responsibility
+  and sigma(t) likewise over the MSS.  An MNS is the union of one minimal
+  transversal per connected component of W, so eta is read off the
+  components' transversals without listing the MNS.  The responsibility
   rho(t) = 1/(1+|G|) for the smallest contingency set G equals eta(t).
   The subset-minimal contingency sets of t are the sets N - {t} for the
   MNS N through t (Bertossi & Salimi, "From causes for database queries
@@ -53,7 +55,7 @@ from .query import (
     enumerate_witnesses,
     evaluate,
 )
-from .repairs import enumerate_s_repairs, minimal_hitting_sets
+from .repairs import _component_transversals, enumerate_s_repairs, minimal_hitting_sets
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -129,17 +131,28 @@ def degrees(instance: Instance, query: Query, *,
     Exogenous tuples get zero degrees: they are members of no necessary or
     sufficient set by definition.  Strong flags mean membership in every
     MNS (resp. every MSS), with an empty family counting as not strong.
+    eta and strong necessity come from the minimal transversals of each
+    connected component of W, without listing the MNS: an MNS joins one
+    per component, so the smallest through t takes the smallest through t
+    in t's component and the other components' minima.
     """
     mss = _mss(instance, query, max_endo, max_paths)
-    mns = _mns(mss)
+    parts = [] if frozenset() in mss else _component_transversals(mss)
+    least = sum(len(p[0]) for p in parts)
+    eta_of: dict[str, Fraction] = {}
+    for part in parts:
+        for s in part:  # ascending size: the first set through t is smallest
+            for tid in s:
+                eta_of.setdefault(tid, Fraction(1, least - len(part[0]) + len(s)))
+    strong = set().union(*(frozenset.intersection(*p) for p in parts))
     per: dict[str, TupleDegrees] = {}
     for tid in sorted(instance.endogenous_part()):
-        eta = _inverse_min_size(mns, tid)
+        eta = eta_of.get(tid, Fraction(0))
         per[tid] = TupleDegrees(
             eta=eta,
             sigma=_inverse_min_size(mss, tid),
             rho=eta,
-            strong_necessary=bool(mns) and all(tid in s for s in mns),
+            strong_necessary=tid in strong,
             strong_sufficient=bool(mss) and all(tid in s for s in mss),
         )
     zero = TupleDegrees(Fraction(0), Fraction(0), Fraction(0), False, False)
@@ -243,7 +256,8 @@ def cause_repair_correspondence(instance: Instance, query: Query, *,
                             key=_by_tids)
     except RepairNotFound:
         removals, c_removals = [], []
-    min_mns = [s for s in mns if len(s) == min(len(x) for x in mns)] if mns else []
+    least = min(map(len, mns), default=0)
+    min_mns = [s for s in mns if len(s) == least]
     holds_a = mns == removals == cause_sets
     holds_b = min_mns == c_removals
     detail = {

@@ -7,6 +7,11 @@ conflict hypergraph of the constraint); the two views coincide for denial
 constraints and the equivalence is exercised against a direct maximality
 check in the test suite.
 
+Every minimal hitting set is the union of one minimal hitting set per
+connected component of the family (members sharing a tuple are
+connected), so the search runs on each component alone, and the
+cardinality repairs join the components' minimum-size ones.
+
 By default any tuple may be deleted.  The optional endogenous-only mode
 restricts deletions to the endogenous part and raises RepairNotFound when
 some violation is witnessed by exogenous tuples alone.
@@ -14,6 +19,7 @@ some violation is witnessed by exogenous tuples alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded, RepairNotFound
@@ -45,30 +51,83 @@ class CoreResult:
     method: str
 
 
-def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
-    """All subset-minimal hitting sets of a family of nonempty sets.
+def _components(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+    """The connected components of a family of nonempty sets, by a
+    union-find over their elements, in order of first member."""
+    parent: dict[str, str] = {}
 
-    Branch on the elements of the first unhit set; prune branches already
-    dominated by a recorded hitting set; keep the final antichain.  The
-    search runs on an explicit stack, so a transversal's size is not
-    bounded by the recursion limit.
-    """
+    def find(t: str) -> str:
+        while parent.setdefault(t, t) != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    for s in family:
+        for t in s:
+            parent[find(t)] = find(min(s))
+    groups: dict[str, list[frozenset[str]]] = {}
+    for s in family:
+        groups.setdefault(find(min(s)), []).append(s)
+    return list(groups.values())
+
+
+def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+    """The minimal hitting sets of each connected component of the family,
+    each list ordered by (size, tids).  Per component, branch on the first
+    unhit set, prune branches a recorded hitting set dominates, and keep
+    the final antichain; on an explicit stack, so no recursion limit."""
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
-    found: list[frozenset[str]] = []
-    stack = [frozenset()]
-    while stack:
-        current = stack.pop()
-        if any(f <= current for f in found):
-            continue
-        unhit = next((s for s in family if not (s & current)), None)
-        if unhit is None:
-            found.append(current)
-        else:
-            # reversed, so that the smallest element is expanded first
-            stack.extend(current | {t} for t in sorted(unhit, reverse=True))
-    return _antichain(found)
+    parts = []
+    for component in _components(family):
+        found: list[frozenset[str]] = []
+        stack = [frozenset()]
+        while stack:
+            current = stack.pop()
+            if any(f <= current for f in found):
+                continue
+            unhit = next((s for s in component if not (s & current)), None)
+            if unhit is None:
+                found.append(current)
+            else:
+                # reversed, so that the smallest element is expanded first
+                stack.extend(current | {t} for t in sorted(unhit, reverse=True))
+        parts.append(_antichain(found))
+    return parts
+
+
+def _unions(parts: list[list[frozenset[str]]]) -> list[frozenset[str]]:
+    """One member per part, joined; ordered by (size, tids)."""
+    return sorted((frozenset().union(*pick) for pick in itertools.product(*parts)),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
+    """All subset-minimal hitting sets of a family of nonempty sets,
+    ordered by (size, tids): the unions of one minimal hitting set per
+    connected component.  The empty family has the empty set as its sole
+    hitting set."""
+    return _unions(_component_transversals(family))
+
+
+def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
+               max_deletable: int | None) -> list[frozenset[str]]:
+    """The deletable part of each violation; none for a consistent instance."""
+    bound = DEFAULT_MAX_ENDO if max_deletable is None else max_deletable
+    deletable = instance.endogenous_part() if endogenous_only else instance.tids()
+    if len(deletable) > bound:
+        raise OracleBoundExceeded(
+            f"{len(deletable)} deletable tuples exceed the bound {bound}; "
+            "raise max_deletable explicitly for larger inputs")
+    family = []
+    for w in enumerate_witnesses(dc.body, instance):
+        hit = w.tuples & deletable
+        if not hit:
+            raise RepairNotFound(
+                f"violation {sorted(w.tuples)} cannot be resolved by deleting "
+                "endogenous tuples only")
+        family.append(hit)
+    return family
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
@@ -78,28 +137,12 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
 
     A consistent instance has itself as its sole repair.
     """
-    bound = DEFAULT_MAX_ENDO if max_deletable is None else max_deletable
-    deletable = instance.endogenous_part() if endogenous_only else instance.tids()
-    if len(deletable) > bound:
-        raise OracleBoundExceeded(
-            f"{len(deletable)} deletable tuples exceed the bound {bound}; "
-            "raise max_deletable explicitly for larger inputs")
-    witnesses = enumerate_witnesses(dc.body, instance)
+    removals = minimal_hitting_sets(
+        _conflicts(instance, dc, endogenous_only, max_deletable))
+    least = len(removals[0])  # the component minima, joined
     all_tids = instance.tids()
-    if not witnesses:
-        return (Repair(kept=all_tids, removed=frozenset(), cardinality_minimal=True),)
-    family = []
-    for w in witnesses:
-        hit = w.tuples & deletable
-        if not hit:
-            raise RepairNotFound(
-                f"violation {sorted(w.tuples)} cannot be resolved by deleting "
-                "endogenous tuples only")
-        family.append(hit)
-    removals = minimal_hitting_sets(family)
-    min_size = min(len(r) for r in removals)
     return tuple(
-        Repair(kept=all_tids - r, removed=r, cardinality_minimal=len(r) == min_size)
+        Repair(kept=all_tids - r, removed=r, cardinality_minimal=len(r) == least)
         for r in removals
     )
 
@@ -107,10 +150,14 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
 def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         endogenous_only: bool = False,
                         max_deletable: int | None = None) -> tuple[Repair, ...]:
-    """The subset-repairs of minimum removal cardinality."""
-    return tuple(r for r in enumerate_s_repairs(
-        instance, dc, endogenous_only=endogenous_only, max_deletable=max_deletable)
-        if r.cardinality_minimal)
+    """The subset-repairs of minimum removal cardinality: one minimum-size
+    removal per component, joined."""
+    parts = _component_transversals(
+        _conflicts(instance, dc, endogenous_only, max_deletable))
+    all_tids = instance.tids()
+    return tuple(Repair(kept=all_tids - r, removed=r, cardinality_minimal=True)
+                 for r in _unions([[s for s in p if len(s) == len(p[0])]
+                                   for p in parts]))
 
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,

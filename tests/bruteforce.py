@@ -19,7 +19,9 @@ Per-subset satisfaction is decided against the minimal-witness family
 functions mirror the library's signatures and return types, so results
 compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
 reproduced.  ``participating_sets`` filters the full cartesian product of
-each atom's matching facts, sharing no code with the library's join.
+each atom's matching facts, sharing no code with the library's join, and
+``minimal_hitting_sets`` scans the subsets of a family's elements by
+ascending cardinality, sharing no code with the library's transversals.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dbexplain import (
 )
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
-           "participating_sets"]
+           "participating_sets", "minimal_hitting_sets"]
 
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
@@ -222,3 +224,18 @@ def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
             for r_i, f in zip(per_atom, combo):
                 r_i.add(f.tid)
     return ParticipatingSets(per_atom=tuple(frozenset(r_i) for r_i in per_atom))
+
+
+def minimal_hitting_sets(family: Sequence[frozenset[str]]) -> list[frozenset[str]]:
+    """The subset-minimal sets meeting every member, ordered by (size,
+    tids): every subset of the family's elements, by ascending cardinality
+    and then in tid order, kept when it hits the family and contains no
+    hitting set kept before.  A family with an empty member has none."""
+    universe = sorted(set().union(*family))
+    found: list[frozenset[str]] = []
+    for card in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, card):
+            s = frozenset(combo)
+            if all(s & f for f in family) and not any(h <= s for h in found):
+                found.append(s)
+    return found

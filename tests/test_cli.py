@@ -92,6 +92,29 @@ def test_mss_chase_modes(capsys):
     assert doc["result"]["sigma"] == "1/2"
 
 
+def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
+    """Seeding the chase outside the core reads the same witness index as
+    the chase itself.  Its sufficiency checks enumerate restricted copies,
+    which are other objects."""
+    import dbexplain.cli
+    import dbexplain.query
+
+    loaded, seen = [], []
+    load, assignments = dbexplain.cli._load, dbexplain.query._assignments
+    monkeypatch.setattr(dbexplain.cli, "_load",
+                        lambda path: loaded.append(load(path)) or loaded[-1])
+    monkeypatch.setattr(dbexplain.query, "_assignments",
+                        lambda query, instance: seen.append(instance)
+                        or assignments(query, instance))
+    base = ["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS, "--chase"]
+    for tail in ([], ["--tuple", "S:b"]):
+        loaded.clear()
+        seen.clear()
+        code, doc, _ = invoke(capsys, *base, *tail)
+        assert code == 0 and doc["result"]["set"] == ["R:b,b", "S:b"]
+        assert sum(i is loaded[0] for i in seen) == 1, tail
+
+
 def test_mns_command(capsys):
     code, doc, _ = invoke(capsys, "mns", "-i", str(data_path("rt_small.json")),
                           "-q", Q_RT)

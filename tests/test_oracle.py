@@ -18,10 +18,11 @@ from dbexplain import (
     enumerate_mns,
     enumerate_mss,
     enumerate_s_repairs,
+    minimal_hitting_sets,
     parse_query,
     verify_explanation,
 )
-from dbexplain.synth import planted_query, random_instance
+from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
 from conftest import inst, tids
@@ -141,6 +142,27 @@ def test_degrees_eta_equals_rho(g_routes, g_diamond, rt_small, srs_prime,
 
 # ---------------------------------------------------------------------------
 # actual causes
+
+def test_degrees_match_the_full_mns_list_across_components():
+    """eta and strong necessity from the per-component minima equal the
+    values read off the product of the components' transversals."""
+    # four components, plus a fifth whose only transversal is {S:z}
+    base = scaling_instance(40)
+    instance = Instance.build(base.schema, [
+        *base.facts, Fact("S:z", "S", ("z",)),
+        Fact("R:z,w", "R", ("z", "w"), endo=False), Fact("T:w", "T", ("w",), endo=False)])
+    q = parse_query("q :- S(x), R(x,y), T(y).", instance)
+    mss = [s.tuples for s in enumerate_mss(instance, q, max_endo=41)]
+    mns = minimal_hitting_sets(mss)
+    assert len(mns) == 729
+    report = degrees(instance, q, max_endo=41)
+    for tid in sorted(instance.endogenous_part()):
+        sizes = [len(s) for s in mns if tid in s]
+        d = report.per_tuple[tid]
+        assert d.eta == d.rho == (Fraction(1, min(sizes)) if sizes else 0), tid
+        assert d.strong_necessary == all(tid in s for s in mns), tid
+    assert [t for t, d in report.per_tuple.items() if d.strong_necessary] == ["S:z"]
+
 
 def test_causes_all_edges_with_two_tuple_contingencies(g_routes, q_path_ab):
     rep = actual_causes(g_routes, q_path_ab)

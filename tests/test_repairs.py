@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,13 +16,17 @@ from dbexplain import (
     enumerate_c_repairs,
     enumerate_mns,
     enumerate_s_repairs,
+    enumerate_witnesses,
     evaluate,
     minimal_hitting_sets,
     parse_query,
     verify_explanation,
 )
+from dbexplain.query import _antichain
+from dbexplain.repairs import _components
 from dbexplain.synth import planted_query, random_instance
 
+import bruteforce
 from conftest import tids
 
 
@@ -139,7 +144,6 @@ def test_core_naive_loop_instance(rrs_loop, q_rrs):
 
 
 def test_core_never_contains_witness_tuples(srs_prime, q_srs):
-    from dbexplain import enumerate_witnesses
     core = core_naive(srs_prime, denial_constraint_of(q_srs)).tuples
     for w in enumerate_witnesses(q_srs, srs_prime):
         assert not (core & w.tuples)
@@ -161,3 +165,94 @@ def test_wide_transversal_is_one_set():
     reps = enumerate_s_repairs(inst, denial_constraint_of(parse_query("q :- R(x).", inst)),
                                max_deletable=5000)
     assert len(reps) == 1 and reps[0].removed == inst.tids()
+
+
+def _random_family(rng: random.Random) -> list[frozenset[str]]:
+    """Sets over at most 10 elements, split into 1-4 groups; consecutive
+    elements of a group share a set, so each group is connected unless a
+    subset absorbs its linking set."""
+    elems = rng.sample("abcdefghij", rng.randint(1, 10))
+    n_groups = rng.randint(1, min(4, len(elems)))
+    family = []
+    for group in (elems[i::n_groups] for i in range(n_groups)):
+        family += [frozenset({a, b, *rng.sample(group, rng.randint(0, 1))})
+                   for a, b in zip(group, group[1:])] or [frozenset(group)]
+        family += [frozenset(rng.sample(group, rng.randint(1, len(group))))
+                   for _ in range(rng.randint(0, 3))]
+    rng.shuffle(family)
+    return family
+
+
+def test_minimal_hitting_sets_match_bruteforce():
+    rng = random.Random(7)
+    for _ in range(300):
+        family = _random_family(rng)
+        assert minimal_hitting_sets(family) == \
+            bruteforce.minimal_hitting_sets(family), family
+    assert minimal_hitting_sets([]) == bruteforce.minimal_hitting_sets([]) == \
+        [frozenset()]
+    assert bruteforce.minimal_hitting_sets([frozenset("a"), frozenset()]) == []
+    with pytest.raises(ValueError):
+        minimal_hitting_sets([frozenset("a"), frozenset()])
+
+
+def _cardinality_filter(reps):
+    least = min(len(r.removed) for r in reps)
+    return tuple(r for r in reps if len(r.removed) == least)
+
+
+def test_c_repairs_equal_filtered_s_repairs_on_random_instances():
+    rng = random.Random(11)
+    multi = 0
+    for _ in range(150):
+        instance = random_instance(rng, max_tuples=12,
+                                   exo_mode=rng.choice(["none", "tuples"]))
+        q = planted_query(rng, instance, n_atoms=rng.choice([1, 2]),
+                          self_join=rng.random() < 0.5)
+        if q is None:
+            continue
+        dc = denial_constraint_of(q)
+        for endo_only in (False, True):
+            try:
+                reps = enumerate_s_repairs(instance, dc, endogenous_only=endo_only)
+            except RepairNotFound:
+                continue
+            least = _cardinality_filter(reps)
+            assert all(r.cardinality_minimal == (r in least) for r in reps)
+            assert enumerate_c_repairs(instance, dc, endogenous_only=endo_only) == least
+        family = _antichain(w.tuples for w in enumerate_witnesses(q, instance))
+        multi += len(_components(family)) > 1
+    assert multi > 50
+
+
+def _star_instance(shape: tuple[int, ...], flip: bool) -> Instance:
+    """One star per entry: a hub S(h) with m spokes R(h,o), T(o), or with
+    flip a hub T(h) with spokes R(o,h), S(o).  Under S(x),R(x,y),T(y) each
+    star is one component with 1 + 2^m minimal removals."""
+    facts = []
+    for n, m in enumerate(shape):
+        hub = f"h{n}"
+        facts.append(Fact(f"{'T' if flip else 'S'}:{hub}", "T" if flip else "S", (hub,)))
+        for i in range(m):
+            spoke = f"{hub}o{i}"
+            edge = (spoke, hub) if flip else (hub, spoke)
+            facts.append(Fact(f"R:{edge[0]},{edge[1]}", "R", edge))
+            facts.append(Fact(f"{'S' if flip else 'T'}:{spoke}", "S" if flip else "T",
+                              (spoke,)))
+    return Instance.build({"S": 1, "R": 2, "T": 1}, facts)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1), (2, 2, 1, 1), (4, 2, 1), (3, 3),
+                                   (4, 3), (2, 2, 2), (5, 1, 1), (3, 2, 2)])
+def test_c_repairs_equal_filtered_s_repairs_on_stars(shape):
+    for flip in (False, True):
+        instance = _star_instance(shape, flip)
+        dc = denial_constraint_of(parse_query("q :- S(x), R(x,y), T(y).", instance))
+        reps = enumerate_s_repairs(instance, dc, max_deletable=len(instance))
+        assert len(reps) == math.prod(1 + 2 ** m for m in shape)
+        assert all(r.cardinality_minimal == (len(r.removed) == len(shape))
+                   for r in reps)
+        c_reps = enumerate_c_repairs(instance, dc, max_deletable=len(instance))
+        assert c_reps == _cardinality_filter(reps)
+        # a one-spoke star has three single-tuple removals, a wider one only its hub
+        assert len(c_reps) == 3 ** shape.count(1)
