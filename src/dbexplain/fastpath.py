@@ -1,26 +1,30 @@
 """Polynomial-time repair core and chase-style minimal sufficient sets.
 
-Both read the witness index of :mod:`dbexplain.query`: one O(|D|^k)
-enumeration of the satisfying combinations per call.  Its antichain W
+Both read the witness index of :mod:`dbexplain.query`: one enumeration of
+the satisfying combinations per call, by a join in which each atom probes
+a hash index of its extension on the positions that earlier atoms bind.  It
+builds the indexes in time linear in the atoms' extensions and then tries
+only the partial combinations that agree on those positions, so it reaches
+|D|^k steps only when that many partial combinations join.  Its antichain W
 holds the minimal endogenous projections of the images.  These are the
 minimal sufficient sets, and the removal sets of the repairs that delete
 endogenous tuples only are their minimal transversals (Bertossi & Salimi,
-"From causes for database queries to repairs and model-based diagnosis
-and back", 2017).  Every tuple of a member of W lies in some minimal
+"From causes for database queries to repairs and model-based diagnosis and
+back", 2017).  Every tuple of a member of W lies in some minimal
 transversal, so the repair core, the tuples every such repair keeps, is
 the instance minus the union of W.  This holds under self-joins and over
 predicate-exogenous inputs alike; when every tuple is endogenous it is the
-core of all repairs.  Finding W costs at most 2^k subset lookups per set,
-a constant in data complexity.
+core of all repairs.  Finding W costs at most 2^k subset lookups per set, a
+constant in data complexity.
 
 From the core, a chase-style construction extends a seed tuple with
 join-compatible companions drawn outside the core, one atom position at a
-time, and minimizes the result.  For self-join-free queries every minimal
-sufficient set carries exactly one tuple per endogenous atom position, so
-the chase result is also minimum and yields the sufficiency degree
-directly.  Predicates whose whole extension is exogenous are skipped when
-minimizing: their tuples sit in every repair, never appear in sufficient
-sets, and only serve as join partners.
+time through the same join, and minimizes the result.  For self-join-free
+queries every minimal sufficient set carries exactly one tuple per
+endogenous atom position, so the chase result is also minimum and yields
+the sufficiency degree directly.  Predicates whose whole extension is
+exogenous are skipped when minimizing: their tuples sit in every repair,
+never appear in sufficient sets, and only serve as join partners.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from .model import Fact, Instance
 from .query import (
     BooleanCQ,
     Query,
+    _join,
     _witness_index,
     _WitnessIndex,
     fact_matches_atom,
-    join_compatible,
 )
 from .repairs import CoreResult, Repair
 
@@ -105,13 +109,14 @@ def _check_partition(instance: Instance, query: BooleanCQ) -> dict[str, bool]:
 
 def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
     """The R_i sets: the per-atom projection of the satisfying
-    combinations, enumerated once in O(|D|^k)."""
+    combinations, enumerated once by the indexed join."""
     cq = _require_cq(query)
     return ParticipatingSets(per_atom=_witness_index(cq, instance).per_atom)
 
 
 def core_fast(instance: Instance, query: Query) -> CoreResult:
-    """Repair core as D minus the union of W, in O(|D|^k).
+    """Repair core as D minus the union of W, read off one enumeration of
+    the indexed join.
 
     Exact for the repairs that delete endogenous tuples only, and so for
     all repairs when every tuple is endogenous; all of D when the
@@ -143,21 +148,18 @@ def _chase_candidates(instance: Instance, cq: BooleanCQ, seed: Fact,
                       base: frozenset[str],
                       endo_pred: dict[str, bool],
                       kept: frozenset[str] | None) -> list[list[Fact]]:
+    """Per atom position, the tuples it may bind, in tid order.  Facts
+    that miss the atom's constants or repeated variables stay in: the
+    join rejects them."""
     pools: list[list[Fact]] = []
     for atom in cq.atoms:
-        pool = []
-        for f in instance.relation(atom.pred):
-            if not fact_matches_atom(atom, f):
-                continue
-            if endo_pred[atom.pred]:
-                if f.tid in base or f.tid == seed.tid:
-                    pool.append(f)
-            else:
-                # exogenous predicate: join partners only, drawn from the
-                # whole extension (restricted to the repair when given)
-                if kept is None or f.tid in kept:
-                    pool.append(f)
-        pools.append(pool)
+        extension = instance.relation(atom.pred)
+        if endo_pred[atom.pred]:
+            pools.append([f for f in extension if f.tid in base or f.tid == seed.tid])
+        else:
+            # exogenous predicate: join partners only, drawn from the
+            # whole extension (restricted to the repair when given)
+            pools.append([f for f in extension if kept is None or f.tid in kept])
     return pools
 
 
@@ -206,25 +208,15 @@ def _chase(instance: Instance, cq: BooleanCQ, tid: str, repair: Repair | None,
     if not seed_positions:
         raise ChaseSeedError(f"seed {tid!r} matches no atom of the query")
 
-    def completions(bound: dict[int, Fact], order: list[int], depth: int):
-        if depth == len(order):
-            yield dict(bound)
-            return
-        j = order[depth]
-        for cand in pools[j]:
-            if all(join_compatible(cq, j, cand, b, f) for b, f in bound.items()):
-                bound[j] = cand
-                yield from completions(bound, order, depth + 1)
-                del bound[j]
-
     # Under self-joins a completion can minimize to a set that drops the
     # seed (the seed then supports only a non-minimal combination on this
     # branch), so such completions are dead ends too: keep searching the
     # current and the remaining seed positions.
     for p in seed_positions:
         order = [j for j in range(cq.k) if j != p]
-        for complete in completions({p: seed}, order, 0):
-            result = {f.tid for f in complete.values() if f.endo}
+        atoms = [cq.atoms[p]] + [cq.atoms[j] for j in order]
+        for _, complete in _join(atoms, [[seed]] + [pools[j] for j in order]):
+            result = {f.tid for f in complete if f.endo}
             for u in sorted(result - {tid}):
                 if is_sufficient(instance, cq, result - {u}):
                     result.discard(u)

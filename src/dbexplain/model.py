@@ -36,9 +36,12 @@ from .errors import InstanceFormatError, UnknownTupleId
 __all__ = ["Fact", "Instance", "load_instance", "load_instance_csv"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fact:
-    """One ground atom: tid, predicate name, constant values, provenance."""
+    """One ground atom: tid, predicate name, constant values, provenance.
+
+    Slotted, without a per-object attribute dict, since an instance holds
+    one per tuple."""
 
     tid: str
     pred: str
@@ -92,6 +95,12 @@ class Instance:
                 raise InstanceFormatError(
                     f"duplicate value list {f.vals!r} in predicate {f.pred!r}")
             seen_rows.add(row)
+        return Instance._indexed(schema_items, ordered)
+
+    @staticmethod
+    def _indexed(schema_items: tuple[tuple[str, int], ...],
+                 ordered: tuple[Fact, ...]) -> "Instance":
+        """Construct from valid facts already sorted by tid."""
         inst = Instance(schema_items, ordered)
         object.__setattr__(inst, "_by_tid", {f.tid: f for f in ordered})
         by_pred: dict[str, list[Fact]] = {p: [] for p, _ in schema_items}
@@ -146,10 +155,12 @@ class Instance:
     def restrict(self, keep: Iterable[str]) -> "Instance":
         """Subinstance with exactly the given tids; provenance preserved."""
         keep = set(keep)
-        unknown = keep - set(self._by_tid)
+        unknown = [tid for tid in keep if tid not in self._by_tid]
         if unknown:
             raise UnknownTupleId(f"unknown tids {sorted(unknown)!r}")
-        return Instance.build(self.schema, (f for f in self.facts if f.tid in keep))
+        # a subset of valid facts is valid, and sorted tids keep tid order
+        return Instance._indexed(self.schema_items,
+                                 tuple(self._by_tid[tid] for tid in sorted(keep)))
 
     # -- serialization -----------------------------------------------------
 

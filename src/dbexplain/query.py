@@ -22,7 +22,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence, Union)
 
 from .errors import (
     PathBoundExceeded,
@@ -273,7 +275,8 @@ def parse_query(
 
 
 # ---------------------------------------------------------------------------
-# conjunctive query evaluation (backtracking over atoms in textual order)
+# conjunctive query evaluation (a backtracking join over atoms in textual
+# order, each atom probing a hash index of its facts on its bound positions)
 
 def fact_matches_atom(atom: Atom, fact: Fact) -> bool:
     """Check constants and repeated variables of one atom against one fact."""
@@ -301,22 +304,71 @@ def _check_preds(query: BooleanCQ, instance: Instance) -> None:
     for a in query.atoms:
         if a.pred not in schema:
             raise UnknownPredicate(f"unknown predicate {a.pred!r}")
+        if schema[a.pred] != len(a.args):
+            raise QuerySyntaxError(
+                f"{a.pred} expects {schema[a.pred]} arguments, got {len(a.args)}")
+
+
+_Probe = Callable[[Mapping[str, str]], Sequence[Fact]]
+
+
+def _probe(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Probe:
+    """The candidates of an atom under an environment binding the variables
+    of the atoms before it: the pool, less the facts that miss the atom's
+    constants, hash-indexed on the positions of the bound variables.
+    Buckets keep pool order."""
+    consts, positions, names = [], [], []
+    for p, t in enumerate(atom.args):
+        if isinstance(t, Const):
+            consts.append((p, t.value))
+        elif t.name in env:
+            positions.append(p)
+            names.append(t.name)
+    if consts:
+        pool = [f for f in pool if all(f.vals[p] == v for p, v in consts)]
+    if not positions:
+        return lambda env: pool
+    key_of, probe = itemgetter(*positions), itemgetter(*names)
+    index: dict[object, list[Fact]] = {}
+    for f in pool:
+        index.setdefault(key_of(f.vals), []).append(f)
+    return lambda env: index.get(probe(env), ())
+
+
+def _join(atoms: Sequence[Atom], pools: Sequence[Sequence[Fact]]
+          ) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
+    """Backtracking join of the atoms, in the given order, each over its
+    pool of facts, as (environment, per-atom fact binding).  Each atom
+    probes its pool through a ``_probe`` built when the search first
+    reaches it, so the pairs come in the order of a nested loop over the
+    pools, but only candidates that agree on the bound positions are
+    tried."""
+    return _join_from(0, {}, (), atoms, pools, [None] * len(atoms))
+
+
+def _join_from(i: int, env: dict[str, str], bound: tuple[Fact, ...],
+               atoms: Sequence[Atom], pools: Sequence[Sequence[Fact]],
+               probes: list[_Probe | None]
+               ) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
+    # not a closure: a nested recursive generator refers to itself, and
+    # that cycle would keep the indexes alive until the cyclic collector runs
+    if i == len(atoms):
+        yield env, bound
+        return
+    atom, probe = atoms[i], probes[i]
+    if probe is None:
+        # env binds exactly the variables of atoms[:i], at every visit
+        probe = probes[i] = _probe(atom, pools[i], env)
+    for fact in probe(env):
+        new = _extend_env(atom, fact, env)
+        if new is not None:
+            yield from _join_from(i + 1, new, bound + (fact,), atoms, pools, probes)
 
 
 def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
-    """All satisfying assignments, as (environment, per-atom fact binding)."""
-
-    def rec(idx: int, env: dict[str, str], bound: tuple[Fact, ...]):
-        if idx == len(query.atoms):
-            yield env, bound
-            return
-        atom = query.atoms[idx]
-        for fact in instance.relation(atom.pred):
-            new = _extend_env(atom, fact, env)
-            if new is not None:
-                yield from rec(idx + 1, new, bound + (fact,))
-
-    yield from rec(0, {}, ())
+    """All satisfying assignments, as (environment, per-atom fact binding),
+    atoms in textual order and facts in tid order."""
+    return _join(query.atoms, [instance.relation(a.pred) for a in query.atoms])
 
 
 def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:

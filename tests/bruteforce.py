@@ -22,6 +22,9 @@ reproduced.  ``participating_sets`` filters the full cartesian product of
 each atom's matching facts, sharing no code with the library's join, and
 ``minimal_hitting_sets`` scans the subsets of a family's elements by
 ascending cardinality, sharing no code with the library's transversals.
+``assignments`` is a nested loop over each atom's whole extension, sharing
+no code with the library's join, and ``chase`` follows the documented
+order of the chase over a filtered cartesian product.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Sequence
 
 from dbexplain import (
     DEFAULT_MAX_ENDO,
+    BooleanCQ,
     DEFAULT_MAX_PATHS,
     ContingencyReport,
     DegreeReport,
@@ -40,8 +44,10 @@ from dbexplain import (
     OracleBoundExceeded,
     ParticipatingSets,
     Query,
+    Repair,
     QueryNotSatisfied,
     TupleDegrees,
+    Var,
     enumerate_witnesses,
     evaluate,
     fact_matches_atom,
@@ -49,7 +55,7 @@ from dbexplain import (
 )
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
-           "participating_sets", "minimal_hitting_sets"]
+           "participating_sets", "minimal_hitting_sets", "assignments", "chase"]
 
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
@@ -239,3 +245,86 @@ def minimal_hitting_sets(family: Sequence[frozenset[str]]) -> list[frozenset[str
             if all(s & f for f in family) and not any(h <= s for h in found):
                 found.append(s)
     return found
+
+
+def _bind(args, vals, env: dict[str, str]) -> dict[str, str] | None:
+    """env extended by matching the terms to the values, or None."""
+    env = dict(env)
+    for term, val in zip(args, vals):
+        if not isinstance(term, Var):
+            if term.value != val:
+                return None
+        elif env.setdefault(term.name, val) != val:
+            return None
+    return env
+
+
+def assignments(query: BooleanCQ, instance: Instance) -> list:
+    """Every satisfying assignment as (environment, per-atom facts): a
+    nested loop over each atom's whole extension, atoms in textual order
+    and facts in tid order."""
+    out = []
+
+    def rec(i: int, env: dict[str, str], bound: tuple) -> None:
+        if i == len(query.atoms):
+            out.append((env, bound))
+            return
+        atom = query.atoms[i]
+        for fact in instance.relation(atom.pred):
+            new = _bind(atom.args, fact.vals, env)
+            if new is not None:
+                rec(i + 1, new, bound + (fact,))
+
+    rec(0, {}, ())
+    return out
+
+
+def chase(instance: Instance, query: BooleanCQ, tid: str,
+          repair: Repair | None = None) -> frozenset[str] | None:
+    """The set the chase documents for a seed, or None when no completion
+    minimizes to a minimal sufficient set through it.
+
+    Candidates: a tuple of the minimal sufficient sets' union (inside the
+    repair's kept part when one is given) or the seed for an atom of an
+    endogenous predicate; any tuple (of the kept part) for an atom of an
+    exogenous one.  Seed positions lowest first; the other positions in
+    index order, each over its candidates in tid order; each consistent
+    completion is minimized by dropping its tuples in sorted order while
+    the rest stays sufficient, and is the answer when it is a minimal
+    sufficient set.  Predicates must not mix endogenous and exogenous
+    tuples."""
+    mss = [s.tuples for s in enumerate_mss(instance, query)]
+    base = frozenset().union(*mss)
+    kept = None if repair is None else repair.kept
+    if kept is not None:
+        base &= kept
+    seed = instance.fact(tid)
+    k = len(query.atoms)
+
+    def pool(atom) -> list:
+        extension = instance.relation(atom.pred)
+        if all(f.endo for f in extension):
+            return [f for f in extension if f.tid in base or f.tid == tid]
+        return [f for f in extension if kept is None or f.tid in kept]
+
+    pools = [pool(atom) for atom in query.atoms]
+    for p in range(k):
+        atom = query.atoms[p]
+        if atom.pred != seed.pred or _bind(atom.args, seed.vals, {}) is None:
+            continue
+        others = [j for j in range(k) if j != p]
+        for combo in itertools.product(*(pools[j] for j in others)):
+            env = _bind(atom.args, seed.vals, {})
+            for j, fact in zip(others, combo):
+                env = _bind(query.atoms[j].args, fact.vals, env)
+                if env is None:
+                    break
+            if env is None:
+                continue
+            result = {f.tid for f in (seed,) + combo if f.endo}
+            for u in sorted(result - {tid}):
+                if any(m <= result - {u} for m in mss):
+                    result.discard(u)
+            if frozenset(result) in mss:
+                return frozenset(result)
+    return None

@@ -307,6 +307,57 @@ def test_chase_with_exogenous_join_partners(srs_prime_exoR):
     verify_explanation(srs_prime_exoR, q, "MSS", got.tuples)
 
 
+def test_chase_follows_the_documented_order():
+    """chase_mss and min_mss_sjf return the set the documented order
+    reaches first: seed positions lowest first, candidates in tid order,
+    minimized in sorted order and then verified.  The reference filters a
+    cartesian product and shares no code with the join.  Queries are
+    planted ones and self-join chains over a binary predicate, where a
+    seed fits both atoms; seeds are every tuple of the minimal sufficient
+    sets' union, and the removed tuples of up to three
+    endogenous-deletion repairs."""
+    rng = random.Random(8080)
+    done = with_repair = 0
+    while done < 300:
+        instance = random_instance(rng, max_tuples=10, n_preds=3,
+                                   exo_mode=rng.choice(["none", "predicates"]))
+        queries = [planted_query(rng, instance, n_atoms=rng.choice([1, 2, 3]),
+                                 self_join=rng.random() < 0.5)]
+        queries += [parse_query(f"q :- {p}(x,y), {p}({chain}).", instance)
+                    for p, arity in sorted(instance.schema.items()) if arity == 2
+                    for chain in ("y,z", "y,x")]
+        for q in queries:
+            if q is None or not evaluate(q, instance):
+                continue
+            done += 1
+            participating = frozenset().union(
+                *(s.tuples for s in bruteforce.enumerate_mss(instance, q)))
+            for tid in sorted(participating):
+                want = bruteforce.chase(instance, q, tid)
+                assert chase_mss(instance, q, tid).tuples == want, (str(q), tid)
+                if q.self_join_free:
+                    got = min_mss_sjf(instance, q, tid)
+                    assert got.mss.tuples == want and got.sigma == Fraction(1, len(want))
+            if q.self_join_free and participating:
+                want = bruteforce.chase(instance, q, min(participating))
+                assert min_mss_sjf(instance, q).mss.tuples == want
+            try:
+                repairs = enumerate_s_repairs(instance, denial_constraint_of(q),
+                                              endogenous_only=True)
+            except RepairNotFound:  # the exogenous part alone satisfies q
+                repairs = ()
+            for repair in repairs[:3]:
+                for tid in sorted(repair.removed):
+                    want = bruteforce.chase(instance, q, tid, repair)
+                    with_repair += 1
+                    if want is None:
+                        with pytest.raises(ChaseDefect):
+                            chase_mss(instance, q, tid, repair)
+                    else:
+                        assert chase_mss(instance, q, tid, repair).tuples == want
+    assert with_repair > 100
+
+
 # ---------------------------------------------------------------------------
 # minimum MSS for self-join-free queries
 

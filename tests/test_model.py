@@ -139,6 +139,22 @@ def test_restrict_is_idempotent_and_sized(instance, picks):
     assert once.restrict(keep) == once
 
 
+@given(small_instances(), st.sets(st.integers(min_value=0, max_value=5)))
+@settings(deadline=None, max_examples=60)
+def test_restrict_equals_build_of_the_kept_facts(instance, picks):
+    keep = {f"t{i}" for i in picks} & instance.tids()
+    got = instance.restrict(keep)
+    want = Instance.build(instance.schema, [instance.fact(t) for t in keep])
+    assert got == want and got.facts == want.facts
+    for pred in instance.schema:
+        assert got.relation(pred) == want.relation(pred)
+    for tid in keep:
+        assert got.fact(tid) is instance.fact(tid)
+    assert got.tids() == keep
+    with pytest.raises(UnknownTupleId, match="t9"):
+        instance.restrict(keep | {"t9"})
+
+
 @given(small_instances())
 @settings(deadline=None, max_examples=60)
 def test_serialization_roundtrip(instance):

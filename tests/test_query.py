@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbexplain.query
 from dbexplain import (
+    Atom,
     BooleanCQ,
+    Const,
     Fact,
     Instance,
     PathBoundExceeded,
@@ -15,6 +20,7 @@ from dbexplain import (
     ReachabilityQuery,
     UnknownPredicate,
     UnsupportedQuery,
+    Var,
     denial_constraint_of,
     enumerate_witnesses,
     evaluate,
@@ -24,6 +30,10 @@ from dbexplain import (
     subtuple_restriction,
 )
 
+from dbexplain.query import _assignments, _witness_index
+from dbexplain.synth import random_instance, scaling_instance
+
+import bruteforce
 from conftest import tids
 
 
@@ -199,6 +209,83 @@ def test_monotonicity(a, b):
     large = {all_tids[i] for i in (a | b)}
     if evaluate(q, instance.restrict(small)):
         assert evaluate(q, instance.restrict(large))
+
+
+def _random_cq(rng: random.Random, instance: Instance) -> BooleanCQ:
+    """1-4 atoms over random predicates (so self-joins occur) whose terms
+    are drawn from three variables (so repeated variables and atoms
+    sharing none occur) and the active domain, in shuffled order."""
+    domain = sorted(instance.domain()) or ["a"]
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        pred = rng.choice(sorted(instance.schema))
+        atoms.append(Atom(pred, tuple(
+            Const(rng.choice(domain)) if rng.random() < 0.15
+            else Var(rng.choice("xyz")) for _ in range(instance.arity(pred)))))
+    rng.shuffle(atoms)
+    return BooleanCQ(tuple(atoms))
+
+
+def test_join_yields_the_nested_loop_sequence():
+    """The indexed join yields exactly the (environment, binding) pairs of
+    a nested loop over each atom's whole extension, in the same order."""
+    rng = random.Random(2024)
+    seen = {"constant": 0, "repeated": 0, "self-join": 0, "cross-product": 0}
+    total = 0
+    for _ in range(1500):
+        instance = random_instance(rng, max_tuples=rng.choice([6, 10, 14]),
+                                   domain_size=rng.choice([2, 3, 4]))
+        q = _random_cq(rng, instance)
+        want = bruteforce.assignments(q, instance)
+        assert list(_assignments(q, instance)) == want, q
+        total += len(want)
+        if not want:
+            continue
+        names = [[t.name for t in a.args if isinstance(t, Var)] for a in q.atoms]
+        seen["constant"] += any(isinstance(t, Const) for a in q.atoms for t in a.args)
+        seen["repeated"] += any(len(set(n)) < len(n) for n in names)
+        seen["self-join"] += not q.self_join_free
+        seen["cross-product"] += q.k > 1 and not set(names[0]) & set(names[1])
+    assert total > 2000 and min(seen.values()) > 100, (total, seen)
+
+
+def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
+    """Building the witness index on scaling_instance(200) tries each atom
+    only on the facts that agree with its bound positions: fewer
+    candidates than the instance has tuples, for the chain and the
+    self-join shapes of the benchmark.  A nested loop over each atom's
+    whole extension tries about 7,500."""
+    instance = scaling_instance(200)
+    extend = dbexplain.query._extend_env
+    calls = []
+    monkeypatch.setattr(dbexplain.query, "_extend_env",
+                        lambda atom, fact, env: calls.append(1) or extend(atom, fact, env))
+    for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
+        calls.clear()
+        index = _witness_index(parse_query(text, instance), instance)
+        assert index.minimal
+        assert len(calls) < len(instance), (text, len(calls))
+
+
+def test_join_leaves_no_cyclic_garbage():
+    """The join's indexes are freed when a call returns, not when the
+    cyclic collector next runs."""
+    instance = scaling_instance(40)
+    q = parse_query("q :- S(x), R(x,y), S(y).", instance)
+    gc.collect()
+    gc.disable()
+    try:
+        assert evaluate(q, instance)
+        assert _witness_index(q, instance).minimal
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_evaluate_rejects_an_arity_mismatch(srs_prime):
+    q = BooleanCQ((Atom("R", (Var("x"),)),))
+    with pytest.raises(QuerySyntaxError, match="expects 2 arguments"):
+        evaluate(q, srs_prime)
 
 
 # ---------------------------------------------------------------------------
