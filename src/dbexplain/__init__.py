@@ -62,9 +62,7 @@ from .query import (
     enumerate_witnesses,
     evaluate,
     fact_matches_atom,
-    join_compatible,
     parse_query,
-    subtuple_restriction,
 )
 from .repairs import (
     CoreResult,
@@ -97,8 +95,8 @@ __all__ = [
     # query engine
     "Var", "Const", "Atom", "BooleanCQ", "ReachabilityQuery", "Query",
     "Witness", "DenialConstraint", "parse_query", "evaluate",
-    "enumerate_witnesses", "denial_constraint_of", "subtuple_restriction",
-    "join_compatible", "fact_matches_atom", "DEFAULT_MAX_PATHS",
+    "enumerate_witnesses", "denial_constraint_of", "fact_matches_atom",
+    "DEFAULT_MAX_PATHS",
     # explanations
     "ExplanationSet", "DegreeReport", "TupleDegrees", "ContingencyReport",
     "verify_explanation", "is_sufficient", "is_necessary", "DEFAULT_MAX_ENDO",

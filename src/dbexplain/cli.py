@@ -143,18 +143,16 @@ def _dispatch(args, instance: Instance, query) -> dict:
             if args.min:
                 res = fastpath.min_mss_sjf(instance, query, args.tuple_id)
                 return {"mode": "chase-min",
-                        "set": sorted(res.mss.tuples) if res.mss else None,
+                        "set": sorted(res.mss.tuples) if res.mss is not None else None,
                         "sigma": frac_str(res.sigma) if res.sigma is not None else None}
             if args.tuple_id is None:
                 # the least tuple outside the core seeds the chase
                 cq = fastpath._require_cq(query)
-                endo_pred = fastpath._check_partition(instance, cq)
                 index = _witness_index(cq, instance)
                 outside = index.union()
                 if not outside:
                     return {"mode": "chase", "set": None, "sigma": None}
-                got = fastpath._chase(instance, cq, min(outside), None,
-                                      endo_pred, index)
+                got = fastpath._chase(instance, cq, min(outside), None, index)
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}
@@ -242,7 +240,10 @@ def _render_table(report: dict) -> str:
             alts = "; ".join("{" + ", ".join(g) + "}" for g in gammas)
             lines.append(f"{tid}: {alts}")
     elif "set" in result:
-        lines.append(", ".join(result["set"]) if result["set"] else "(none)")
+        if result["set"] is None:
+            lines.append("(none)")
+        else:
+            lines.append(", ".join(result["set"]) or "(empty set)")
         if result.get("sigma") is not None:
             lines.append(f"sigma: {result['sigma']}")
     elif "satisfied" in result:

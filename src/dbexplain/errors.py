@@ -60,8 +60,10 @@ class CallerMustUseOracle(UnsupportedQuery):
 
 
 class UnsupportedPartition(ExplainError):
-    """The fast path requires each query predicate's extension to be
-    entirely endogenous or entirely exogenous."""
+    """Kept for callers that name it: nothing raises it.  The fast path
+    once refused query predicates whose extension mixes endogenous and
+    exogenous tuples; it now reads the witness antichain, which needs no
+    such restriction."""
 
 
 class RepairNotFound(ExplainError):
@@ -78,9 +80,7 @@ class ChaseSeedError(ExplainError):
 
 
 class ChaseDefect(ExplainError):
-    """The chase found no subset-minimal sufficient set through the seed.
-    It is raised before searching for a seed that occurs in satisfying
-    combinations but in no member of the witness antichain W: such a seed
-    lies in the repair core and in no minimal sufficient set.  Every seed
-    outside the core lies in a member of W, which the search reaches; so
-    without a repair to stay inside, a search that runs out is a bug."""
+    """The chase has no subset-minimal sufficient set to return through
+    the seed: the seed occurs in satisfying combinations but in no member
+    of the witness antichain W (it lies in the repair core), or a supplied
+    repair keeps no member of W through it."""

@@ -12,19 +12,18 @@ endogenous tuples only are their minimal transversals (Bertossi & Salimi,
 "From causes for database queries to repairs and model-based diagnosis and
 back", 2017).  Every tuple of a member of W lies in some minimal
 transversal, so the repair core, the tuples every such repair keeps, is
-the instance minus the union of W.  This holds under self-joins and over
-predicate-exogenous inputs alike; when every tuple is endogenous it is the
+the instance minus the union of W.  This holds under self-joins and for
+any split of the tuples into endogenous and exogenous ones, a predicate's
+extension mixing both included; when every tuple is endogenous it is the
 core of all repairs.  Finding W costs at most 2^k subset lookups per set, a
 constant in data complexity.
 
-From the core, a chase-style construction extends a seed tuple with
-join-compatible companions drawn outside the core, one atom position at a
-time through the same join, and minimizes the result.  For self-join-free
-queries every minimal sufficient set carries exactly one tuple per
-endogenous atom position, so the chase result is also minimum and yields
-the sufficiency degree directly.  Predicates whose whole extension is
-exogenous are skipped when minimizing: their tuples sit in every repair,
-never appear in sufficient sets, and only serve as join partners.
+The chase reads the same index.  The minimal sufficient sets through a
+seed are the members of W that contain it, so ``chase_mss`` returns the
+least of them by (size, sorted tids), among those whose other tuples a
+given repair keeps, and ``min_mss_sjf`` the least member through its tuple
+or, without one, the least member of W.  Neither needs the predicates'
+extensions to be wholly endogenous or wholly exogenous.
 """
 
 from __future__ import annotations
@@ -40,19 +39,11 @@ from .errors import (
     ExplanationInvalid,
     QueryNotSatisfied,
     UnknownTupleId,
-    UnsupportedPartition,
     UnsupportedQuery,
 )
-from .explanations import ExplanationSet, is_sufficient
-from .model import Fact, Instance
-from .query import (
-    BooleanCQ,
-    Query,
-    _join,
-    _witness_index,
-    _WitnessIndex,
-    fact_matches_atom,
-)
+from .explanations import ExplanationSet
+from .model import Instance
+from .query import BooleanCQ, Query, _witness_index, _WitnessIndex
 from .repairs import CoreResult, Repair
 
 __all__ = [
@@ -76,8 +67,8 @@ class ParticipatingSets:
 class MinMssResult:
     """A minimum-size minimal sufficient set plus the sufficiency degree.
 
-    ``mss`` is None when the requested tuple participates in no satisfying
-    combination (then sigma is 0).  ``sigma`` is None when the minimum
+    ``mss`` is None when the requested tuple lies in no minimal sufficient
+    set (then sigma is 0).  ``sigma`` is None when the minimum
     sufficient set is empty (the exogenous part alone satisfies the query).
     """
 
@@ -90,21 +81,6 @@ def _require_cq(query: Query) -> BooleanCQ:
         raise UnsupportedQuery(
             "the fast path handles Boolean conjunctive queries only")
     return query
-
-
-def _check_partition(instance: Instance, query: BooleanCQ) -> dict[str, bool]:
-    """Map each query predicate to 'is endogenous'; reject mixed extensions."""
-    out: dict[str, bool] = {}
-    for atom in query.atoms:
-        if atom.pred in out:
-            continue
-        flags = {f.endo for f in instance.relation(atom.pred)}
-        if len(flags) > 1:
-            raise UnsupportedPartition(
-                f"predicate {atom.pred!r} mixes endogenous and exogenous tuples; "
-                "use the exhaustive enumerators instead")
-        out[atom.pred] = flags.pop() if flags else True
-    return out
 
 
 def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
@@ -123,7 +99,6 @@ def core_fast(instance: Instance, query: Query) -> CoreResult:
     exogenous part alone satisfies the query.
     """
     cq = _require_cq(query)
-    _check_partition(instance, cq)
     core = instance.tids() - _witness_index(cq, instance).union()
     return CoreResult(tuples=core, method="lemma1")
 
@@ -144,90 +119,48 @@ def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
         "SS", (repair.kept - core) | {tid}, instance, query)
 
 
-def _chase_candidates(instance: Instance, cq: BooleanCQ, seed: Fact,
-                      base: frozenset[str],
-                      endo_pred: dict[str, bool],
-                      kept: frozenset[str] | None) -> list[list[Fact]]:
-    """Per atom position, the tuples it may bind, in tid order.  Facts
-    that miss the atom's constants or repeated variables stay in: the
-    join rejects them."""
-    pools: list[list[Fact]] = []
-    for atom in cq.atoms:
-        extension = instance.relation(atom.pred)
-        if endo_pred[atom.pred]:
-            pools.append([f for f in extension if f.tid in base or f.tid == seed.tid])
-        else:
-            # exogenous predicate: join partners only, drawn from the
-            # whole extension (restricted to the repair when given)
-            pools.append([f for f in extension if kept is None or f.tid in kept])
-    return pools
+def _least(family) -> frozenset[str]:
+    """The least set by (size, sorted tids)."""
+    return min(family, key=lambda s: (len(s), sorted(s)))
 
 
 def chase_mss(instance: Instance, query: Query, tid: str,
               repair: Repair | None = None) -> ExplanationSet:
-    """A minimal sufficient set containing the seed, of size <= k, built by
-    binding one atom position at a time to a join-compatible tuple outside
-    the core (inside the repair's kept part when one is given).
+    """The least minimal sufficient set by (size, sorted tids) that
+    contains the seed and whose other tuples the repair keeps (any
+    tuples, without a repair), read off the witness antichain W.
 
-    Seed atom positions are tried lowest-index first; within a position,
-    candidates in tid order; dead ends backtrack.  The raw result is
-    minimized (it can be non-minimal under self-joins) and re-verified.
-
-    Without a repair, a seed inside the core lies in no minimal sufficient
-    set and is refused up front: with ``ChaseDefect`` when it occurs in
-    satisfying combinations, with ``ChaseSeedError`` when it occurs in
-    none.  Every seed outside the core lies in a member of W, and the
-    search reaches that member.
+    ``ChaseSeedError`` refuses an exogenous seed, a seed the repair does
+    not remove, and a seed in no satisfying combination.  ``ChaseDefect``
+    refuses a seed that occurs in satisfying combinations but lies in no
+    member of W (it lies in the repair core), and a repair that keeps no
+    member of W through the seed.
     """
     cq = _require_cq(query)
-    endo_pred = _check_partition(instance, cq)
-    return _chase(instance, cq, tid, repair, endo_pred, _witness_index(cq, instance))
+    return _chase(instance, cq, tid, repair, _witness_index(cq, instance))
 
 
 def _chase(instance: Instance, cq: BooleanCQ, tid: str, repair: Repair | None,
-           endo_pred: dict[str, bool], index: _WitnessIndex) -> ExplanationSet:
-    seed = instance.fact(tid)
-    if not seed.endo:
+           index: _WitnessIndex) -> ExplanationSet:
+    if not instance.fact(tid).endo:
         raise ChaseSeedError(f"seed {tid!r} is exogenous")
-    base, kept = index.union(), None
-    if repair is not None:
-        if tid not in repair.removed:
-            raise ChaseSeedError(f"seed {tid!r} is not removed by the repair")
-        base, kept = base & repair.kept, repair.kept
-    elif tid not in base:
-        if any(tid in r_i for r_i in index.per_atom):
-            raise ChaseDefect(
-                f"seed {tid!r} lies in no minimal sufficient set, although "
-                "it occurs in satisfying combinations")
+    if repair is not None and tid not in repair.removed:
+        raise ChaseSeedError(f"seed {tid!r} is not removed by the repair")
+    if not any(tid in r_i for r_i in index.per_atom):
         raise ChaseSeedError(
             f"seed {tid!r} lies in the repair core: it participates in no "
             "satisfying combination")
-    pools = _chase_candidates(instance, cq, seed, base, endo_pred, kept)
-    seed_positions = [i for i, atom in enumerate(cq.atoms)
-                      if atom.pred == seed.pred and fact_matches_atom(atom, seed)]
-    if not seed_positions:
-        raise ChaseSeedError(f"seed {tid!r} matches no atom of the query")
-
-    # Under self-joins a completion can minimize to a set that drops the
-    # seed (the seed then supports only a non-minimal combination on this
-    # branch), so such completions are dead ends too: keep searching the
-    # current and the remaining seed positions.
-    for p in seed_positions:
-        order = [j for j in range(cq.k) if j != p]
-        atoms = [cq.atoms[p]] + [cq.atoms[j] for j in order]
-        for _, complete in _join(atoms, [[seed]] + [pools[j] for j in order]):
-            result = {f.tid for f in complete if f.endo}
-            for u in sorted(result - {tid}):
-                if is_sufficient(instance, cq, result - {u}):
-                    result.discard(u)
-            try:
-                return ExplanationSet.checked("MSS", result, instance, cq)
-            except ExplanationInvalid:
-                continue
-    # Without a repair this is unreachable: a member of W contains the
-    # seed, and some completion binds a minimal image projecting onto it.
-    raise ChaseDefect(
-        f"no minimal sufficient set through seed {tid!r} is reachable")
+    through = [s for s in index.antichain if tid in s]
+    if not through:
+        raise ChaseDefect(
+            f"seed {tid!r} lies in no minimal sufficient set, although "
+            "it occurs in satisfying combinations")
+    if repair is not None:
+        through = [s for s in through if s - {tid} <= repair.kept]
+        if not through:
+            raise ChaseDefect(
+                f"the repair keeps no minimal sufficient set through seed {tid!r}")
+    return ExplanationSet.checked("MSS", _least(through), instance, cq)
 
 
 def min_mss_sjf(instance: Instance, query: Query,
@@ -235,27 +168,24 @@ def min_mss_sjf(instance: Instance, query: Query,
     """Minimum-size minimal sufficient set (optionally through a given
     tuple) for a self-join-free query, plus the sufficiency degree.
 
-    Self-join freedom makes every chase result carry one tuple per
-    endogenous atom position, so all minimal sufficient sets share one
-    cardinality and any chase result is minimum.
+    The answer is the least member of W by (size, sorted tids), through
+    the tuple when one is given.  Reading W makes it minimum whatever the
+    query; the self-join-free restriction is the shortcut's documented
+    contract, and callers with self-joins use the oracle.
     """
     cq = _require_cq(query)
     if not cq.self_join_free:
         raise CallerMustUseOracle(
             "minimum-size shortcut requires a self-join-free query")
-    endo_pred = _check_partition(instance, cq)
     index = _witness_index(cq, instance)
     if not index.images:
         raise QueryNotSatisfied("the query is false in the instance")
-    participating = index.union()
     if tid is None:
-        if not participating:
-            empty = ExplanationSet.checked("MSS", frozenset(), instance, query)
-            return MinMssResult(mss=empty, sigma=None)
-        tid = min(participating)
+        mss = ExplanationSet.checked("MSS", _least(index.antichain), instance, cq)
     elif tid not in instance:
         raise UnknownTupleId(f"unknown tid {tid!r}")
-    elif tid not in participating:
+    elif tid not in index.union():
         return MinMssResult(mss=None, sigma=Fraction(0))
-    mss = _chase(instance, cq, tid, None, endo_pred, index)
-    return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)))
+    else:
+        mss = _chase(instance, cq, tid, None, index)
+    return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)) if len(mss) else None)

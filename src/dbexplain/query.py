@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
                     Optional, Sequence, Union)
@@ -37,8 +36,8 @@ from .model import Fact, Instance
 __all__ = [
     "Var", "Const", "Atom", "BooleanCQ", "ReachabilityQuery", "Query",
     "Witness", "DenialConstraint", "parse_query", "evaluate",
-    "enumerate_witnesses", "denial_constraint_of", "subtuple_restriction",
-    "join_compatible", "fact_matches_atom", "DEFAULT_MAX_PATHS",
+    "enumerate_witnesses", "denial_constraint_of", "fact_matches_atom",
+    "DEFAULT_MAX_PATHS",
 ]
 
 DEFAULT_MAX_PATHS = 100_000
@@ -335,17 +334,6 @@ def _probe(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Probe:
     return lambda env: index.get(probe(env), ())
 
 
-def _join(atoms: Sequence[Atom], pools: Sequence[Sequence[Fact]]
-          ) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
-    """Backtracking join of the atoms, in the given order, each over its
-    pool of facts, as (environment, per-atom fact binding).  Each atom
-    probes its pool through a ``_probe`` built when the search first
-    reaches it, so the pairs come in the order of a nested loop over the
-    pools, but only candidates that agree on the bound positions are
-    tried."""
-    return _join_from(0, {}, (), atoms, pools, [None] * len(atoms))
-
-
 def _join_from(i: int, env: dict[str, str], bound: tuple[Fact, ...],
                atoms: Sequence[Atom], pools: Sequence[Sequence[Fact]],
                probes: list[_Probe | None]
@@ -367,8 +355,14 @@ def _join_from(i: int, env: dict[str, str], bound: tuple[Fact, ...],
 
 def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
     """All satisfying assignments, as (environment, per-atom fact binding),
-    atoms in textual order and facts in tid order."""
-    return _join(query.atoms, [instance.relation(a.pred) for a in query.atoms])
+    atoms in textual order and facts in tid order: a backtracking join in
+    which each atom probes its extension through a ``_probe`` built when
+    the search first reaches it, so the pairs come in the order of a
+    nested loop over the extensions, but only candidates that agree on the
+    bound positions are tried."""
+    atoms = query.atoms
+    return _join_from(0, {}, (), atoms, [instance.relation(a.pred) for a in atoms],
+                      [None] * len(atoms))
 
 
 def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
@@ -503,51 +497,3 @@ def denial_constraint_of(query: Query) -> DenialConstraint:
         raise UnsupportedQuery("denial constraints are only defined for "
                                "Boolean conjunctive queries")
     return DenialConstraint(body=query)
-
-
-# ---------------------------------------------------------------------------
-# subtuple restriction (join-compatibility test used by the chase)
-
-@lru_cache(maxsize=128)
-def _shared_positions(query: BooleanCQ, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """First positions, in atom i and atom j, of their shared variables.
-
-    The variable order is fixed by the lower-indexed atom so that the two
-    directions of the restriction are comparable.
-    """
-    if i == j:
-        raise ValueError("atoms must be distinct")
-    k = len(query.atoms)
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"atom position out of range (query has {k} atoms)")
-
-    def first_pos(atom: Atom) -> dict[str, int]:
-        pos: dict[str, int] = {}
-        for p, t in enumerate(atom.args):
-            if isinstance(t, Var) and t.name not in pos:
-                pos[t.name] = p
-        return pos
-
-    pi, pj = first_pos(query.atoms[i]), first_pos(query.atoms[j])
-    anchor = query.atoms[min(i, j)]
-    shared = [t.name for t in anchor.args
-              if isinstance(t, Var) and t.name in pi and t.name in pj]
-    ordered, seen = [], set()
-    for name in shared:
-        if name not in seen:
-            seen.add(name)
-            ordered.append((pi[name], pj[name]))
-    return tuple(ordered)
-
-
-def subtuple_restriction(query: BooleanCQ, i: int, s: Fact, j: int, t: Fact) -> tuple[str, ...]:
-    """Values of `s` (bound to atom i) at the variables atom i shares with
-    atom j.  Equality with the opposite restriction is the
-    join-compatibility test."""
-    return tuple(s.vals[pi] for pi, _ in _shared_positions(query, i, j))
-
-
-def join_compatible(query: BooleanCQ, i: int, s: Fact, j: int, t: Fact) -> bool:
-    """Do s@atom_i and t@atom_j agree on the variables the atoms share?"""
-    pairs = _shared_positions(query, i, j)
-    return all(s.vals[pi] == t.vals[pj] for pi, pj in pairs)

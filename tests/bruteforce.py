@@ -19,12 +19,12 @@ Per-subset satisfaction is decided against the minimal-witness family
 functions mirror the library's signatures and return types, so results
 compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
 reproduced.  ``participating_sets`` filters the full cartesian product of
-each atom's matching facts, sharing no code with the library's join, and
-``minimal_hitting_sets`` scans the subsets of a family's elements by
-ascending cardinality, sharing no code with the library's transversals.
-``assignments`` is a nested loop over each atom's whole extension, sharing
-no code with the library's join, and ``chase`` follows the documented
-order of the chase over a filtered cartesian product.
+each atom's matching facts and ``assignments`` is a nested loop over each
+atom's whole extension; both match terms to values through ``_bind``, so
+they share no code with the library's join.  ``minimal_hitting_sets``
+scans the subsets of a family's elements by ascending cardinality, sharing
+no code with the library's transversals, and ``chase`` picks the least
+set of the scanned MSS family through the seed.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from dbexplain import (
     Var,
     enumerate_witnesses,
     evaluate,
-    fact_matches_atom,
-    join_compatible,
 )
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -219,14 +217,18 @@ def actual_causes(instance: Instance, query: Query, *,
 def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
     """Per atom position, the tuples at that position in some satisfying
     combination: the full cartesian product of each atom's matching facts,
-    filtered by pairwise join compatibility over every pair of atoms."""
-    k = len(query.atoms)
+    kept when one environment binds every atom to its fact."""
     candidates = [[f for f in instance.relation(atom.pred)
-                   if fact_matches_atom(atom, f)] for atom in query.atoms]
-    per_atom: list[set[str]] = [set() for _ in range(k)]
+                   if _bind(atom.args, f.vals, {}) is not None]
+                  for atom in query.atoms]
+    per_atom: list[set[str]] = [set() for _ in query.atoms]
     for combo in itertools.product(*candidates):
-        if all(join_compatible(query, i, combo[i], j, combo[j])
-               for i in range(k) for j in range(i + 1, k)):
+        env: dict[str, str] | None = {}
+        for atom, f in zip(query.atoms, combo):
+            env = _bind(atom.args, f.vals, env)
+            if env is None:
+                break
+        if env is not None:
             for r_i, f in zip(per_atom, combo):
                 r_i.add(f.tid)
     return ParticipatingSets(per_atom=tuple(frozenset(r_i) for r_i in per_atom))
@@ -281,50 +283,11 @@ def assignments(query: BooleanCQ, instance: Instance) -> list:
 
 def chase(instance: Instance, query: BooleanCQ, tid: str,
           repair: Repair | None = None) -> frozenset[str] | None:
-    """The set the chase documents for a seed, or None when no completion
-    minimizes to a minimal sufficient set through it.
-
-    Candidates: a tuple of the minimal sufficient sets' union (inside the
-    repair's kept part when one is given) or the seed for an atom of an
-    endogenous predicate; any tuple (of the kept part) for an atom of an
-    exogenous one.  Seed positions lowest first; the other positions in
-    index order, each over its candidates in tid order; each consistent
-    completion is minimized by dropping its tuples in sorted order while
-    the rest stays sufficient, and is the answer when it is a minimal
-    sufficient set.  Predicates must not mix endogenous and exogenous
-    tuples."""
-    mss = [s.tuples for s in enumerate_mss(instance, query)]
-    base = frozenset().union(*mss)
-    kept = None if repair is None else repair.kept
-    if kept is not None:
-        base &= kept
-    seed = instance.fact(tid)
-    k = len(query.atoms)
-
-    def pool(atom) -> list:
-        extension = instance.relation(atom.pred)
-        if all(f.endo for f in extension):
-            return [f for f in extension if f.tid in base or f.tid == tid]
-        return [f for f in extension if kept is None or f.tid in kept]
-
-    pools = [pool(atom) for atom in query.atoms]
-    for p in range(k):
-        atom = query.atoms[p]
-        if atom.pred != seed.pred or _bind(atom.args, seed.vals, {}) is None:
-            continue
-        others = [j for j in range(k) if j != p]
-        for combo in itertools.product(*(pools[j] for j in others)):
-            env = _bind(atom.args, seed.vals, {})
-            for j, fact in zip(others, combo):
-                env = _bind(query.atoms[j].args, fact.vals, env)
-                if env is None:
-                    break
-            if env is None:
-                continue
-            result = {f.tid for f in (seed,) + combo if f.endo}
-            for u in sorted(result - {tid}):
-                if any(m <= result - {u} for m in mss):
-                    result.discard(u)
-            if frozenset(result) in mss:
-                return frozenset(result)
-    return None
+    """The set the chase documents for a seed: the least minimal
+    sufficient set by (size, sorted tids) that contains the seed and whose
+    other tuples the repair keeps (any tuples, without a repair); None when
+    there is none."""
+    kept = instance.tids() if repair is None else repair.kept
+    through = [s.tuples for s in enumerate_mss(instance, query)
+               if tid in s.tuples and s.tuples - {tid} <= kept]
+    return min(through, key=lambda s: (len(s), sorted(s)), default=None)

@@ -94,8 +94,8 @@ def test_mss_chase_modes(capsys):
 
 def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
     """Seeding the chase outside the core reads the same witness index as
-    the chase itself.  Its sufficiency checks enumerate restricted copies,
-    which are other objects."""
+    the chase itself, which reads its answer off that index.  Verifying
+    the answer evaluates restricted copies, which are other objects."""
     import dbexplain.cli
     import dbexplain.query
 
@@ -113,6 +113,22 @@ def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
         code, doc, _ = invoke(capsys, *base, *tail)
         assert code == 0 and doc["result"]["set"] == ["R:b,b", "S:b"]
         assert sum(i is loaded[0] for i in seen) == 1, tail
+
+
+def test_mss_chase_min_prints_the_empty_set(capsys, tmp_path):
+    """The exogenous S(a), T(a) alone satisfy the query, so the minimum
+    minimal sufficient set is empty: it prints as [], not as null."""
+    path = tmp_path / "exo.json"
+    path.write_text(json.dumps({"schema": {"S": 1, "T": 1, "U": 1}, "tuples": [
+        {"tid": "s", "pred": "S", "vals": ["a"], "endo": False},
+        {"tid": "t", "pred": "T", "vals": ["a"], "endo": False},
+        {"tid": "u", "pred": "U", "vals": ["b"]}]}))
+    base = ["mss", "-i", str(path), "-q", "q :- S(x), T(x).", "--chase", "--min"]
+    code, doc, _ = invoke(capsys, *base)
+    assert code == 0
+    assert doc["result"] == {"mode": "chase-min", "set": [], "sigma": None}
+    code, _, out = invoke(capsys, *base, "--format=table")
+    assert code == 0 and "(empty set)" in out.splitlines()
 
 
 def test_mns_command(capsys):

@@ -15,8 +15,8 @@ from dbexplain import (
     Fact,
     Instance,
     QueryNotSatisfied,
+    Repair,
     RepairNotFound,
-    UnsupportedPartition,
     UnsupportedQuery,
     available_backends,
     backend_name,
@@ -109,12 +109,17 @@ def test_core_fast_rejects_reachability(g_routes, q_path_ab):
         core_fast(g_routes, q_path_ab)
 
 
-def test_core_fast_rejects_mixed_partition(srs_prime, q_srs):
+def test_core_fast_answers_mixed_partition(srs_prime, q_srs):
+    """S mixes endogenous and exogenous tuples once S:c is exogenous: the
+    witness {S:c, R:c,b, S:b} then projects to {R:c,b, S:b}, which joins
+    {R:b,b, S:b} in W, and the core is the endogenous-deletion one."""
     mixed = Instance.build(srs_prime.schema, [
         Fact(f.tid, f.pred, f.vals, endo=f.tid != "S:c")
         for f in srs_prime.facts])
-    with pytest.raises(UnsupportedPartition):
-        core_fast(mixed, q_srs)
+    core = core_fast(mixed, q_srs).tuples
+    assert core == core_naive(mixed, denial_constraint_of(q_srs),
+                              endogenous_only=True).tuples
+    assert sorted(core) == ["R:a,d", "R:e,f", "S:a", "S:c"]
 
 
 def test_core_fast_skips_exogenous_predicates(srs_prime_exoR):
@@ -148,14 +153,15 @@ def test_core_fast_equals_naive_on_sjf_randoms():
 def test_core_fast_equals_endogenous_naive_on_randoms():
     """D minus the union of W against the intersection of the repairs that
     delete endogenous tuples only, on self-join-free and self-join queries
-    over all-endogenous and predicate-exogenous instances.  Where the
+    over all-endogenous, predicate-exogenous and tuple-exogenous
+    instances (where one predicate can mix both kinds).  Where the
     exogenous part alone satisfies the query no such repair exists, and
     the core is the whole instance."""
     rng = random.Random(11)
     done = 0
     while done < 300:
         instance = random_instance(rng, max_tuples=10,
-                                   exo_mode=rng.choice(["none", "predicates"]))
+                                   exo_mode=rng.choice(["none", "predicates", "tuples"]))
         q = planted_query(rng, instance, n_atoms=rng.choice([2, 3]),
                           self_join=rng.random() < 0.5)
         if q is None:
@@ -270,6 +276,28 @@ def test_chase_respects_supplied_repair(srs_prime, q_srs):
         chase_mss(srs_prime, q_srs, "S:a", repair=rep)
 
 
+def _hand_repair(instance, removed: set[str]) -> Repair:
+    return Repair(kept=instance.tids() - removed, removed=frozenset(removed),
+                  cardinality_minimal=False)
+
+
+def test_chase_with_repair_refuses_seed_in_no_combination(srs_prime, q_srs):
+    """S:a occurs in no satisfying combination: a seed error with a repair
+    as without one."""
+    with pytest.raises(ChaseSeedError):
+        chase_mss(srs_prime, q_srs, "S:a", _hand_repair(srs_prime, {"S:a"}))
+
+
+def test_chase_defect_when_the_repair_keeps_no_set_through_the_seed(srs_prime, q_srs):
+    """The MSS through S:b are {R:b,b, S:b} and {R:c,b, S:b, S:c}; removing
+    R:b,b and S:c with it leaves neither."""
+    rep = _hand_repair(srs_prime, {"S:b", "R:b,b", "S:c"})
+    with pytest.raises(ChaseDefect):
+        chase_mss(srs_prime, q_srs, "S:b", rep)
+    rep = _hand_repair(srs_prime, {"S:b", "S:c"})
+    assert sorted(chase_mss(srs_prime, q_srs, "S:b", rep).tuples) == ["R:b,b", "S:b"]
+
+
 def test_chase_output_within_core_complement(srs_prime, q_srs):
     core = core_fast(srs_prime, q_srs).tuples
     for seed in sorted(srs_prime.tids() - core):
@@ -308,19 +336,19 @@ def test_chase_with_exogenous_join_partners(srs_prime_exoR):
 
 
 def test_chase_follows_the_documented_order():
-    """chase_mss and min_mss_sjf return the set the documented order
-    reaches first: seed positions lowest first, candidates in tid order,
-    minimized in sorted order and then verified.  The reference filters a
-    cartesian product and shares no code with the join.  Queries are
+    """chase_mss and min_mss_sjf return the documented set: the least
+    minimal sufficient set by (size, sorted tids) through the seed whose
+    other tuples the repair keeps, and without a tuple the least one
+    overall.  The reference takes it from the subset scan.  Queries are
     planted ones and self-join chains over a binary predicate, where a
-    seed fits both atoms; seeds are every tuple of the minimal sufficient
-    sets' union, and the removed tuples of up to three
-    endogenous-deletion repairs."""
+    seed fits both atoms, over every exo mode; seeds are every tuple of
+    the minimal sufficient sets' union, and the removed tuples of up to
+    three endogenous-deletion repairs."""
     rng = random.Random(8080)
     done = with_repair = 0
     while done < 300:
         instance = random_instance(rng, max_tuples=10, n_preds=3,
-                                   exo_mode=rng.choice(["none", "predicates"]))
+                                   exo_mode=rng.choice(["none", "predicates", "tuples"]))
         queries = [planted_query(rng, instance, n_atoms=rng.choice([1, 2, 3]),
                                  self_join=rng.random() < 0.5)]
         queries += [parse_query(f"q :- {p}(x,y), {p}({chain}).", instance)
@@ -330,16 +358,16 @@ def test_chase_follows_the_documented_order():
             if q is None or not evaluate(q, instance):
                 continue
             done += 1
-            participating = frozenset().union(
-                *(s.tuples for s in bruteforce.enumerate_mss(instance, q)))
+            mss = [s.tuples for s in bruteforce.enumerate_mss(instance, q)]
+            participating = frozenset().union(*mss)
             for tid in sorted(participating):
                 want = bruteforce.chase(instance, q, tid)
                 assert chase_mss(instance, q, tid).tuples == want, (str(q), tid)
                 if q.self_join_free:
                     got = min_mss_sjf(instance, q, tid)
                     assert got.mss.tuples == want and got.sigma == Fraction(1, len(want))
-            if q.self_join_free and participating:
-                want = bruteforce.chase(instance, q, min(participating))
+            if q.self_join_free:
+                want = min(mss, key=lambda s: (len(s), sorted(s)))
                 assert min_mss_sjf(instance, q).mss.tuples == want
             try:
                 repairs = enumerate_s_repairs(instance, denial_constraint_of(q),
@@ -413,6 +441,22 @@ def test_min_mss_sjf_exogenous_predicate_shrinks_set():
     assert res.sigma == Fraction(1, 2)
 
 
+def test_min_mss_sjf_returns_the_global_minimum_on_mixed_input():
+    """T mixes endogenous and exogenous tuples, so the minimal sufficient
+    sets {a1, a2} and {b1} differ in size.  The least tuple of their
+    union, a1, lies only in the larger one: the minimum is the least
+    member of W, not the least set through that tuple."""
+    inst = Instance.build({"S": 1, "T": 1}, [
+        Fact("a1", "S", ("a",)), Fact("a2", "T", ("a",)),
+        Fact("b1", "S", ("b",)), Fact("b2", "T", ("b",), endo=False),
+    ])
+    q = parse_query("q :- S(x), T(x).", inst)
+    res = min_mss_sjf(inst, q)
+    assert res.mss.tuples == {"b1"} and res.sigma == 1
+    res = min_mss_sjf(inst, q, "a1")
+    assert res.mss.tuples == {"a1", "a2"} and res.sigma == Fraction(1, 2)
+
+
 def test_min_mss_sjf_matches_oracle_sigma(rt_small, q_rt):
     rep = degrees(rt_small, q_rt)
     for tid in sorted(rt_small.endogenous_part()):
@@ -427,8 +471,9 @@ def test_min_mss_sjf_matches_oracle_sigma(rt_small, q_rt):
 def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
                                                 srs_prime, q_srs):
     """Each fast-path call enumerates the satisfying assignments of its
-    input instance once.  The chase's sufficiency checks enumerate
-    restricted copies, which are other objects."""
+    input instance once: the chase reads its answer off that enumeration's
+    witness index.  Verifying the answer evaluates restricted copies,
+    which are other objects."""
     seen = []
     original = dbexplain.query._assignments
 

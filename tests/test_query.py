@@ -25,9 +25,7 @@ from dbexplain import (
     enumerate_witnesses,
     evaluate,
     fact_matches_atom,
-    join_compatible,
     parse_query,
-    subtuple_restriction,
 )
 
 from dbexplain.query import _assignments, _witness_index
@@ -313,44 +311,7 @@ def test_denial_constraint_rejects_reachability(q_path_ab):
 
 
 # ---------------------------------------------------------------------------
-# subtuple restriction
-
-@pytest.fixture
-def st_instance():
-    return Instance.build({"S": 3, "T": 4}, [
-        Fact("s1", "S", ("0", "1", "2")),
-        Fact("u1", "T", ("0", "1", "2", "3")),
-    ])
-
-
-def test_subtuple_restriction_shared_positions(st_instance):
-    q = parse_query("q :- S(x,y,z), T(x,z,u,v).", st_instance)
-    s, t = st_instance.fact("s1"), st_instance.fact("u1")
-    assert subtuple_restriction(q, 0, s, 1, t) == ("0", "2")
-    assert subtuple_restriction(q, 1, t, 0, s) == ("0", "1")
-    assert not join_compatible(q, 0, s, 1, t)
-
-
-def test_subtuple_restriction_disjoint_atoms_always_compatible(srs_prime, q_srs):
-    s = srs_prime.fact("S:b")
-    t = srs_prime.fact("S:c")
-    # atoms 0 and 2 are S(x) and S(y): no shared variable
-    assert subtuple_restriction(q_srs, 0, s, 2, t) == ()
-    assert join_compatible(q_srs, 0, s, 2, t)
-
-
-def test_subtuple_restriction_shared_variable_match(srs_prime, q_srs):
-    s = srs_prime.fact("S:b")
-    r_bb = srs_prime.fact("R:b,b")
-    r_cb = srs_prime.fact("R:c,b")
-    assert join_compatible(q_srs, 0, s, 1, r_bb)
-    assert not join_compatible(q_srs, 0, s, 1, r_cb)
-
-
-def test_subtuple_restriction_range_check(q_srs, srs_prime):
-    with pytest.raises(IndexError):
-        subtuple_restriction(q_srs, 0, srs_prime.fact("S:b"), 5, srs_prime.fact("S:c"))
-
+# atom matching
 
 def test_fact_matches_atom_handles_repeated_vars(rrs_loop):
     q = parse_query("q :- R(x,x).", rrs_loop)
