@@ -61,7 +61,6 @@ from .query import (
     denial_constraint_of,
     enumerate_witnesses,
     evaluate,
-    fact_matches_atom,
     parse_query,
 )
 from .repairs import (
@@ -95,8 +94,7 @@ __all__ = [
     # query engine
     "Var", "Const", "Atom", "BooleanCQ", "ReachabilityQuery", "Query",
     "Witness", "DenialConstraint", "parse_query", "evaluate",
-    "enumerate_witnesses", "denial_constraint_of", "fact_matches_atom",
-    "DEFAULT_MAX_PATHS",
+    "enumerate_witnesses", "denial_constraint_of", "DEFAULT_MAX_PATHS",
     # explanations
     "ExplanationSet", "DegreeReport", "TupleDegrees", "ContingencyReport",
     "verify_explanation", "is_sufficient", "is_necessary", "DEFAULT_MAX_ENDO",

@@ -17,13 +17,14 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import fastpath, lineage, oracle, repairs
 from .errors import ExplainError
 from .explanations import DEFAULT_MAX_ENDO, frac_str
 from .model import Instance, load_instance, load_instance_csv
-from .query import DEFAULT_MAX_PATHS, denial_constraint_of, evaluate, parse_query
-from .query import _witness_index, enumerate_witnesses
+from .query import (DEFAULT_MAX_PATHS, denial_constraint_of, enumerate_witnesses,
+                    evaluate, parse_query)
 
 __all__ = ["main", "run"]
 
@@ -31,7 +32,7 @@ __all__ = ["main", "run"]
 def _load(path: str) -> Instance:
     """Accept either a JSON instance document or a CSV manifest."""
     try:
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError):
         return load_instance(path)  # surfaces a uniform InstanceFormatError
     if isinstance(doc, dict) and "relations" in doc:
@@ -146,13 +147,14 @@ def _dispatch(args, instance: Instance, query) -> dict:
                         "set": sorted(res.mss.tuples) if res.mss is not None else None,
                         "sigma": frac_str(res.sigma) if res.sigma is not None else None}
             if args.tuple_id is None:
-                # the least tuple outside the core seeds the chase
-                cq = fastpath._require_cq(query)
-                index = _witness_index(cq, instance)
-                outside = index.union()
+                # the least tuple outside the core, i.e. in the union of W,
+                # seeds the chase
+                outside = instance.tids() - fastpath.core_fast(instance, query).tuples
                 if not outside:
-                    return {"mode": "chase", "set": None, "sigma": None}
-                got = fastpath._chase(instance, cq, min(outside), None, index)
+                    # W is empty (the query is false) or holds only the empty set
+                    return {"mode": "chase", "sigma": None,
+                            "set": [] if enumerate_witnesses(query, instance) else None}
+                got = fastpath.chase_mss(instance, query, min(outside))
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}

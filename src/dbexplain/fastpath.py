@@ -1,11 +1,12 @@
 """Polynomial-time repair core and chase-style minimal sufficient sets.
 
 Both read the witness index of :mod:`dbexplain.query`: one enumeration of
-the satisfying combinations per call, by a join in which each atom probes
-a hash index of its extension on the positions that earlier atoms bind.  It
-builds the indexes in time linear in the atoms' extensions and then tries
-only the partial combinations that agree on those positions, so it reaches
-|D|^k steps only when that many partial combinations join.  Its antichain W
+the satisfying combinations per instance and query, by a join in which
+each atom probes a hash index of its extension on the positions that
+earlier atoms bind.  It builds the indexes in time linear in the atoms'
+extensions and then tries only the partial combinations that agree on
+those positions, so it reaches |D|^k steps only when that many partial
+combinations join.  Its antichain W
 holds the minimal endogenous projections of the images.  These are the
 minimal sufficient sets, and the removal sets of the repairs that delete
 endogenous tuples only are their minimal transversals (Bertossi & Salimi,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .explanations import ExplanationSet
 from .model import Instance
-from .query import BooleanCQ, Query, _witness_index, _WitnessIndex
+from .query import BooleanCQ, Query, _witness_index
 from .repairs import CoreResult, Repair
 
 __all__ = [
@@ -137,11 +138,7 @@ def chase_mss(instance: Instance, query: Query, tid: str,
     member of W through the seed.
     """
     cq = _require_cq(query)
-    return _chase(instance, cq, tid, repair, _witness_index(cq, instance))
-
-
-def _chase(instance: Instance, cq: BooleanCQ, tid: str, repair: Repair | None,
-           index: _WitnessIndex) -> ExplanationSet:
+    index = _witness_index(cq, instance)
     if not instance.fact(tid).endo:
         raise ChaseSeedError(f"seed {tid!r} is exogenous")
     if repair is not None and tid not in repair.removed:
@@ -187,5 +184,5 @@ def min_mss_sjf(instance: Instance, query: Query,
     elif tid not in index.union():
         return MinMssResult(mss=None, sigma=Fraction(0))
     else:
-        mss = _chase(instance, cq, tid, None, index)
+        mss = chase_mss(instance, cq, tid)
     return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)) if len(mss) else None)

@@ -1,7 +1,8 @@
 """Necessity and sufficiency families, derived from the witness antichain.
 
 Every family here is a function of one object: the antichain W of the
-endogenous projections of the minimal witnesses, built once per call.
+endogenous projections of the minimal witnesses, built once per instance
+and query.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
@@ -36,8 +37,7 @@ from .model import Fact, Instance
 __all__ = [
     "Var", "Const", "Atom", "BooleanCQ", "ReachabilityQuery", "Query",
     "Witness", "DenialConstraint", "parse_query", "evaluate",
-    "enumerate_witnesses", "denial_constraint_of", "fact_matches_atom",
-    "DEFAULT_MAX_PATHS",
+    "enumerate_witnesses", "denial_constraint_of", "DEFAULT_MAX_PATHS",
 ]
 
 DEFAULT_MAX_PATHS = 100_000
@@ -277,12 +277,6 @@ def parse_query(
 # conjunctive query evaluation (a backtracking join over atoms in textual
 # order, each atom probing a hash index of its facts on its bound positions)
 
-def fact_matches_atom(atom: Atom, fact: Fact) -> bool:
-    """Check constants and repeated variables of one atom against one fact."""
-    return (fact.pred == atom.pred and len(fact.vals) == len(atom.args)
-            and _extend_env(atom, fact, {}) is not None)
-
-
 def _extend_env(atom: Atom, fact: Fact, env: dict[str, str]) -> dict[str, str] | None:
     new = dict(env)
     for term, val in zip(atom.args, fact.vals):
@@ -433,29 +427,55 @@ def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     return kept
 
 
-def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]:
+def _minimal_members(family: Collection[frozenset[str]]) -> tuple[frozenset[str], ...]:
     """The members with no proper subset in the family, decided by looking
     up each member's proper subsets of the sizes that members have: at
     most 2^k, as no member here has more than k tuples."""
     sizes = {len(s) for s in family}
-    return [s for s in family
-            if not any(frozenset(sub) in family
-                       for size in sizes if size < len(s)
-                       for sub in itertools.combinations(s, size))]
+    return tuple(s for s in family
+                 if not any(frozenset(sub) in family
+                            for size in sizes if size < len(s)
+                            for sub in itertools.combinations(s, size)))
 
 
 class _WitnessIndex(NamedTuple):
     images: dict[frozenset[str], dict[str, str]]  # image -> first assignment
-    minimal: list[frozenset[str]]  # the minimal images: the witnesses
+    minimal: tuple[frozenset[str], ...]  # the minimal images: the witnesses
     per_atom: tuple[frozenset[str], ...]  # per atom position, its tuples
-    antichain: list[frozenset[str]]  # W: minimal endogenous projections
+    antichain: tuple[frozenset[str], ...]  # W: minimal endogenous projections
 
     def union(self) -> frozenset[str]:
         """The tuples in some minimal sufficient set."""
         return frozenset().union(*self.antichain)
 
 
+# the most recent (instance, query) pair and its index
+_last_index: tuple[weakref.ref[Instance], BooleanCQ, _WitnessIndex] | None = None
+
+
 def _witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
+    """The witness index of the pair, built once per instance and query.
+
+    One slot remembers the most recent pair, since calls on one pair come
+    together; an index per instance would keep one for every live
+    instance.  Instances are immutable, so identity matches the pair
+    exactly and cheaply, where hashing would hash every fact.  The query
+    is matched by identity too: equality cannot tell ``Var('x')`` from
+    ``Const('x')``, so ``R(x,y)`` and ``R('x',y)`` compare equal.  The
+    slot holds the instance weakly, so it keeps none alive and a recycled
+    id never matches, and it holds the query strongly, so its id is not
+    reused while it is kept.  It is replaced by one assignment, so a
+    concurrent caller sees a whole pair or rebuilds."""
+    global _last_index
+    last = _last_index
+    if last is not None and last[0]() is instance and last[1] is query:
+        return last[2]
+    index = _build_witness_index(query, instance)
+    _last_index = (weakref.ref(instance), query, index)
+    return index
+
+
+def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     """One pass over the satisfying assignments.  A set satisfies the
     query when it contains an image, and a set of endogenous tuples is
     sufficient when it contains an image's endogenous projection; so the

@@ -115,20 +115,43 @@ def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
         assert sum(i is loaded[0] for i in seen) == 1, tail
 
 
-def test_mss_chase_min_prints_the_empty_set(capsys, tmp_path):
-    """The exogenous S(a), T(a) alone satisfy the query, so the minimum
-    minimal sufficient set is empty: it prints as [], not as null."""
+def _exogenous_witness(tmp_path) -> str:
+    """S(a)*, T(a)*, U(b): the exogenous S(a), T(a) alone satisfy
+    S(x), T(x), so the query's only minimal sufficient set is the empty set."""
     path = tmp_path / "exo.json"
     path.write_text(json.dumps({"schema": {"S": 1, "T": 1, "U": 1}, "tuples": [
         {"tid": "s", "pred": "S", "vals": ["a"], "endo": False},
         {"tid": "t", "pred": "T", "vals": ["a"], "endo": False},
         {"tid": "u", "pred": "U", "vals": ["b"]}]}))
-    base = ["mss", "-i", str(path), "-q", "q :- S(x), T(x).", "--chase", "--min"]
+    return str(path)
+
+
+def test_mss_chase_min_prints_the_empty_set(capsys, tmp_path):
+    """The minimum minimal sufficient set is empty: it prints as [], not
+    as null."""
+    base = ["mss", "-i", _exogenous_witness(tmp_path), "-q", "q :- S(x), T(x).",
+            "--chase", "--min"]
     code, doc, _ = invoke(capsys, *base)
     assert code == 0
     assert doc["result"] == {"mode": "chase-min", "set": [], "sigma": None}
     code, _, out = invoke(capsys, *base, "--format=table")
     assert code == 0 and "(empty set)" in out.splitlines()
+
+
+def test_mss_chase_prints_the_empty_set(capsys, tmp_path):
+    """Without a seed, the chase answers the empty set when it is the only
+    minimal sufficient set, as ``mss`` and ``mss --chase --min`` do; a
+    false query still has no set."""
+    path = _exogenous_witness(tmp_path)
+    code, doc, _ = invoke(capsys, "mss", "-i", path, "-q", "q :- S(x), T(x).", "--chase")
+    assert code == 0
+    assert doc["result"] == {"mode": "chase", "set": [], "sigma": None}
+    code, _, out = invoke(capsys, "mss", "-i", path, "-q", "q :- S(x), T(x).",
+                          "--chase", "--format=table")
+    assert code == 0 and out.splitlines()[1:] == ["(empty set)"]
+    code, doc, _ = invoke(capsys, "mss", "-i", path, "-q", "q :- S(x), U(x).", "--chase")
+    assert code == 0
+    assert doc["result"] == {"mode": "chase", "set": None, "sigma": None}
 
 
 def test_mns_command(capsys):

@@ -26,7 +26,9 @@ from dbexplain import (
     degrees,
     denial_constraint_of,
     enumerate_s_repairs,
+    enumerate_witnesses,
     evaluate,
+    lineage_of,
     min_mss_sjf,
     parse_query,
     participating_sets,
@@ -466,14 +468,15 @@ def test_min_mss_sjf_matches_oracle_sigma(rt_small, q_rt):
 
 
 # ---------------------------------------------------------------------------
-# one enumeration per call
+# one enumeration per instance and query
 
 def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
                                                 srs_prime, q_srs):
-    """Each fast-path call enumerates the satisfying assignments of its
-    input instance once: the chase reads its answer off that enumeration's
-    witness index.  Verifying the answer evaluates restricted copies,
-    which are other objects."""
+    """A sequence of fast-path, lineage and witness calls on one instance
+    and query enumerates the instance's satisfying assignments once in
+    total: every call reads the same witness index.  A different query, or
+    an equal but distinct instance, enumerates again.  Verifying an answer
+    evaluates restricted copies, which are other objects."""
     seen = []
     original = dbexplain.query._assignments
 
@@ -485,14 +488,35 @@ def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
     for module in (dbexplain.query, dbexplain.fastpath):
         if hasattr(module, "_assignments"):
             monkeypatch.setattr(module, "_assignments", counting)
-    calls = [
-        ("min_mss_sjf", rt_small, lambda: min_mss_sjf(rt_small, q_rt)),
-        ("min_mss_sjf:tuple", rt_small,
-         lambda: min_mss_sjf(rt_small, q_rt, "R:a3,a3")),
-        ("chase_mss", srs_prime, lambda: chase_mss(srs_prime, q_srs, "S:b")),
-        ("core_fast", srs_prime, lambda: core_fast(srs_prime, q_srs)),
-    ]
-    for name, instance, call in calls:
+
+    def enumerations(instance, calls):
         seen.clear()
-        call()
-        assert sum(i is instance for i in seen) == 1, name
+        for call in calls:
+            call()
+        return sum(i is instance for i in seen)
+
+    for instance, q, calls in [
+        (rt_small, q_rt, [
+            lambda: min_mss_sjf(rt_small, q_rt),
+            lambda: min_mss_sjf(rt_small, q_rt, "R:a3,a3"),
+            lambda: chase_mss(rt_small, q_rt, "T:a3"),
+            lambda: core_fast(rt_small, q_rt),
+            lambda: participating_sets(rt_small, q_rt),
+            lambda: lineage_of(rt_small, q_rt),
+            lambda: enumerate_witnesses(q_rt, rt_small),
+        ]),
+        (srs_prime, q_srs, [
+            lambda: chase_mss(srs_prime, q_srs, "S:b"),
+            lambda: chase_mss(srs_prime, q_srs, "S:c"),
+            lambda: core_fast(srs_prime, q_srs),
+            lambda: participating_sets(srs_prime, q_srs),
+            lambda: lineage_of(srs_prime, q_srs),
+            lambda: enumerate_witnesses(q_srs, srs_prime),
+        ]),
+    ]:
+        assert enumerations(instance, calls) == 1, q
+        copy = Instance.build(instance.schema, instance.facts)
+        assert copy == instance
+        assert enumerations(copy, [lambda: core_fast(copy, q)]) == 1, q
+        other = parse_query("q :- R(x,y).", copy)
+        assert enumerations(copy, [lambda: core_fast(copy, other)]) == 1, q

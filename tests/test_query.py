@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from dbexplain import (
     denial_constraint_of,
     enumerate_witnesses,
     evaluate,
-    fact_matches_atom,
     parse_query,
 )
 
@@ -265,6 +265,44 @@ def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
         assert len(calls) < len(instance), (text, len(calls))
 
 
+def test_witness_index_keeps_no_instance_alive():
+    """The index of the most recent pair holds its instance weakly."""
+    instance = scaling_instance(40)
+    assert _witness_index(parse_query("q :- S(x), R(x,y), T(y).", instance),
+                          instance).minimal
+    alive = weakref.ref(instance)
+    del instance
+    gc.collect()
+    assert alive() is None
+
+
+def test_witness_assignments_are_copies(srs_prime, q_srs):
+    """Witnesses share one index per instance and query, but each call
+    hands out its own assignments: changing one changes no later call."""
+    first = enumerate_witnesses(q_srs, srs_prime)
+    want = [dict(w.assignment) for w in first]
+    for w in first:
+        w.assignment["x"] = "changed"
+    again = enumerate_witnesses(q_srs, srs_prime)
+    assert [w.assignment for w in again] == want
+
+
+def test_witness_index_tells_a_variable_from_an_equal_constant():
+    """``R(x,y)`` and ``R('x',y)`` compare equal as tuples of terms, yet
+    have different witnesses on one instance; neither reads the other's
+    index."""
+    instance = Instance.build({"R": 2}, [Fact("r1", "R", ("x", "a")),
+                                         Fact("r2", "R", ("b", "c"))])
+    free = parse_query("q :- R(x,y).", schema=instance.schema)
+    bound = parse_query("q :- R('x',y).", schema=instance.schema)
+    assert free == bound  # Var('x') == Const('x'): equality cannot tell them apart
+    for _ in range(2):
+        assert [w.tuples for w in enumerate_witnesses(free, instance)] == [
+            frozenset({"r1"}), frozenset({"r2"})]
+        assert [w.tuples for w in enumerate_witnesses(bound, instance)] == [
+            frozenset({"r1"})]
+
+
 def test_join_leaves_no_cyclic_garbage():
     """The join's indexes are freed when a call returns, not when the
     cyclic collector next runs."""
@@ -308,12 +346,3 @@ def test_denial_constraint_single_atom():
 def test_denial_constraint_rejects_reachability(q_path_ab):
     with pytest.raises(UnsupportedQuery):
         denial_constraint_of(q_path_ab)
-
-
-# ---------------------------------------------------------------------------
-# atom matching
-
-def test_fact_matches_atom_handles_repeated_vars(rrs_loop):
-    q = parse_query("q :- R(x,x).", rrs_loop)
-    assert fact_matches_atom(q.atoms[0], rrs_loop.fact("R:a,a"))
-    assert not fact_matches_atom(q.atoms[0], rrs_loop.fact("R:a,b"))
