@@ -93,11 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mss = sub.add_parser("mss", parents=[common],
                            help="minimal sufficient sets")
-    how = p_mss.add_mutually_exclusive_group()
-    how.add_argument("--oracle", action="store_true",
-                     help="exhaustive enumeration (default)")
-    how.add_argument("--chase", action="store_true",
-                     help="single set via the core-based construction")
+    p_mss.add_argument("--chase", action="store_true",
+                       help="single set via the core-based construction")
     p_mss.add_argument("--tuple", dest="tuple_id", metavar="TID",
                        help="restrict to sets containing TID / seed the chase")
     p_mss.add_argument("--min", action="store_true",

@@ -6,8 +6,7 @@ __all__ = [
     "ExplainError", "InstanceFormatError", "UnknownTupleId", "UnknownPredicate",
     "QuerySyntaxError", "QueryNotSatisfied", "BoundExceeded",
     "OracleBoundExceeded", "PathBoundExceeded", "UnsupportedQuery",
-    "CallerMustUseOracle", "UnsupportedPartition", "RepairNotFound",
-    "ExplanationInvalid", "ChaseSeedError", "ChaseDefect",
+    "RepairNotFound", "ExplanationInvalid", "ChaseSeedError", "ChaseDefect",
 ]
 
 
@@ -52,18 +51,6 @@ class PathBoundExceeded(BoundExceeded):
 
 class UnsupportedQuery(ExplainError):
     """The operation is only defined for Boolean conjunctive queries."""
-
-
-class CallerMustUseOracle(UnsupportedQuery):
-    """The polynomial minimum-set shortcut requires a self-join-free query;
-    use the exhaustive enumerator instead."""
-
-
-class UnsupportedPartition(ExplainError):
-    """Kept for callers that name it: nothing raises it.  The fast path
-    once refused query predicates whose extension mixes endogenous and
-    exogenous tuples; it now reads the witness antichain, which needs no
-    such restriction."""
 
 
 class RepairNotFound(ExplainError):

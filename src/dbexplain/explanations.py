@@ -2,8 +2,9 @@
 
 The checkers deliberately go through ``restrict`` + ``evaluate`` only, so
 they are independent of both the witness-antichain enumerators and the
-chase/rewriting fast path; every construction site routes its candidate
-sets through them.
+chase/rewriting fast path.  They are the judges of those answers, not a
+step of them: the sets read off the witness antichain are right by
+construction, and the test suite checks them against the definitions.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ class ExplanationSet:
 
     kind: ExplanationKind
     tuples: frozenset[str]
-
-    @staticmethod
-    def checked(kind: ExplanationKind, tids: Iterable[str],
-                instance: Instance, query: Query) -> "ExplanationSet":
-        tids = frozenset(tids)
-        verify_explanation(instance, query, kind, tids)
-        return ExplanationSet(kind, tids)
 
     def sort_key(self) -> tuple[str, ...]:
         return tuple(sorted(self.tuples))

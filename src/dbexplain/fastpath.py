@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    CallerMustUseOracle,
     ChaseDefect,
     ChaseSeedError,
     ExplanationInvalid,
@@ -42,7 +41,7 @@ from .errors import (
     UnknownTupleId,
     UnsupportedQuery,
 )
-from .explanations import ExplanationSet
+from .explanations import ExplanationSet, verify_explanation
 from .model import Instance
 from .query import BooleanCQ, Query, _witness_index
 from .repairs import CoreResult, Repair
@@ -107,7 +106,8 @@ def core_fast(instance: Instance, query: Query) -> CoreResult:
 def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
                         tid: str) -> ExplanationSet:
     """(kept(repair) minus core) plus the removed tuple t is a sufficient
-    set; for t in the kept part it provably is not, so that is an error."""
+    set; for t in the kept part it provably is not, so that is an error.
+    The set rests on the caller's repair, not on W alone, so it is checked."""
     cq = _require_cq(query)
     if tid not in instance:
         raise UnknownTupleId(f"unknown tid {tid!r}")
@@ -115,9 +115,9 @@ def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
         raise ExplanationInvalid(
             f"{tid!r} is kept by the repair; the construction yields a "
             "sufficient set exactly for removed tuples")
-    core = core_fast(instance, cq).tuples
-    return ExplanationSet.checked(
-        "SS", (repair.kept - core) | {tid}, instance, query)
+    tids = (repair.kept - core_fast(instance, cq).tuples) | {tid}
+    verify_explanation(instance, cq, "SS", tids)
+    return ExplanationSet("SS", tids)
 
 
 def _least(family) -> frozenset[str]:
@@ -157,28 +157,26 @@ def chase_mss(instance: Instance, query: Query, tid: str,
         if not through:
             raise ChaseDefect(
                 f"the repair keeps no minimal sufficient set through seed {tid!r}")
-    return ExplanationSet.checked("MSS", _least(through), instance, cq)
+    return ExplanationSet("MSS", _least(through))
 
 
 def min_mss_sjf(instance: Instance, query: Query,
                 tid: str | None = None) -> MinMssResult:
     """Minimum-size minimal sufficient set (optionally through a given
-    tuple) for a self-join-free query, plus the sufficiency degree.
+    tuple), plus the sufficiency degree.
 
     The answer is the least member of W by (size, sorted tids), through
-    the tuple when one is given.  Reading W makes it minimum whatever the
-    query; the self-join-free restriction is the shortcut's documented
-    contract, and callers with self-joins use the oracle.
+    the tuple when one is given.  Every member of W is a minimal
+    sufficient set, so this is a minimum one for any conjunctive query,
+    self-joins included; the name keeps the self-join-free case that
+    first had a polynomial shortcut.
     """
     cq = _require_cq(query)
-    if not cq.self_join_free:
-        raise CallerMustUseOracle(
-            "minimum-size shortcut requires a self-join-free query")
     index = _witness_index(cq, instance)
     if not index.images:
         raise QueryNotSatisfied("the query is false in the instance")
     if tid is None:
-        mss = ExplanationSet.checked("MSS", _least(index.antichain), instance, cq)
+        mss = ExplanationSet("MSS", _least(index.antichain))
     elif tid not in instance:
         raise UnknownTupleId(f"unknown tid {tid!r}")
     elif tid not in index.union():

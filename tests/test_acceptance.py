@@ -30,7 +30,6 @@ from dbexplain import (
     ChaseDefect,
     ExplanationInvalid,
     OracleBoundExceeded,
-    UnsupportedPartition,
     UnsupportedQuery,
     actual_causes,
     chase_mss,
@@ -278,34 +277,30 @@ def _percase_checks(instance, q, violations, counts):
             violations["d"].append(f"{label}: removals {removals} != MNS {mns}")
 
     # (e) every chase output is a verified MSS through its seed
-    try:
-        core = core_fast(instance, q).tuples
-    except UnsupportedPartition:
-        core = None
-    if core is not None:
-        counts["e"] += 1
-        for seed in sorted(instance.endogenous_part() - core):
-            if deg.sigma(seed) > 0:
-                try:
-                    got = chase_mss(instance, q, seed)
-                    verify_explanation(instance, q, "MSS", got.tuples)
-                    if seed not in got.tuples:
-                        raise ExplanationInvalid("seed missing from result")
-                except Exception as exc:  # noqa: BLE001
-                    violations["e"].append(f"{label}: seed {seed}: {exc}")
-            else:
-                try:
-                    chase_mss(instance, q, seed)
-                    violations["e"].append(
-                        f"{label}: seed {seed} is in no minimal sufficient set "
-                        "but the chase returned one")
-                except ChaseDefect:
-                    pass
-                except Exception as exc:  # noqa: BLE001
-                    violations["e"].append(f"{label}: seed {seed}: {exc}")
+    core = core_fast(instance, q).tuples
+    counts["e"] += 1
+    for seed in sorted(instance.endogenous_part() - core):
+        if deg.sigma(seed) > 0:
+            try:
+                got = chase_mss(instance, q, seed)
+                verify_explanation(instance, q, "MSS", got.tuples)
+                if seed not in got.tuples:
+                    raise ExplanationInvalid("seed missing from result")
+            except Exception as exc:  # noqa: BLE001
+                violations["e"].append(f"{label}: seed {seed}: {exc}")
+        else:
+            try:
+                chase_mss(instance, q, seed)
+                violations["e"].append(
+                    f"{label}: seed {seed} is in no minimal sufficient set "
+                    "but the chase returned one")
+            except ChaseDefect:
+                pass
+            except Exception as exc:  # noqa: BLE001
+                violations["e"].append(f"{label}: seed {seed}: {exc}")
 
     # (f) the polynomial minimum matches the oracle degree (SJF only)
-    if q.self_join_free and core is not None:
+    if q.self_join_free:
         counts["f"] += 1
         for tid in sorted(instance.endogenous_part()):
             res = min_mss_sjf(instance, q, tid)

@@ -94,8 +94,7 @@ def test_mss_chase_modes(capsys):
 
 def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
     """Seeding the chase outside the core reads the same witness index as
-    the chase itself, which reads its answer off that index.  Verifying
-    the answer evaluates restricted copies, which are other objects."""
+    the chase itself, which reads its answer off that index."""
     import dbexplain.cli
     import dbexplain.query
 
@@ -213,6 +212,15 @@ def test_fastpath_refusal_is_semantic_error(capsys):
     code, doc, _ = invoke(capsys, "core", "-i", str(data_path("g_routes.json")),
                           "-q", "q :- path(E, a, b).")
     assert code == 1 and doc["error"]["type"] == "UnsupportedQuery"
+
+
+def test_mss_has_no_oracle_flag(capsys):
+    """The oracle is what ``mss`` runs without ``--chase``; there is no
+    flag to ask for it."""
+    with pytest.raises(SystemExit) as exc:
+        run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS, "--oracle"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import dbexplain.explanations
 import dbexplain.fastpath
+import dbexplain.oracle
 import dbexplain.query
 from dbexplain import (
-    CallerMustUseOracle,
     ChaseDefect,
     ChaseSeedError,
     ExplanationInvalid,
@@ -25,6 +26,8 @@ from dbexplain import (
     core_naive,
     degrees,
     denial_constraint_of,
+    enumerate_mns,
+    enumerate_mss,
     enumerate_s_repairs,
     enumerate_witnesses,
     evaluate,
@@ -238,6 +241,15 @@ def test_sufficient_set_from_kept_tuple_is_error(srs_prime, q_srs):
         sufficient_set_from(srs_prime, q_srs, rep, "S:a")
 
 
+def test_sufficient_set_from_checks_a_repair_that_keeps_too_little(srs_prime, q_srs):
+    """The set is built from the caller's repair, not read off W, so a
+    repair that keeps nothing yields {S:b} alone, which is refused."""
+    rep = Repair(kept=frozenset(), removed=frozenset({"S:b"}),
+                 cardinality_minimal=False)
+    with pytest.raises(ExplanationInvalid, match="not sufficient"):
+        sufficient_set_from(srs_prime, q_srs, rep, "S:b")
+
+
 # ---------------------------------------------------------------------------
 # chase
 
@@ -365,12 +377,10 @@ def test_chase_follows_the_documented_order():
             for tid in sorted(participating):
                 want = bruteforce.chase(instance, q, tid)
                 assert chase_mss(instance, q, tid).tuples == want, (str(q), tid)
-                if q.self_join_free:
-                    got = min_mss_sjf(instance, q, tid)
-                    assert got.mss.tuples == want and got.sigma == Fraction(1, len(want))
-            if q.self_join_free:
-                want = min(mss, key=lambda s: (len(s), sorted(s)))
-                assert min_mss_sjf(instance, q).mss.tuples == want
+                got = min_mss_sjf(instance, q, tid)
+                assert got.mss.tuples == want and got.sigma == Fraction(1, len(want))
+            want = min(mss, key=lambda s: (len(s), sorted(s)))
+            assert min_mss_sjf(instance, q).mss.tuples == want
             try:
                 repairs = enumerate_s_repairs(instance, denial_constraint_of(q),
                                               endogenous_only=True)
@@ -415,9 +425,23 @@ def test_min_mss_sjf_nonparticipant_gets_zero(rt_small, q_rt):
     assert res.mss is None and res.sigma == 0
 
 
-def test_min_mss_sjf_rejects_self_joins(srs_prime, q_srs):
-    with pytest.raises(CallerMustUseOracle):
-        min_mss_sjf(srs_prime, q_srs)
+def test_min_mss_sjf_answers_self_joins(srs_prime, q_srs, rrs_loop, q_rrs):
+    """The least member of W is a minimum minimal sufficient set under
+    self-joins too; the reference takes it from the subset scan."""
+    for instance, q in ((srs_prime, q_srs), (rrs_loop, q_rrs)):
+        assert not q.self_join_free
+        mss = [s.tuples for s in bruteforce.enumerate_mss(instance, q)]
+        want = min(mss, key=lambda s: (len(s), sorted(s)))
+        res = min_mss_sjf(instance, q)
+        assert res.mss.tuples == want and res.sigma == Fraction(1, len(want))
+        for tid in sorted(instance.endogenous_part()):
+            through = [s for s in mss if tid in s]
+            res = min_mss_sjf(instance, q, tid)
+            if through:
+                want = min(through, key=lambda s: (len(s), sorted(s)))
+                assert res.mss.tuples == want, tid
+            else:
+                assert res.mss is None and res.sigma == 0, tid
 
 
 def test_min_mss_sjf_rejects_reachability(g_routes, q_path_ab):
@@ -475,8 +499,7 @@ def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
     """A sequence of fast-path, lineage and witness calls on one instance
     and query enumerates the instance's satisfying assignments once in
     total: every call reads the same witness index.  A different query, or
-    an equal but distinct instance, enumerates again.  Verifying an answer
-    evaluates restricted copies, which are other objects."""
+    an equal but distinct instance, enumerates again."""
     seen = []
     original = dbexplain.query._assignments
 
@@ -520,3 +543,25 @@ def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
         assert enumerations(copy, [lambda: core_fast(copy, q)]) == 1, q
         other = parse_query("q :- R(x,y).", copy)
         assert enumerations(copy, [lambda: core_fast(copy, other)]) == 1, q
+
+
+def test_answers_read_off_w_are_not_re_evaluated(monkeypatch, rt_small, q_rt,
+                                                 srs_prime, q_srs):
+    """The chase, the minimum and the oracle families return sets read off
+    the witness index as they are: none of them restricts the instance or
+    evaluates the query to check its answer."""
+    calls = []
+    restrict = Instance.restrict
+    monkeypatch.setattr(Instance, "restrict", lambda self, keep: calls.append(
+        "restrict") or restrict(self, keep))
+    for module in (dbexplain.query, dbexplain.explanations, dbexplain.oracle):
+        original = module.evaluate
+        monkeypatch.setattr(module, "evaluate", lambda query, instance, f=original:
+                            calls.append("evaluate") or f(query, instance))
+    for instance, q, tid in ((rt_small, q_rt, "R:a3,a3"), (srs_prime, q_srs, "S:b")):
+        assert chase_mss(instance, q, tid).tuples
+        assert min_mss_sjf(instance, q).mss is not None
+        assert min_mss_sjf(instance, q, tid).mss is not None
+        assert enumerate_mss(instance, q)
+        assert enumerate_mns(instance, q)
+    assert calls == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import dbexplain.query
 from dbexplain import (
     Fact,
     Instance,
@@ -51,11 +52,29 @@ def test_mss_requires_satisfaction(rt_small):
     q = parse_query("q :- R(x,y), T('zz').", rt_small)
     with pytest.raises(QueryNotSatisfied):
         enumerate_mss(rt_small, q)
+    with pytest.raises(QueryNotSatisfied):  # reported before the bound
+        enumerate_mss(rt_small, q, max_endo=0)
 
 
 def test_oracle_bound(rt_small, q_rt):
     with pytest.raises(OracleBoundExceeded):
         enumerate_mss(rt_small, q_rt, max_endo=3)
+
+
+def test_mss_enumerates_the_instance_once(monkeypatch):
+    """For a conjunctive query the oracle reads truth off the witness
+    index instead of evaluating the query first, so a first call joins
+    once and a second one on the same pair not at all."""
+    runs = []
+    original = dbexplain.query._assignments
+    monkeypatch.setattr(dbexplain.query, "_assignments", lambda query, instance:
+                        runs.append(instance) or original(query, instance))
+    instance = inst("srs_prime.json")
+    q = parse_query("q :- S(x), R(x,y), S(y).", instance)
+    assert tids(enumerate_mss(instance, q)) == [["R:b,b", "S:b"], ["R:c,b", "S:b", "S:c"]]
+    assert len(runs) == 1
+    enumerate_mss(instance, q)
+    assert len(runs) == 1
 
 
 # ---------------------------------------------------------------------------
