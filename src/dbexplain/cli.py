@@ -46,7 +46,7 @@ def _digest(instance: Instance) -> str:
 
 
 def _sets(family) -> list[list[str]]:
-    return [sorted(s.tuples if hasattr(s, "tuples") else s) for s in family]
+    return [sorted(s.tuples) for s in family]
 
 
 def _non_negative_int(text: str) -> int:
@@ -144,14 +144,13 @@ def _dispatch(args, instance: Instance, query) -> dict:
                         "set": sorted(res.mss.tuples) if res.mss is not None else None,
                         "sigma": frac_str(res.sigma) if res.sigma is not None else None}
             if args.tuple_id is None:
-                # the least tuple outside the core, i.e. in the union of W,
-                # seeds the chase
-                outside = instance.tids() - fastpath.core_fast(instance, query).tuples
-                if not outside:
+                # the least tuple in the union of W seeds the chase
+                union = fastpath._sufficient_union(instance, query)
+                if not union:
                     # W is empty (the query is false) or holds only the empty set
                     return {"mode": "chase", "sigma": None,
                             "set": [] if enumerate_witnesses(query, instance) else None}
-                got = fastpath.chase_mss(instance, query, min(outside))
+                got = fastpath.chase_mss(instance, query, min(union))
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}

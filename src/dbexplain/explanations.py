@@ -92,9 +92,6 @@ class ExplanationSet:
     kind: ExplanationKind
     tuples: frozenset[str]
 
-    def sort_key(self) -> tuple[str, ...]:
-        return tuple(sorted(self.tuples))
-
     def __len__(self) -> int:
         return len(self.tuples)
 

@@ -83,6 +83,11 @@ def _require_cq(query: Query) -> BooleanCQ:
     return query
 
 
+def _sufficient_union(instance: Instance, query: Query) -> frozenset[str]:
+    """The union of W: the tuples in some minimal sufficient set."""
+    return _witness_index(_require_cq(query), instance).union()
+
+
 def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
     """The R_i sets: the per-atom projection of the satisfying
     combinations, enumerated once by the indexed join."""
@@ -98,16 +103,16 @@ def core_fast(instance: Instance, query: Query) -> CoreResult:
     all repairs when every tuple is endogenous; all of D when the
     exogenous part alone satisfies the query.
     """
-    cq = _require_cq(query)
-    core = instance.tids() - _witness_index(cq, instance).union()
+    core = instance.tids() - _sufficient_union(instance, query)
     return CoreResult(tuples=core, method="lemma1")
 
 
 def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
                         tid: str) -> ExplanationSet:
-    """(kept(repair) minus core) plus the removed tuple t is a sufficient
-    set; for t in the kept part it provably is not, so that is an error.
-    The set rests on the caller's repair, not on W alone, so it is checked."""
+    """The tuples the repair keeps in the union of W, plus the removed
+    tuple t, is a sufficient set; for t in the kept part it provably is
+    not, so that is an error.  The set rests on the caller's repair, not
+    on W alone, so it is checked."""
     cq = _require_cq(query)
     if tid not in instance:
         raise UnknownTupleId(f"unknown tid {tid!r}")
@@ -115,7 +120,7 @@ def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
         raise ExplanationInvalid(
             f"{tid!r} is kept by the repair; the construction yields a "
             "sufficient set exactly for removed tuples")
-    tids = (repair.kept - core_fast(instance, cq).tuples) | {tid}
+    tids = (repair.kept & _sufficient_union(instance, cq)) | {tid}
     verify_explanation(instance, cq, "SS", tids)
     return ExplanationSet("SS", tids)
 

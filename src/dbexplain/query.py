@@ -43,11 +43,13 @@ __all__ = [
 DEFAULT_MAX_PATHS = 100_000
 
 
-class Var(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Var:
     name: str
 
 
-class Const(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Const:
     value: str
 
 
@@ -58,14 +60,6 @@ Term = Union[Var, Const]
 class Atom:
     pred: str
     args: tuple[Term, ...]
-
-    def variables(self) -> tuple[str, ...]:
-        out, seen = [], set()
-        for t in self.args:
-            if isinstance(t, Var) and t.name not in seen:
-                seen.add(t.name)
-                out.append(t.name)
-        return tuple(out)
 
     def __str__(self) -> str:
         parts = [t.name if isinstance(t, Var) else repr(t.value) for t in self.args]
@@ -86,15 +80,6 @@ class BooleanCQ:
     def self_join_free(self) -> bool:
         preds = [a.pred for a in self.atoms]
         return len(preds) == len(set(preds))
-
-    def variables(self) -> tuple[str, ...]:
-        out, seen = [], set()
-        for a in self.atoms:
-            for v in a.variables():
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return tuple(out)
 
     def __str__(self) -> str:
         return "q :- " + ", ".join(str(a) for a in self.atoms) + "."
@@ -460,8 +445,8 @@ def _witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     together; an index per instance would keep one for every live
     instance.  Instances are immutable, so identity matches the pair
     exactly and cheaply, where hashing would hash every fact.  The query
-    is matched by identity too: equality cannot tell ``Var('x')`` from
-    ``Const('x')``, so ``R(x,y)`` and ``R('x',y)`` compare equal.  The
+    is matched by identity too, since calls on one pair pass the same
+    query object and equality would compare every term of every atom.  The
     slot holds the instance weakly, so it keeps none alive and a recycled
     id never matches, and it holds the query strongly, so its id is not
     reused while it is kept.  It is replaced by one assignment, so a

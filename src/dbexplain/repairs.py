@@ -10,7 +10,10 @@ check in the test suite.
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
 connected), so the search runs on each component alone, and the
-cardinality repairs join the components' minimum-size ones.
+cardinality repairs join the components' minimum-size ones.  Within a
+component the minimal hitting sets come from Berge's dualization (C. Berge,
+*Hypergraphs*, 1989; Eiter & Gottlob, SIAM J. Comput. 1995): the minimal
+hitting sets of the members seen so far, extended by one member at a time.
 
 By default any tuple may be deleted.  The optional endogenous-only mode
 restricts deletions to the endogenous part and raises RepairNotFound when
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from .errors import OracleBoundExceeded, RepairNotFound
 from .explanations import DEFAULT_MAX_ENDO
 from .model import Instance
-from .query import DenialConstraint, _antichain, enumerate_witnesses
+from .query import DenialConstraint, _antichain, _witness_index
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
@@ -38,9 +41,6 @@ class Repair:
     kept: frozenset[str]
     removed: frozenset[str]
     cardinality_minimal: bool
-
-    def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return (len(self.removed), tuple(sorted(self.removed)))
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,20 @@ def _components(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
 
 def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
     """The minimal hitting sets of each connected component of the family,
-    each list ordered by (size, tids).  Per component, branch on the first
-    unhit set, prune branches a recorded hitting set dominates, and keep
-    the final antichain; on an explicit stack, so no recursion limit."""
+    each list ordered by (size, tids).  Per component, Berge's dualization:
+    starting from the empty set, take the members in turn, keep each
+    hitting set that hits the member, grow each one that misses it by each
+    of its tuples, and reduce to the antichain; a loop, so no recursion."""
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
     parts = []
     for component in _components(family):
-        found: list[frozenset[str]] = []
-        stack = [frozenset()]
-        while stack:
-            current = stack.pop()
-            if any(f <= current for f in found):
-                continue
-            unhit = next((s for s in component if not (s & current)), None)
-            if unhit is None:
-                found.append(current)
-            else:
-                # reversed, so that the smallest element is expanded first
-                stack.extend(current | {t} for t in sorted(unhit, reverse=True))
-        parts.append(_antichain(found))
+        hitting = [frozenset()]
+        for s in component:
+            hitting = _antichain([h for h in hitting if h & s] +
+                                 [h | {t} for h in hitting if not h & s for t in s])
+        parts.append(hitting)
     return parts
 
 
@@ -119,15 +112,13 @@ def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
         raise OracleBoundExceeded(
             f"{len(deletable)} deletable tuples exceed the bound {bound}; "
             "raise max_deletable explicitly for larger inputs")
-    family = []
-    for w in enumerate_witnesses(dc.body, instance):
-        hit = w.tuples & deletable
-        if not hit:
+    witnesses = _witness_index(dc.body, instance).minimal
+    for w in witnesses:
+        if not w & deletable:
             raise RepairNotFound(
-                f"violation {sorted(w.tuples)} cannot be resolved by deleting "
+                f"violation {sorted(w)} cannot be resolved by deleting "
                 "endogenous tuples only")
-        family.append(hit)
-    return family
+    return [w & deletable for w in witnesses]
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,

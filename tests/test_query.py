@@ -29,7 +29,7 @@ from dbexplain import (
 )
 
 from dbexplain.query import _assignments, _witness_index
-from dbexplain.synth import random_instance, scaling_instance
+from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
 from conftest import tids
@@ -60,6 +60,29 @@ def test_parse_domain_tokens_become_constants(srs_prime):
     assert evaluate(q, srs_prime)
     q2 = parse_query("q :- S('b'), R(b,y), S(y).", srs_prime)
     assert q == q2
+
+
+def test_printed_queries_parse_back(g_routes, g_diamond, srs_prime, rt_small,
+                                    rrs_loop, q_path_ab, q_path_st, q_srs, q_rt,
+                                    q_rrs):
+    """``str(q)`` parses back to ``q`` without a domain to read constants
+    from: variables print bare and constants quoted."""
+    cases = [(g_routes, q_path_ab), (g_diamond, q_path_st), (srs_prime, q_srs),
+             (rt_small, q_rt), (rrs_loop, q_rrs),
+             (srs_prime, parse_query("q :- S(b), R(b,y), S(y).", srs_prime))]
+    rng = random.Random(12)
+    for _ in range(300):
+        instance = random_instance(rng, max_tuples=10)
+        q = planted_query(rng, instance, n_atoms=rng.choice([2, 3]),
+                          self_join=rng.random() < 0.5)
+        if q is not None:
+            cases.append((instance, q))
+    for instance, q in cases:
+        assert parse_query(str(q), schema=instance.schema,
+                           constants=frozenset()) == q, str(q)
+    consts = [t for _, q in cases if isinstance(q, BooleanCQ)
+              for a in q.atoms for t in a.args if isinstance(t, Const)]
+    assert len(cases) > 200 and len(consts) > 50
 
 
 @pytest.mark.parametrize("text,err", [
@@ -288,14 +311,13 @@ def test_witness_assignments_are_copies(srs_prime, q_srs):
 
 
 def test_witness_index_tells_a_variable_from_an_equal_constant():
-    """``R(x,y)`` and ``R('x',y)`` compare equal as tuples of terms, yet
-    have different witnesses on one instance; neither reads the other's
-    index."""
+    """``R(x,y)`` and ``R('x',y)`` compare unequal and have different
+    witnesses on one instance; neither reads the other's index."""
     instance = Instance.build({"R": 2}, [Fact("r1", "R", ("x", "a")),
                                          Fact("r2", "R", ("b", "c"))])
     free = parse_query("q :- R(x,y).", schema=instance.schema)
     bound = parse_query("q :- R('x',y).", schema=instance.schema)
-    assert free == bound  # Var('x') == Const('x'): equality cannot tell them apart
+    assert free != bound and Var("x") != Const("x")
     for _ in range(2):
         assert [w.tuples for w in enumerate_witnesses(free, instance)] == [
             frozenset({"r1"}), frozenset({"r2"})]

@@ -22,9 +22,10 @@ from dbexplain import (
     parse_query,
     verify_explanation,
 )
-from dbexplain.query import _antichain
-from dbexplain.repairs import _components
-from dbexplain.synth import planted_query, random_instance
+from dbexplain.query import _antichain, _witness_index
+from dbexplain.repairs import _component_transversals, _components
+from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
+                             scaling_instance)
 
 import bruteforce
 from conftest import tids
@@ -194,6 +195,21 @@ def test_minimal_hitting_sets_match_bruteforce():
     assert bruteforce.minimal_hitting_sets([frozenset("a"), frozenset()]) == []
     with pytest.raises(ValueError):
         minimal_hitting_sets([frozenset("a"), frozenset()])
+
+
+def test_component_transversals_are_dual_on_scaling_instances():
+    """Per component of W, the minimal transversals of its minimal
+    transversals are the component again: a check on families far beyond
+    the brute-force judge."""
+    for n in (60, 80, 100, 120):
+        instance = scaling_instance(n)
+        w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
+                                instance).antichain)
+        components = _components(_antichain(w))
+        parts = _component_transversals(w)
+        assert len(parts) == len(components) > 1
+        for part, component in zip(parts, components):
+            assert minimal_hitting_sets(part) == _antichain(component), n
 
 
 def _cardinality_filter(reps):
