@@ -374,30 +374,37 @@ def evaluate(query: Query, instance: Instance) -> bool:
 def _simple_paths(instance: Instance, query: ReachabilityQuery,
                   max_paths: int) -> list[frozenset[str]]:
     """Edge sets of the simple source-to-target paths, depth first, with
-    an explicit stack so that path length is not bounded by recursion."""
+    an explicit stack so that path length is not bounded by recursion.
+    The visited set and the path's nodes and edges change in place with
+    the stack; the target is checked first, so cycles through a source
+    that is the target count."""
     by_src: dict[str, list[Fact]] = {}
     for f in instance.relation(query.edge_pred):
         by_src.setdefault(f.vals[0], []).append(f)
     paths: list[frozenset[str]] = []
-    stack = [(iter(by_src.get(query.source, ())),
-              frozenset({query.source}), ())]
+    visited, nodes, edges = {query.source}, [], []
+    stack = [iter(by_src.get(query.source, ()))]
     while stack:
-        edges_out, visited, edges = stack[-1]
-        f = next(edges_out, None)
+        f = next(stack[-1], None)
         if f is None:
             stack.pop()
+            if nodes:
+                visited.remove(nodes.pop())
+                edges.pop()
             continue
         nxt = f.vals[1]
         if nxt == query.target:
-            paths.append(frozenset(edges + (f.tid,)))
+            paths.append(frozenset((*edges, f.tid)))
             if len(paths) > max_paths:
                 raise PathBoundExceeded(
                     f"more than {max_paths} simple paths; raise the path bound")
             continue
         if nxt in visited:
             continue
-        stack.append((iter(by_src.get(nxt, ())), visited | {nxt},
-                      edges + (f.tid,)))
+        visited.add(nxt)
+        nodes.append(nxt)
+        edges.append(f.tid)
+        stack.append(iter(by_src.get(nxt, ())))
     return paths
 
 
@@ -485,11 +492,10 @@ def enumerate_witnesses(query: Query, instance: Instance, *,
     if isinstance(query, ReachabilityQuery):
         if query.edge_pred not in instance.schema:
             raise UnknownPredicate(f"unknown predicate {query.edge_pred!r}")
-        # edge sets of distinct simple paths are never comparable, so the
-        # family is already an antichain
+        # edge sets of distinct simple paths are distinct and never
+        # comparable, so the family is already an antichain
         paths = _simple_paths(instance, query, max_paths)
-        witnesses = [Witness(tuples=p) for p in sorted(set(paths), key=sorted)]
-        return tuple(sorted(witnesses, key=Witness.sort_key))
+        return tuple(Witness(tuples=p) for p in sorted(paths, key=sorted))
     index = _witness_index(query, instance)
     witnesses = [Witness(tuples=s, assignment=dict(index.images[s]))
                  for s in index.minimal]

@@ -9,11 +9,11 @@ check in the test suite.
 
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
-connected), so the search runs on each component alone, and the
-cardinality repairs join the components' minimum-size ones.  Within a
-component the minimal hitting sets come from Berge's dualization (C. Berge,
-*Hypergraphs*, 1989; Eiter & Gottlob, SIAM J. Comput. 1995): the minimal
-hitting sets of the members seen so far, extended by one member at a time.
+connected), so the search runs on each component alone; the cardinality
+repairs join the components' minimum-size ones, and the core drops the
+union of all parts.  Within a component Berge's dualization (C. Berge,
+*Hypergraphs*, 1989; Eiter & Gottlob, SIAM J. Comput. 1995) extends the
+minimal hitting sets of the members seen so far by one member at a time.
 
 By default any tuple may be deleted.  The optional endogenous-only mode
 restricts deletions to the endogenous part and raises RepairNotFound when
@@ -74,8 +74,10 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
     """The minimal hitting sets of each connected component of the family,
     each list ordered by (size, tids).  Per component, Berge's dualization:
     starting from the empty set, take the members in turn, keep each
-    hitting set that hits the member, grow each one that misses it by each
-    of its tuples, and reduce to the antichain; a loop, so no recursion."""
+    hitting set that hits the member and grow each one that misses it by
+    each of its tuples; a loop, so no recursion.  A kept set is never
+    dominated, and grown sets are distinct and incomparable, so a grown
+    h | {t} is dropped only when it contains a kept set through t."""
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
@@ -83,9 +85,16 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
     for component in _components(family):
         hitting = [frozenset()]
         for s in component:
-            hitting = _antichain([h for h in hitting if h & s] +
-                                 [h | {t} for h in hitting if not h & s for t in s])
-        parts.append(hitting)
+            step = [h for h in hitting if h & s]
+            through = {t: [k for k in step if t in k] for t in s}
+            for h in hitting:
+                if not h & s:
+                    for t in s:
+                        grown = h | {t}
+                        if not any(k <= grown for k in through[t]):
+                            step.append(grown)
+            hitting = step
+        parts.append(sorted(hitting, key=lambda h: (len(h), sorted(h))))
     return parts
 
 
@@ -154,10 +163,9 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
 def core_naive(instance: Instance, dc: DenialConstraint, *,
                endogenous_only: bool = False,
                max_deletable: int | None = None) -> CoreResult:
-    """Repair core by direct intersection over all subset-repairs."""
-    repairs = enumerate_s_repairs(
-        instance, dc, endogenous_only=endogenous_only, max_deletable=max_deletable)
-    core = instance.tids()
-    for r in repairs:
-        core &= r.kept
-    return CoreResult(tuples=core, method="naive-intersection")
+    """Repair core, the intersection over all subset-repairs: as every
+    member of every part lies in some removal, D less the parts' union."""
+    parts = _component_transversals(
+        _conflicts(instance, dc, endogenous_only, max_deletable))
+    removable = frozenset().union(*(s for part in parts for s in part))
+    return CoreResult(tuples=instance.tids() - removable, method="naive-intersection")

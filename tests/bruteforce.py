@@ -23,13 +23,16 @@ each atom's matching facts and ``assignments`` is a nested loop over each
 atom's whole extension; both match terms to values through ``_bind``, so
 they share no code with the library's join.  ``minimal_hitting_sets``
 scans the subsets of a family's elements by ascending cardinality, sharing
-no code with the library's transversals, and ``chase`` picks the least
-set of the scanned MSS family through the seed.
+no code with the library's transversals; ``simple_paths`` scans the
+subsets of a graph's edges the same way, deciding reachability by its own
+breadth-first search; and ``chase`` picks the least set of the scanned MSS
+family through the seed.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,6 +49,7 @@ from dbexplain import (
     Query,
     Repair,
     QueryNotSatisfied,
+    ReachabilityQuery,
     TupleDegrees,
     Var,
     enumerate_witnesses,
@@ -53,7 +57,8 @@ from dbexplain import (
 )
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
-           "participating_sets", "minimal_hitting_sets", "assignments", "chase"]
+           "participating_sets", "minimal_hitting_sets", "simple_paths",
+           "assignments", "chase"]
 
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
@@ -247,6 +252,38 @@ def minimal_hitting_sets(family: Sequence[frozenset[str]]) -> list[frozenset[str
             if all(s & f for f in family) and not any(h <= s for h in found):
                 found.append(s)
     return found
+
+
+def _reaches(edges: Sequence, source: str, target: str) -> bool:
+    """Is the target reached from the source over one or more of the
+    edges?  A breadth-first search from the source's successors."""
+    seen: set[str] = set()
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for f in edges:
+            if f.vals[0] == node and f.vals[1] not in seen:
+                seen.add(f.vals[1])
+                frontier.append(f.vals[1])
+    return target in seen
+
+
+def simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozenset[str]]:
+    """The minimal witnesses of a reachability query, ordered by sorted
+    tids: every subset of the edge predicate's facts, by ascending
+    cardinality, kept when the target is reached over it and it contains
+    no set kept before.  These are the edge sets of the simple paths from
+    the source to the target, or of the cycles through the source when it
+    is the target."""
+    edges = instance.relation(query.edge_pred)
+    found: list[frozenset[str]] = []
+    for card in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, card):
+            s = frozenset(f.tid for f in combo)
+            if not any(p <= s for p in found) and \
+                    _reaches(combo, query.source, query.target):
+                found.append(s)
+    return sorted(found, key=sorted)
 
 
 def _bind(args, vals, env: dict[str, str]) -> dict[str, str] | None:

@@ -173,6 +173,43 @@ def test_path_bound_exceeded(g_routes, q_path_ab):
         enumerate_witnesses(q_path_ab, g_routes, max_paths=2)
 
 
+def _random_digraph(rng: random.Random) -> tuple[Instance, str]:
+    """At most 12 distinct edges, self-loops included, over 1-5 nodes."""
+    nodes = "abcde"[:rng.randint(1, 5)]
+    pairs = [(u, v) for u in nodes for v in nodes]
+    edges = rng.sample(pairs, rng.randint(0, min(12, len(pairs))))
+    return Instance.build({"E": 2}, [Fact(f"E:{u},{v}", "E", (u, v))
+                                     for u, v in edges]), nodes
+
+
+def test_path_witnesses_match_bruteforce():
+    """The simple paths equal the judge's scan of the edge subsets, in
+    order, and the path bound trips exactly past the path count."""
+    rng = random.Random(13)
+    seen = dict.fromkeys(["cycle through the source", "self-loop",
+                          "cycle elsewhere", "unreachable"], 0)
+    for _ in range(400):
+        instance, nodes = _random_digraph(rng)
+        # "z" is no node: a target outside the graph
+        q = ReachabilityQuery("E", rng.choice(nodes), rng.choice(nodes + "z"))
+        expected = bruteforce.simple_paths(instance, q)
+        assert [w.tuples for w in enumerate_witnesses(q, instance)] == expected, \
+            (sorted(instance.tids()), q)
+        count = len(expected)
+        if count:
+            assert len(enumerate_witnesses(q, instance, max_paths=count)) == count
+            with pytest.raises(PathBoundExceeded):
+                enumerate_witnesses(q, instance, max_paths=count - 1)
+        loops = {f.vals[0] for f in instance.facts if f.vals[0] == f.vals[1]}
+        seen["cycle through the source"] += q.source == q.target and \
+            any(len(p) > 1 for p in expected)
+        seen["self-loop"] += bool(loops) and count > 0
+        seen["cycle elsewhere"] += q.source != q.target and count > 0 and any(
+            evaluate(ReachabilityQuery("E", v, v), instance) for v in nodes)
+        seen["unreachable"] += count == 0
+    assert min(seen.values()) >= 20, seen
+
+
 def test_long_chain_path_is_one_witness():
     # deeper than the interpreter's default recursion limit
     n = 1500

@@ -22,6 +22,7 @@ from dbexplain import (
     parse_query,
     verify_explanation,
 )
+import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
 from dbexplain.repairs import _component_transversals, _components
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
@@ -197,11 +198,21 @@ def test_minimal_hitting_sets_match_bruteforce():
         minimal_hitting_sets([frozenset("a"), frozenset()])
 
 
+def test_component_transversals_match_bruteforce_per_component():
+    rng = random.Random(5)
+    for _ in range(300):
+        family = _random_family(rng)
+        assert _component_transversals(family) == \
+            [bruteforce.minimal_hitting_sets(c)
+             for c in _components(_antichain(family))], family
+
+
 def test_component_transversals_are_dual_on_scaling_instances():
     """Per component of W, the minimal transversals of its minimal
     transversals are the component again: a check on families far beyond
-    the brute-force judge."""
-    for n in (60, 80, 100, 120):
+    the brute-force judge (at n = 45-47 and 57-59 one component has
+    1,075-1,827 minimal transversals)."""
+    for n in (45, 46, 47, 57, 58, 59, 60, 80, 100, 120):
         instance = scaling_instance(n)
         w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
                                 instance).antichain)
@@ -241,13 +252,21 @@ def test_c_repairs_equal_filtered_s_repairs_on_random_instances():
     assert multi > 50
 
 
-def _star_instance(shape: tuple[int, ...], flip: bool) -> Instance:
-    """One star per entry: a hub S(h) with m spokes R(h,o), T(o), or with
-    flip a hub T(h) with spokes R(o,h), S(o).  Under S(x),R(x,y),T(y) each
-    star is one component with 1 + 2^m minimal removals."""
+STAR_SHAPES = [(3, 2, 1), (2, 2, 1, 1), (4, 2, 1), (3, 3),
+               (4, 3), (2, 2, 2), (5, 1, 1), (3, 2, 2)]
+
+
+def _star_instance(shape: tuple[int, ...], variant: int, noise: int = 0) -> Instance:
+    """One star per entry: a hub S(h) with m spokes R(h,o), T(o), or,
+    flipped, a hub T(h) with spokes R(o,h), S(o); the variant flips the
+    stars at even positions (bit 0) and at odd ones (bit 1).  Under
+    S(x),R(x,y),T(y) each star is one component with 1 + 2^m minimal
+    removals.  Noise tuples join nothing: dangling R edges and unmatched
+    S and T values."""
     facts = []
     for n, m in enumerate(shape):
         hub = f"h{n}"
+        flip = bool(variant >> (n % 2) & 1)
         facts.append(Fact(f"{'T' if flip else 'S'}:{hub}", "T" if flip else "S", (hub,)))
         for i in range(m):
             spoke = f"{hub}o{i}"
@@ -255,16 +274,22 @@ def _star_instance(shape: tuple[int, ...], flip: bool) -> Instance:
             facts.append(Fact(f"R:{edge[0]},{edge[1]}", "R", edge))
             facts.append(Fact(f"{'S' if flip else 'T'}:{spoke}", "S" if flip else "T",
                               (spoke,)))
+    for i in range(noise):
+        pred, vals = [("R", (f"d{i}", f"e{i}")), ("S", (f"f{i}",)), ("T", (f"g{i}",))][i % 3]
+        facts.append(Fact(f"{pred}:{','.join(vals)}", pred, vals))
     return Instance.build({"S": 1, "R": 2, "T": 1}, facts)
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 1), (2, 2, 1, 1), (4, 2, 1), (3, 3),
-                                   (4, 3), (2, 2, 2), (5, 1, 1), (3, 2, 2)])
+@pytest.mark.parametrize("shape", STAR_SHAPES)
 def test_c_repairs_equal_filtered_s_repairs_on_stars(shape):
-    for flip in (False, True):
-        instance = _star_instance(shape, flip)
+    for variant in range(4):
+        instance = _star_instance(shape, variant, noise=6)
         dc = denial_constraint_of(parse_query("q :- S(x), R(x,y), T(y).", instance))
         reps = enumerate_s_repairs(instance, dc, max_deletable=len(instance))
+        # the naive core, read per component, is the intersection: the noise
+        core = core_naive(instance, dc, max_deletable=len(instance)).tuples
+        assert core == instance.tids().intersection(*(r.kept for r in reps))
+        assert len(core) == 6
         assert len(reps) == math.prod(1 + 2 ** m for m in shape)
         assert all(r.cardinality_minimal == (len(r.removed) == len(shape))
                    for r in reps)
@@ -272,3 +297,51 @@ def test_c_repairs_equal_filtered_s_repairs_on_stars(shape):
         assert c_reps == _cardinality_filter(reps)
         # a one-spoke star has three single-tuple removals, a wider one only its hub
         assert len(c_reps) == 3 ** shape.count(1)
+
+
+def test_core_naive_is_the_intersection_of_the_repairs_on_random_instances():
+    rng = random.Random(29)
+    checked = dict.fromkeys(["none", "tuples", "predicates"], 0)
+    refused = self_joins = 0
+    for _ in range(240):
+        exo_mode = rng.choice(sorted(checked))
+        instance = random_instance(rng, max_tuples=12, exo_mode=exo_mode)
+        q = planted_query(rng, instance, n_atoms=rng.choice([1, 2, 3]),
+                          self_join=rng.random() < 0.5)
+        if q is None:
+            continue
+        dc = denial_constraint_of(q)
+        self_joins += not q.self_join_free
+        for endo_only in (False, True):
+            try:
+                reps = enumerate_s_repairs(instance, dc, endogenous_only=endo_only)
+            except RepairNotFound:
+                with pytest.raises(RepairNotFound):
+                    core_naive(instance, dc, endogenous_only=endo_only)
+                refused += 1
+                continue
+            expected = instance.tids().intersection(*(r.kept for r in reps))
+            res = core_naive(instance, dc, endogenous_only=endo_only)
+            assert res.tuples == expected and res.method == "naive-intersection"
+            # the core is consistent, so it is its own core
+            core = instance.restrict(expected)
+            assert core_naive(core, dc, endogenous_only=endo_only).tuples == \
+                core.tids()
+            checked[exo_mode] += 1
+    assert min(checked.values()) > 50 and refused > 10 and self_joins > 50, \
+        (checked, refused, self_joins)
+
+
+def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
+    """The naive core reads the per-component parts: it never joins them
+    into removals or builds a Repair."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("core_naive built the repairs")
+
+    monkeypatch.setattr(dbexplain.repairs, "_unions", refuse)
+    monkeypatch.setattr(dbexplain.repairs, "Repair", refuse)
+    res = core_naive(srs_prime, denial_constraint_of(q_srs))
+    assert sorted(res.tuples) == ["R:a,d", "R:e,f", "S:a"]
+    instance = _star_instance((4, 3), 1, noise=3)
+    dc = denial_constraint_of(parse_query("q :- S(x), R(x,y), T(y).", instance))
+    assert len(core_naive(instance, dc, max_deletable=len(instance)).tuples) == 3
