@@ -16,8 +16,8 @@ transversal, so the repair core, the tuples every such repair keeps, is
 the instance minus the union of W.  This holds under self-joins and for
 any split of the tuples into endogenous and exogenous ones, a predicate's
 extension mixing both included; when every tuple is endogenous it is the
-core of all repairs.  Finding W costs at most 2^k subset lookups per set, a
-constant in data complexity.
+core of all repairs.  Finding W compares each image only with the smaller
+images filed under one of its own tuples, polynomial in data complexity.
 
 The chase reads the same index.  The minimal sufficient sets through a
 seed are the members of W that contain it, so ``chase_mss`` returns the

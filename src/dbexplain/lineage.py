@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedQuery
 from .model import Instance
-from .query import BooleanCQ, Query, _antichain, _witness_index
+from .query import BooleanCQ, Query, _minimal_members, _witness_index
 
 __all__ = ["LineageFormula", "lineage_of", "eliminate_exogenous", "minimal_models"]
 
@@ -73,11 +73,11 @@ def eliminate_exogenous(formula: LineageFormula, instance: Instance, *,
     exo = instance.exogenous_part()
     reduced = frozenset(frozenset(c - exo) for c in formula.clauses)
     if absorb:
-        reduced = frozenset(_antichain(reduced))
+        reduced = frozenset(_minimal_members(reduced))
     return LineageFormula(clauses=reduced)
 
 
 def minimal_models(formula: LineageFormula) -> tuple[frozenset[str], ...]:
     """Subset-minimal true-sets of a monotone DNF: exactly the clauses,
     once absorbed to an antichain."""
-    return tuple(sorted(_antichain(formula.clauses), key=lambda s: tuple(sorted(s))))
+    return tuple(sorted(_minimal_members(formula.clauses), key=sorted))

@@ -26,6 +26,7 @@ untyped atoms compared as strings.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,20 @@ class Fact:
     def __str__(self) -> str:
         mark = "" if self.endo else "*"
         return f"{self.tid}{mark}:{self.pred}({','.join(self.vals)})"
+
+
+def _once(method):
+    """Keep a method's value in the instance's ``__dict__`` at its first
+    call: instances are immutable, and the copies that ``restrict`` makes
+    and never asks pay nothing."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def once(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+    return once
 
 
 @dataclass(frozen=True)
@@ -137,15 +152,19 @@ class Instance:
         """Facts of one predicate, in tid order."""
         return self._by_pred.get(pred, ())
 
+    @_once
     def tids(self) -> frozenset[str]:
         return frozenset(self._by_tid)
 
+    @_once
     def endogenous_part(self) -> frozenset[str]:
         return frozenset(f.tid for f in self.facts if f.endo)
 
+    @_once
     def exogenous_part(self) -> frozenset[str]:
         return frozenset(f.tid for f in self.facts if not f.endo)
 
+    @_once
     def domain(self) -> frozenset[str]:
         """Active domain: every constant occurring in some fact."""
         return frozenset(v for f in self.facts for v in f.vals)

@@ -18,7 +18,6 @@ reachability queries the edge sets of simple source-to-target paths.
 
 from __future__ import annotations
 
-import itertools
 import re
 import weakref
 from dataclasses import dataclass
@@ -262,21 +261,6 @@ def parse_query(
 # conjunctive query evaluation (a backtracking join over atoms in textual
 # order, each atom probing a hash index of its facts on its bound positions)
 
-def _extend_env(atom: Atom, fact: Fact, env: dict[str, str]) -> dict[str, str] | None:
-    new = dict(env)
-    for term, val in zip(atom.args, fact.vals):
-        if isinstance(term, Const):
-            if term.value != val:
-                return None
-        else:
-            bound = new.get(term.name)
-            if bound is None:
-                new[term.name] = val
-            elif bound != val:
-                return None
-    return new
-
-
 def _check_preds(query: BooleanCQ, instance: Instance) -> None:
     schema = instance.schema
     for a in query.atoms:
@@ -287,61 +271,81 @@ def _check_preds(query: BooleanCQ, instance: Instance) -> None:
                 f"{a.pred} expects {schema[a.pred]} arguments, got {len(a.args)}")
 
 
-_Probe = Callable[[Mapping[str, str]], Sequence[Fact]]
+class _Plan(NamedTuple):
+    probe: Callable[[Mapping[str, str]], Sequence[Fact]]
+    binds: tuple[tuple[int, str], ...]  # (position, name) of each new variable
+    agree: tuple[tuple[int, int], ...]  # positions a repeated new variable holds
 
 
-def _probe(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Probe:
-    """The candidates of an atom under an environment binding the variables
-    of the atoms before it: the pool, less the facts that miss the atom's
-    constants, hash-indexed on the positions of the bound variables.
-    Buckets keep pool order."""
-    consts, positions, names = [], [], []
+def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
+    """How an atom extends an environment binding the variables of the
+    atoms before it.  The probe yields the pool, less the facts that miss
+    the atom's constants, hash-indexed on the positions of the bound
+    variables, buckets in pool order; so a candidate need only agree on
+    the positions of a new variable repeated in the atom, and then binds
+    each new variable from its first position."""
+    consts, positions, names, first, agree = [], [], [], {}, []
     for p, t in enumerate(atom.args):
         if isinstance(t, Const):
             consts.append((p, t.value))
         elif t.name in env:
             positions.append(p)
             names.append(t.name)
+        elif t.name in first:
+            agree.append((first[t.name], p))
+        else:
+            first[t.name] = p
+    binds = tuple((p, name) for name, p in first.items())
     if consts:
         pool = [f for f in pool if all(f.vals[p] == v for p, v in consts)]
     if not positions:
-        return lambda env: pool
+        return _Plan(lambda env: pool, binds, tuple(agree))
     key_of, probe = itemgetter(*positions), itemgetter(*names)
     index: dict[object, list[Fact]] = {}
     for f in pool:
         index.setdefault(key_of(f.vals), []).append(f)
-    return lambda env: index.get(probe(env), ())
-
-
-def _join_from(i: int, env: dict[str, str], bound: tuple[Fact, ...],
-               atoms: Sequence[Atom], pools: Sequence[Sequence[Fact]],
-               probes: list[_Probe | None]
-               ) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
-    # not a closure: a nested recursive generator refers to itself, and
-    # that cycle would keep the indexes alive until the cyclic collector runs
-    if i == len(atoms):
-        yield env, bound
-        return
-    atom, probe = atoms[i], probes[i]
-    if probe is None:
-        # env binds exactly the variables of atoms[:i], at every visit
-        probe = probes[i] = _probe(atom, pools[i], env)
-    for fact in probe(env):
-        new = _extend_env(atom, fact, env)
-        if new is not None:
-            yield from _join_from(i + 1, new, bound + (fact,), atoms, pools, probes)
+    return _Plan(lambda env: index.get(probe(env), ()), binds, tuple(agree))
 
 
 def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
     """All satisfying assignments, as (environment, per-atom fact binding),
-    atoms in textual order and facts in tid order: a backtracking join in
-    which each atom probes its extension through a ``_probe`` built when
-    the search first reaches it, so the pairs come in the order of a
-    nested loop over the extensions, but only candidates that agree on the
-    bound positions are tried."""
+    atoms in textual order and facts in tid order: a backtracking join over
+    a stack of candidate iterators, one per atom, so query length is not
+    bounded by recursion.  Each atom's ``_plan`` is built when the search
+    first reaches it, so the pairs come in the order of a nested loop over
+    the extensions, but only candidates that agree on the bound positions
+    are tried.  One environment changes in place; a deeper atom's stale
+    variables are rebound before they are read or yielded."""
     atoms = query.atoms
-    return _join_from(0, {}, (), atoms, [instance.relation(a.pred) for a in atoms],
-                      [None] * len(atoms))
+    if not atoms:
+        yield {}, ()
+        return
+    pools = [instance.relation(a.pred) for a in atoms]
+    env: dict[str, str] = {}
+    facts: list = [None] * len(atoms)
+    plans = [_plan(atoms[0], pools[0], env)]
+    stack = [iter(plans[0].probe(env))]
+    while stack:
+        i = len(stack) - 1
+        fact = next(stack[i], None)
+        if fact is None:
+            stack.pop()
+            continue
+        _, binds, agree = plans[i]
+        vals = fact.vals
+        if agree and any(vals[p] != vals[q] for p, q in agree):
+            continue
+        for p, name in binds:
+            env[name] = vals[p]
+        facts[i] = fact
+        i += 1
+        if i == len(atoms):
+            yield dict(env), tuple(facts)
+            continue
+        if i == len(plans):
+            # env binds exactly the variables of atoms[:i] on the first visit
+            plans.append(_plan(atoms[i], pools[i], env))
+        stack.append(iter(plans[i].probe(env)))
 
 
 def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
@@ -408,26 +412,30 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery,
     return paths
 
 
-def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    """Keep the subset-minimal members (deduplicated), ordered by
-    (size, tids)."""
-    uniq = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    kept: list[frozenset[str]] = []
-    for s in uniq:
-        if not any(t <= s for t in kept):
-            kept.append(s)
-    return kept
-
-
-def _minimal_members(family: Collection[frozenset[str]]) -> tuple[frozenset[str], ...]:
-    """The members with no proper subset in the family, decided by looking
-    up each member's proper subsets of the sizes that members have: at
-    most 2^k, as no member here has more than k tuples."""
+def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]:
+    """The members of a family of distinct sets with no proper subset in
+    it, in family order.  A proper subset is a smaller member, whose least
+    tuple lies in the superset; so the members below the largest size are
+    filed under their least tuple, each member above the smallest size is
+    tested only against those filed under its own tuples, and a family of
+    one size comes back whole.  The empty set is below every other."""
+    if frozenset() in family:
+        return [frozenset()]
     sizes = {len(s) for s in family}
-    return tuple(s for s in family
-                 if not any(frozenset(sub) in family
-                            for size in sizes if size < len(s)
-                            for sub in itertools.combinations(s, size)))
+    if len(sizes) < 2:
+        return list(family)
+    low, high = min(sizes), max(sizes)
+    filed: dict[str, list[frozenset[str]]] = {}
+    for s in family:
+        if len(s) < high:
+            filed.setdefault(min(s), []).append(s)
+    return [s for s in family if len(s) == low
+            or not any(f < s for t in s for f in filed.get(t, ()))]
+
+
+def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """The subset-minimal members, deduplicated and ordered by (size, tids)."""
+    return _minimal_members(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
 
 
 class _WitnessIndex(NamedTuple):
@@ -480,10 +488,10 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
         images.setdefault(frozenset(f.tid for f in bound), env)
         for r_i, f in zip(per_atom, bound):
             r_i.add(f.tid)
-    minimal = _minimal_members(images)
+    minimal = tuple(_minimal_members(images))
     endo = instance.endogenous_part()
     return _WitnessIndex(images, minimal, tuple(map(frozenset, per_atom)),
-                         _minimal_members({image & endo for image in minimal}))
+                         tuple(_minimal_members({image & endo for image in minimal})))
 
 
 def enumerate_witnesses(query: Query, instance: Instance, *,

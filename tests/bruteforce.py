@@ -21,7 +21,8 @@ compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
 reproduced.  ``participating_sets`` filters the full cartesian product of
 each atom's matching facts and ``assignments`` is a nested loop over each
 atom's whole extension; both match terms to values through ``_bind``, so
-they share no code with the library's join.  ``minimal_hitting_sets``
+they share no code with the library's join.  ``minimal_members`` compares
+every member of a family with every other.  ``minimal_hitting_sets``
 scans the subsets of a family's elements by ascending cardinality, sharing
 no code with the library's transversals; ``simple_paths`` scans the
 subsets of a graph's edges the same way, deciding reachability by its own
@@ -58,7 +59,7 @@ from dbexplain import (
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
            "participating_sets", "minimal_hitting_sets", "simple_paths",
-           "assignments", "chase"]
+           "assignments", "minimal_members", "chase"]
 
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
@@ -316,6 +317,12 @@ def assignments(query: BooleanCQ, instance: Instance) -> list:
 
     rec(0, {}, ())
     return out
+
+
+def minimal_members(family: Sequence[frozenset[str]]) -> list[frozenset[str]]:
+    """The members with no proper subset in the family, in family order:
+    every member compared with every other."""
+    return [s for s in family if not any(f < s for f in family)]
 
 
 def chase(instance: Instance, query: BooleanCQ, tid: str,

@@ -42,6 +42,18 @@ def test_eval_false_on_empty_instance(capsys, tmp_path):
     assert code == 0 and doc["result"]["satisfied"] is False
 
 
+def test_long_chain_query_exits_zero(capsys, tmp_path):
+    """A query with more atoms than the interpreter's recursion limit."""
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"schema": {"R": 2}, "tuples": [
+        {"tid": "r1", "pred": "R", "vals": ["a", "a"]}]}))
+    chain = "q :- " + ", ".join(f"R(x{i},x{i + 1})" for i in range(1200)) + "."
+    code, doc, _ = invoke(capsys, "eval", "-i", str(one), "-q", chain)
+    assert code == 0 and doc["result"]["satisfied"] is True
+    code, doc, _ = invoke(capsys, "witnesses", "-i", str(one), "-q", chain)
+    assert code == 0 and len(doc["result"]["witnesses"]) == 1
+
+
 def test_degrees_command(capsys):
     code, doc, _ = invoke(capsys, "degrees", "-i", str(data_path("rt_small.json")),
                           "-q", Q_RT)

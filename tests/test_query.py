@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from collections import Counter
 import weakref
 
 import pytest
@@ -28,7 +29,7 @@ from dbexplain import (
     parse_query,
 )
 
-from dbexplain.query import _assignments, _witness_index
+from dbexplain.query import _antichain, _assignments, _minimal_members, _witness_index
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
@@ -220,6 +221,17 @@ def test_long_chain_path_is_one_witness():
     assert len(wits) == 1 and len(wits[0].tuples) == n
 
 
+def test_long_chain_query_needs_no_recursion():
+    # more atoms than the interpreter's default recursion limit
+    n = 1200
+    instance = Instance.build({"R": 2}, [Fact("r1", "R", ("a", "a"))])
+    q = parse_query("q :- " + ", ".join(f"R(x{i},x{i + 1})" for i in range(n)) + ".",
+                    instance)
+    assert evaluate(q, instance)
+    (w,) = enumerate_witnesses(q, instance)
+    assert w.tuples == {"r1"} and w.assignment == {f"x{i}": "a" for i in range(n + 1)}
+
+
 def _product_witnesses(query: BooleanCQ, instance: Instance) -> list[list[str]]:
     """Raw |ext1| x ... x |extk| combination scan, for cross-checking."""
     images = set()
@@ -307,6 +319,100 @@ def test_join_yields_the_nested_loop_sequence():
     assert total > 2000 and min(seen.values()) > 100, (total, seen)
 
 
+SELF_JOIN_SHAPES = (
+    "q :- R(x,x).",
+    "q :- R(x,y), R(y,x).",
+    "q :- R(x,x), R(x,y), R(y,y).",
+    "q :- R(x,y), R(y,z), R(z,x).",
+    "q :- R(x,'{c}'), R('{c}',y), R(y,x).",
+    "q :- S(x), R(x,x), R(y,'{c}'), S(y).",
+)
+
+
+def _self_join_instance(rng: random.Random) -> Instance:
+    """R and S over two or three constants, each fact present with
+    probability 1/2 and endogenous with probability 3/4, under tids
+    shuffled against the values."""
+    domain = "abc"[:rng.randint(2, 3)]
+    rows = [("R", (u, v)) for u in domain for v in domain] + [("S", (u,)) for u in domain]
+    names = rng.sample(range(100), len(rows))
+    return Instance.build({"R": 2, "S": 1}, [
+        Fact(f"t{name:02d}", pred, vals, rng.random() < 0.75)
+        for name, (pred, vals) in zip(names, rows) if rng.random() < 0.5])
+
+
+def test_join_order_on_self_join_shapes():
+    """On self-join instances, with a variable repeated inside one atom, a
+    variable repeated across atoms and constants, the join yields the
+    nested loop's (environment, binding) sequence; the index keeps the
+    images in that order, and its minimal images and minimal endogenous
+    projections in family order."""
+    rng = random.Random(14)
+    satisfied = Counter()
+    for _ in range(300):
+        instance = _self_join_instance(rng)
+        endo = instance.endogenous_part()
+        for shape in SELF_JOIN_SHAPES:
+            q = parse_query(shape.format(c=rng.choice("abc")), schema=instance.schema)
+            want = bruteforce.assignments(q, instance)
+            assert list(_assignments(q, instance)) == want, q
+            images = list(dict.fromkeys(frozenset(f.tid for f in b) for _, b in want))
+            index = _witness_index(q, instance)
+            assert list(index.images) == images
+            assert list(index.minimal) == bruteforce.minimal_members(images)
+            assert list(index.antichain) == bruteforce.minimal_members(
+                list({s & endo for s in index.minimal}))
+            satisfied[shape] += bool(want)
+    assert len(satisfied) == len(SELF_JOIN_SHAPES) and min(satisfied.values()) >= 50, satisfied
+
+
+def _random_family(rng: random.Random) -> list[frozenset[str]]:
+    """Members of 1-4 tuples over a small universe, mixed with members of
+    20-24 tuples, repeated members and members grown by a few tuples, so
+    that proper subsets of every size occur; in one family of ten, the
+    empty set too."""
+    universe = [f"t{i:02d}" for i in range(rng.choice([5, 8, 26]))]
+    wide = rng.choice([0.0, 0.2, 0.7]) if len(universe) > 24 else 0.0
+    family: list[frozenset[str]] = []
+    for _ in range(rng.randint(0, 30)):
+        r = rng.random()
+        if r < 0.15 and family:
+            family.append(rng.choice(family))
+        elif r < 0.3 and family:
+            family.append(rng.choice(family) | set(rng.sample(universe, rng.randint(1, 3))))
+        elif rng.random() < wide:
+            family.append(frozenset(rng.sample(universe, rng.randint(20, 24))))
+        else:
+            family.append(frozenset(rng.sample(universe, rng.randint(1, 4))))
+    if rng.random() < 0.1:
+        family.insert(rng.randint(0, len(family)), frozenset())
+    return family
+
+
+def test_minimal_members_match_bruteforce():
+    """The indexed minimality test keeps the members of the definition, in
+    family order, and ``_antichain`` deduplicates them and orders them by
+    (size, tids), on families with mixed sizes, duplicates, the empty set
+    and members of 20 or more tuples, where looking up every subset of a
+    member would take 2^20 lookups or more."""
+    rng = random.Random(2026)
+    seen = Counter()
+    for _ in range(3000):
+        family = _random_family(rng)
+        distinct = list(dict.fromkeys(family))
+        want = bruteforce.minimal_members(distinct)
+        assert _minimal_members(distinct) == want, family
+        assert _antichain(family) == sorted(want, key=lambda s: (len(s), sorted(s))), family
+        sizes = {len(s) for s in family}
+        seen["mixed sizes"] += len(sizes) > 1
+        seen["one size"] += len(sizes) == 1
+        seen["duplicates"] += len(distinct) < len(family)
+        seen["empty set"] += frozenset() in family and len(family) > 1
+        seen["wide dropped"] += any(len(s) >= 20 for s in distinct if s not in want)
+        seen["wide kept"] += any(len(s) >= 20 for s in want)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
     """Building the witness index on scaling_instance(200) tries each atom
     only on the facts that agree with its bound positions: fewer
@@ -314,15 +420,24 @@ def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
     self-join shapes of the benchmark.  A nested loop over each atom's
     whole extension tries about 7,500."""
     instance = scaling_instance(200)
-    extend = dbexplain.query._extend_env
-    calls = []
-    monkeypatch.setattr(dbexplain.query, "_extend_env",
-                        lambda atom, fact, env: calls.append(1) or extend(atom, fact, env))
+    plan = dbexplain.query._plan
+    tried = []
+
+    def counted(atom, pool, env):
+        made = plan(atom, pool, env)
+
+        def probe(env):
+            found = made.probe(env)
+            tried.append(len(found))
+            return found
+        return made._replace(probe=probe)
+
+    monkeypatch.setattr(dbexplain.query, "_plan", counted)
     for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
-        calls.clear()
+        tried.clear()
         index = _witness_index(parse_query(text, instance), instance)
         assert index.minimal
-        assert len(calls) < len(instance), (text, len(calls))
+        assert 0 < sum(tried) < len(instance), (text, sum(tried))
 
 
 def test_witness_index_keeps_no_instance_alive():
