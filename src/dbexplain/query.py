@@ -271,10 +271,10 @@ def _check_preds(query: BooleanCQ, instance: Instance) -> None:
                 f"{a.pred} expects {schema[a.pred]} arguments, got {len(a.args)}")
 
 
-class _Plan(NamedTuple):
-    probe: Callable[[Mapping[str, str]], Sequence[Fact]]
-    binds: tuple[tuple[int, str], ...]  # (position, name) of each new variable
-    agree: tuple[tuple[int, int], ...]  # positions a repeated new variable holds
+# (probe, the (position, name) of each new variable, the position pairs
+# that hold one repeated new variable)
+_Plan = tuple[Callable[[Mapping[str, str]], Sequence[Fact]],
+              list[tuple[int, str]], list[tuple[int, int]]]
 
 
 def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
@@ -284,7 +284,7 @@ def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
     variables, buckets in pool order; so a candidate need only agree on
     the positions of a new variable repeated in the atom, and then binds
     each new variable from its first position."""
-    consts, positions, names, first, agree = [], [], [], {}, []
+    consts, positions, names, first, binds, agree = [], [], [], {}, [], []
     for p, t in enumerate(atom.args):
         if isinstance(t, Const):
             consts.append((p, t.value))
@@ -295,16 +295,16 @@ def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
             agree.append((first[t.name], p))
         else:
             first[t.name] = p
-    binds = tuple((p, name) for name, p in first.items())
+            binds.append((p, t.name))
     if consts:
         pool = [f for f in pool if all(f.vals[p] == v for p, v in consts)]
     if not positions:
-        return _Plan(lambda env: pool, binds, tuple(agree))
+        return (lambda env: pool), binds, agree
     key_of, probe = itemgetter(*positions), itemgetter(*names)
     index: dict[object, list[Fact]] = {}
     for f in pool:
         index.setdefault(key_of(f.vals), []).append(f)
-    return _Plan(lambda env: index.get(probe(env), ()), binds, tuple(agree))
+    return (lambda env: index.get(probe(env), ())), binds, agree
 
 
 def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
@@ -324,7 +324,7 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
     env: dict[str, str] = {}
     facts: list = [None] * len(atoms)
     plans = [_plan(atoms[0], pools[0], env)]
-    stack = [iter(plans[0].probe(env))]
+    stack = [iter(plans[0][0](env))]
     while stack:
         i = len(stack) - 1
         fact = next(stack[i], None)
@@ -345,7 +345,7 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
         if i == len(plans):
             # env binds exactly the variables of atoms[:i] on the first visit
             plans.append(_plan(atoms[i], pools[i], env))
-        stack.append(iter(plans[i].probe(env)))
+        stack.append(iter(plans[i][0](env)))
 
 
 def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
@@ -419,9 +419,9 @@ def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]
     filed under their least tuple, each member above the smallest size is
     tested only against those filed under its own tuples, and a family of
     one size comes back whole.  The empty set is below every other."""
-    if frozenset() in family:
-        return [frozenset()]
     sizes = {len(s) for s in family}
+    if 0 in sizes:
+        return [frozenset()]
     if len(sizes) < 2:
         return list(family)
     low, high = min(sizes), max(sizes)

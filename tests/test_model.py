@@ -100,6 +100,21 @@ def test_partition_covers_instance(srs_prime_exoR):
     assert endo & exo == frozenset()
 
 
+def test_tuple_sets_are_built_once_per_instance(srs_prime_exoR):
+    """The tid set, the two parts and the domain are built at the first
+    call and handed out as they are after it; a restricted copy builds its
+    own, and neither changes how instances compare."""
+    names = ("tids", "endogenous_part", "exogenous_part", "domain")
+    first = [getattr(srs_prime_exoR, name)() for name in names]
+    assert [getattr(srs_prime_exoR, name)() for name in names] == first
+    assert all(getattr(srs_prime_exoR, name)() is s for name, s in zip(names, first))
+    keep = sorted(srs_prime_exoR.exogenous_part())[:1] + sorted(srs_prime_exoR.endogenous_part())[:1]
+    sub = srs_prime_exoR.restrict(keep)
+    assert sub.tids() == set(keep) and len(sub.endogenous_part()) == len(sub.exogenous_part()) == 1
+    assert sub.domain() == {v for t in keep for v in sub.fact(t).vals}
+    assert srs_prime_exoR == inst("srs_prime_exoR.json") and hash(sub) == hash(sub.restrict(keep))
+
+
 def test_roundtrip_json(tmp_path, srs_prime):
     path = tmp_path / "copy.json"
     path.write_text(json.dumps(srs_prime.to_dict()))

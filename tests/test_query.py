@@ -424,13 +424,13 @@ def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
     tried = []
 
     def counted(atom, pool, env):
-        made = plan(atom, pool, env)
+        made, binds, agree = plan(atom, pool, env)
 
         def probe(env):
-            found = made.probe(env)
+            found = made(env)
             tried.append(len(found))
             return found
-        return made._replace(probe=probe)
+        return probe, binds, agree
 
     monkeypatch.setattr(dbexplain.query, "_plan", counted)
     for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
