@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,17 +55,6 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _max_endo(parser: argparse.ArgumentParser, flag: int | None) -> int:
-    """--max-endo, else EXPLAIN_MAX_ENDO, else the default."""
-    if flag is not None:
-        return flag
-    try:
-        return _non_negative_int(
-            os.environ.get("EXPLAIN_MAX_ENDO", str(DEFAULT_MAX_ENDO)))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"EXPLAIN_MAX_ENDO: {exc}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="explain",
@@ -83,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-endo", type=_non_negative_int, default=None,
                         help="size bound on the endogenous part for the "
                              "oracle families, and on the deletable tuples "
-                             "for repairs (default: EXPLAIN_MAX_ENDO or 20)")
-    common.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS,
+                             f"for repairs (default: {DEFAULT_MAX_ENDO})")
+    common.add_argument("--max-paths", type=_non_negative_int,
+                        default=DEFAULT_MAX_PATHS,
                         help="simple-path enumeration bound")
 
     sub.add_parser("eval", parents=[common], help="evaluate the query")
@@ -254,9 +243,7 @@ def _render_table(report: dict) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.max_endo = _max_endo(parser, args.max_endo)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         instance = _load(args.instance)

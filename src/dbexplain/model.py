@@ -84,7 +84,7 @@ class Instance:
     @staticmethod
     def build(schema: Mapping[str, int], facts: Iterable[Fact]) -> "Instance":
         """Validate invariants and construct an instance."""
-        schema_items = tuple(sorted((str(p), int(a)) for p, a in schema.items()))
+        schema_items = tuple(sorted((str(p), _arity(p, a)) for p, a in schema.items()))
         for pred, arity in schema_items:
             if arity < 0:
                 raise InstanceFormatError(f"negative arity for predicate {pred!r}")
@@ -193,6 +193,15 @@ class Instance:
         }
 
 
+def _arity(pred: str, value) -> int:
+    """A declared arity as an integer; a numeric string such as ``"2"`` counts."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceFormatError(
+            f"arity of predicate {pred!r} must be an integer, got {value!r}") from None
+
+
 def _facts_from_records(records: Iterable[dict]) -> list[Fact]:
     counters: dict[str, int] = {}
     facts = []
@@ -229,13 +238,15 @@ def load_instance(source: str | Path | dict) -> Instance:
         doc = source
     if not isinstance(doc, dict) or "schema" not in doc or "tuples" not in doc:
         raise InstanceFormatError("instance document needs 'schema' and 'tuples' keys")
-    schema = doc["schema"]
+    schema, records = doc["schema"], doc["tuples"]
     if not isinstance(schema, dict):
         raise InstanceFormatError("'schema' must map predicate names to arities")
-    return Instance.build(schema, _facts_from_records(doc["tuples"]))
+    if not isinstance(records, Iterable):
+        raise InstanceFormatError(f"'tuples' must be a list of tuple records, got {records!r}")
+    return Instance.build(schema, _facts_from_records(records))
 
 
-_TRUE = {"true", "1", "yes"}
+_TRUE = {"", "true", "1", "yes"}  # an empty flag means endogenous
 _FALSE = {"false", "0", "no"}
 
 
@@ -249,11 +260,15 @@ def load_instance_csv(manifest: str | Path) -> Instance:
     if not isinstance(doc, dict) or "schema" not in doc or "relations" not in doc:
         raise InstanceFormatError("manifest needs 'schema' and 'relations' keys")
     schema = doc["schema"]
+    if not isinstance(schema, dict) or not isinstance(doc["relations"], dict):
+        raise InstanceFormatError("manifest 'schema' and 'relations' must be objects")
     records: list[dict] = []
     for pred, rel_path in sorted(doc["relations"].items()):
         if pred not in schema:
             raise InstanceFormatError(f"relation file for undeclared predicate {pred!r}")
-        arity = int(schema[pred])
+        if not isinstance(rel_path, str):
+            raise InstanceFormatError(f"relation file of {pred!r} must be a path: {rel_path!r}")
+        arity = _arity(pred, schema[pred])
         path = manifest.parent / rel_path
         try:
             with open(path, newline="") as fh:
@@ -269,9 +284,7 @@ def load_instance_csv(manifest: str | Path) -> Instance:
             if len(row) != len(expected):
                 raise InstanceFormatError(f"{path}:{lineno}: expected {len(expected)} fields")
             tid, endo_text = row[0], row[1].strip().lower()
-            if endo_text == "":
-                endo = True
-            elif endo_text in _TRUE:
+            if endo_text in _TRUE:
                 endo = True
             elif endo_text in _FALSE:
                 endo = False

@@ -124,11 +124,6 @@ def enumerate_mns(instance: Instance, query: Query, *,
 # ---------------------------------------------------------------------------
 # degrees
 
-def _inverse_min_size(family: list[frozenset[str]], tid: str) -> Fraction:
-    sizes = [len(s) for s in family if tid in s]
-    return Fraction(1, min(sizes)) if sizes else Fraction(0)
-
-
 def degrees(instance: Instance, query: Query, *,
             max_endo: int | None = None,
             max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
@@ -137,10 +132,12 @@ def degrees(instance: Instance, query: Query, *,
     Exogenous tuples get zero degrees: they are members of no necessary or
     sufficient set by definition.  Strong flags mean membership in every
     MNS (resp. every MSS), with an empty family counting as not strong.
-    eta and strong necessity come from the minimal transversals of each
-    connected component of W, without listing the MNS: an MNS joins one
-    per component, so the smallest through t takes the smallest through t
-    in t's component and the other components' minima.
+    eta comes from the minimal transversals of each connected component
+    of W, without listing the MNS: an MNS joins one per component, so the
+    smallest through t takes the smallest through t in t's component and
+    the other components' minima.  Both strong flags are read off W: t is
+    in every MNS exactly when {t} is a member (see :mod:`dbexplain.repairs`),
+    that is, when sigma(t) = 1.
     """
     mss = _mss(instance, query, max_endo, max_paths)
     parts = [] if frozenset() in mss else _component_transversals(mss)
@@ -150,17 +147,16 @@ def degrees(instance: Instance, query: Query, *,
         for s in part:  # ascending size: the first set through t is smallest
             for tid in s:
                 eta_of.setdefault(tid, Fraction(1, least - len(part[0]) + len(s)))
-    strong = set().union(*(frozenset.intersection(*p) for p in parts))
+    sigma_of: dict[str, Fraction] = {}
+    for s in sorted(mss, key=len):
+        for tid in s:
+            sigma_of.setdefault(tid, Fraction(1, len(s)))
+    in_every_mss = frozenset.intersection(*mss) if mss else frozenset()
     per: dict[str, TupleDegrees] = {}
     for tid in sorted(instance.endogenous_part()):
-        eta = eta_of.get(tid, Fraction(0))
-        per[tid] = TupleDegrees(
-            eta=eta,
-            sigma=_inverse_min_size(mss, tid),
-            rho=eta,
-            strong_necessary=tid in strong,
-            strong_sufficient=bool(mss) and all(tid in s for s in mss),
-        )
+        eta, sigma = eta_of.get(tid, Fraction(0)), sigma_of.get(tid, Fraction(0))
+        per[tid] = TupleDegrees(eta=eta, sigma=sigma, rho=eta, strong_necessary=sigma == 1,
+                                strong_sufficient=tid in in_every_mss)
     zero = TupleDegrees(Fraction(0), Fraction(0), Fraction(0), False, False)
     for tid in instance.exogenous_part():
         per[tid] = zero

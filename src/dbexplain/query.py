@@ -236,33 +236,24 @@ def parse_query(
         a = atoms[0]
         if len(a.args) != 3:
             raise QuerySyntaxError("path/3 expects (EdgePred, source, target)")
-        names = []
-        for t in a.args:
-            names.append(t.value if isinstance(t, Const) else t.name)
-        edge_pred, source, target = names
-        if schema is not None:
-            if edge_pred not in schema:
-                raise UnknownPredicate(f"unknown edge predicate {edge_pred!r}")
-            if schema[edge_pred] != 2:
-                raise QuerySyntaxError(f"edge predicate {edge_pred!r} must be binary")
-        return ReachabilityQuery(edge_pred, source, target)
-
+        query: Query = ReachabilityQuery(
+            *(t.value if isinstance(t, Const) else t.name for t in a.args))
+    else:
+        query = BooleanCQ(tuple(atoms))
     if schema is not None:
-        for a in atoms:
-            if a.pred not in schema:
-                raise UnknownPredicate(f"unknown predicate {a.pred!r}")
-            if schema[a.pred] != len(a.args):
-                raise QuerySyntaxError(
-                    f"{a.pred} expects {schema[a.pred]} arguments, got {len(a.args)}")
-    return BooleanCQ(tuple(atoms))
+        _check_schema(query, schema)
+    return query
 
 
-# ---------------------------------------------------------------------------
-# conjunctive query evaluation (a backtracking join over atoms in textual
-# order, each atom probing a hash index of its facts on its bound positions)
-
-def _check_preds(query: BooleanCQ, instance: Instance) -> None:
-    schema = instance.schema
+def _check_schema(query: Query, schema: Mapping[str, int]) -> None:
+    """Every predicate of the query is declared, at the arity it is used
+    at; a reachability query's edge predicate is binary."""
+    if isinstance(query, ReachabilityQuery):
+        if query.edge_pred not in schema:
+            raise UnknownPredicate(f"unknown edge predicate {query.edge_pred!r}")
+        if schema[query.edge_pred] != 2:
+            raise QuerySyntaxError(f"edge predicate {query.edge_pred!r} must be binary")
+        return
     for a in query.atoms:
         if a.pred not in schema:
             raise UnknownPredicate(f"unknown predicate {a.pred!r}")
@@ -270,6 +261,10 @@ def _check_preds(query: BooleanCQ, instance: Instance) -> None:
             raise QuerySyntaxError(
                 f"{a.pred} expects {schema[a.pred]} arguments, got {len(a.args)}")
 
+
+# ---------------------------------------------------------------------------
+# conjunctive query evaluation (a backtracking join over atoms in textual
+# order, each atom probing a hash index of its facts on its bound positions)
 
 # (probe, the (position, name) of each new variable, the position pairs
 # that hold one repeated new variable)
@@ -367,11 +362,9 @@ def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
 
 def evaluate(query: Query, instance: Instance) -> bool:
     """Does the instance satisfy the query?"""
+    _check_schema(query, instance.schema)
     if isinstance(query, ReachabilityQuery):
-        if query.edge_pred not in instance.schema:
-            raise UnknownPredicate(f"unknown predicate {query.edge_pred!r}")
         return _reachable(instance, query)
-    _check_preds(query, instance)
     return next(_assignments(query, instance), None) is not None
 
 
@@ -481,7 +474,7 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     sufficient when it contains an image's endogenous projection; so the
     minimal images are the witnesses, and their minimal projections are
     the minimal sufficient sets."""
-    _check_preds(query, instance)
+    _check_schema(query, instance.schema)
     images: dict[frozenset[str], dict[str, str]] = {}
     per_atom: list[set[str]] = [set() for _ in query.atoms]
     for env, bound in _assignments(query, instance):
@@ -498,8 +491,7 @@ def enumerate_witnesses(query: Query, instance: Instance, *,
                         max_paths: int = DEFAULT_MAX_PATHS) -> tuple[Witness, ...]:
     """All subset-minimal witnesses; empty iff the query is false."""
     if isinstance(query, ReachabilityQuery):
-        if query.edge_pred not in instance.schema:
-            raise UnknownPredicate(f"unknown predicate {query.edge_pred!r}")
+        _check_schema(query, instance.schema)
         # edge sets of distinct simple paths are distinct and never
         # comparable, so the family is already an antichain
         paths = _simple_paths(instance, query, max_paths)

@@ -9,11 +9,20 @@ check in the test suite.
 
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
-connected), so the search runs on each component alone; the cardinality
-repairs join the components' minimum-size ones, and the core drops the
-union of all parts.  Within a component Berge's dualization (C. Berge,
-*Hypergraphs*, 1989; Eiter & Gottlob, SIAM J. Comput. 1995) extends the
-minimal hitting sets of the members seen so far by one member at a time.
+connected), so the search runs on each component alone, and the
+cardinality repairs join the components' minimum-size ones.  Within a
+component Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter &
+Gottlob, SIAM J. Comput. 1995) extends the minimal hitting sets of the
+members seen so far by one member at a time.
+
+The core needs no search.  In an antichain of nonempty sets, a tuple t
+of a member S lies in some minimal hitting set: the tuples outside S,
+plus t, hit every member (no other member lies inside S) and meet S in t
+alone, so every minimal hitting set among them holds t and no other
+tuple of S.  So the minimal hitting sets cover exactly the union of the
+members, and the core is D less that union.  And t lies in all of them
+exactly when {t} is a member: else the one so built through another
+tuple of a member through t misses t.
 
 By default any tuple may be deleted.  The optional endogenous-only mode
 restricts deletions to the endogenous part and raises RepairNotFound when
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 from .errors import OracleBoundExceeded, RepairNotFound
 from .explanations import DEFAULT_MAX_ENDO
 from .model import Instance
-from .query import DenialConstraint, _antichain, _witness_index
+from .query import DenialConstraint, _antichain, _minimal_members, _witness_index
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
@@ -163,9 +172,10 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
 def core_naive(instance: Instance, dc: DenialConstraint, *,
                endogenous_only: bool = False,
                max_deletable: int | None = None) -> CoreResult:
-    """Repair core, the intersection over all subset-repairs: as every
-    member of every part lies in some removal, D less the parts' union."""
-    parts = _component_transversals(
-        _conflicts(instance, dc, endogenous_only, max_deletable))
-    removable = frozenset().union(*(s for part in parts for s in part))
-    return CoreResult(tuples=instance.tids() - removable, method="naive-intersection")
+    """Repair core, the intersection over all subset-repairs: D less the
+    union of the minimal conflicts, which is the union of their minimal
+    hitting sets, the repairs' removals."""
+    conflicts = _minimal_members(set(
+        _conflicts(instance, dc, endogenous_only, max_deletable)))
+    return CoreResult(tuples=instance.tids() - frozenset().union(*conflicts),
+                      method="naive-intersection")

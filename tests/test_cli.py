@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -246,13 +247,13 @@ def test_usage_error_exit_code(capsys):
         run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
              "--jobs", "2"])
     assert exc.value.code == 2
-    for bad in ("-1", "abc"):
+    for flag, bad in itertools.product(("--max-endo", "--max-paths"), ("-1", "abc")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
-                 "--max-endo", bad])
+                 flag, bad])
         assert exc.value.code == 2
-        assert "--max-endo" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 def test_byte_identical_reports(capsys):
@@ -260,23 +261,6 @@ def test_byte_identical_reports(capsys):
     _, _, first = invoke(capsys, *argv)
     _, _, second = invoke(capsys, *argv)
     assert first == second
-
-
-def test_env_var_mirrors_max_endo(capsys, monkeypatch):
-    monkeypatch.setenv("EXPLAIN_MAX_ENDO", "3")
-    code, doc, _ = invoke(capsys, "mss", "-i", str(data_path("rt_small.json")),
-                          "-q", Q_RT)
-    assert code == 1 and doc["error"]["type"] == "OracleBoundExceeded"
-    code, doc, _ = invoke(capsys, "mss", "-i", str(data_path("rt_small.json")),
-                          "-q", Q_RT, "--max-endo", "10")
-    assert code == 0
-    # a malformed or negative value is a usage error, not the default
-    for bad in ("abc", "-1"):
-        monkeypatch.setenv("EXPLAIN_MAX_ENDO", bad)
-        with pytest.raises(SystemExit) as exc:
-            run(["mss", "-i", str(data_path("rt_small.json")), "-q", Q_RT])
-        assert exc.value.code == 2
-        assert "EXPLAIN_MAX_ENDO" in capsys.readouterr().err
 
 
 def test_table_format(capsys):

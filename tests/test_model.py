@@ -63,7 +63,10 @@ def test_auto_tid_generation():
         {"tid": "t1", "pred": "Q", "vals": ["a", "b"]}]}, "undeclared predicate"),
     ({"schema": {"R": 2}, "tuples": [
         {"tid": "t1", "pred": "R", "vals": ["a", 3]}]}, "strings"),
-], ids=["missing-key", "dup-tid", "arity", "dup-row", "unknown-pred", "typed"])
+    ({"schema": {"R": "x"}, "tuples": []}, "must be an integer"),
+    ({"schema": {"R": 2}, "tuples": 5}, "list of tuple records"),
+], ids=["missing-key", "dup-tid", "arity", "dup-row", "unknown-pred", "typed",
+        "arity-type", "tuples-type"])
 def test_load_rejects_malformed_documents(doc, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):
         load_instance(doc)
@@ -124,6 +127,22 @@ def test_roundtrip_json(tmp_path, srs_prime):
 def test_csv_and_json_loaders_agree(rt_small):
     got = load_instance_csv(data_path("rt_small_csv/manifest.json"))
     assert got == rt_small
+
+
+def test_csv_rejects_malformed_manifests(tmp_path):
+    (tmp_path / "R.csv").write_text("tid,endo,c1\nr1,true,a\n")
+    for manifest, fragment in [
+            ({"schema": {"R": 1}, "relations": ["R.csv"]}, "must be objects"),
+            ({"schema": ["R"], "relations": {"R": "R.csv"}}, "must be objects"),
+            ({"schema": {"R": "x"}, "relations": {"R": "R.csv"}}, "must be an integer"),
+            ({"schema": {"R": 1}, "relations": {"R": 5}}, "must be a path")]:
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(InstanceFormatError, match=fragment):
+            load_instance_csv(tmp_path / "m.json")
+    # a numeric string is still read as an arity
+    (tmp_path / "m.json").write_text(
+        json.dumps({"schema": {"R": "1"}, "relations": {"R": "R.csv"}}))
+    assert len(load_instance_csv(tmp_path / "m.json")) == 1
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -24,6 +24,7 @@ from dbexplain import (
     UnsupportedQuery,
     Var,
     denial_constraint_of,
+    enumerate_mss,
     enumerate_witnesses,
     evaluate,
     parse_query,
@@ -493,9 +494,12 @@ def test_join_leaves_no_cyclic_garbage():
 
 
 def test_evaluate_rejects_an_arity_mismatch(srs_prime):
-    q = BooleanCQ((Atom("R", (Var("x"),)),))
-    with pytest.raises(QuerySyntaxError, match="expects 2 arguments"):
-        evaluate(q, srs_prime)
+    for q, message in [(BooleanCQ((Atom("R", (Var("x"),)),)), "expects 2 arguments"),
+                       (ReachabilityQuery("S", "a", "b"), "must be binary")]:
+        for call in (evaluate, enumerate_witnesses,
+                     lambda q, instance: enumerate_mss(instance, q)):
+            with pytest.raises(QuerySyntaxError, match=message):
+                call(q, srs_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -333,11 +333,12 @@ def test_core_naive_is_the_intersection_of_the_repairs_on_random_instances():
 
 
 def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
-    """The naive core reads the per-component parts: it never joins them
-    into removals or builds a Repair."""
+    """The naive core reads the conflicts' union: it runs no transversal
+    search, joins no removals and builds no Repair."""
     def refuse(*args, **kwargs):
         raise AssertionError("core_naive built the repairs")
 
+    monkeypatch.setattr(dbexplain.repairs, "_component_transversals", refuse)
     monkeypatch.setattr(dbexplain.repairs, "_unions", refuse)
     monkeypatch.setattr(dbexplain.repairs, "Repair", refuse)
     res = core_naive(srs_prime, denial_constraint_of(q_srs))
@@ -345,3 +346,7 @@ def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
     instance = _star_instance((4, 3), 1, noise=3)
     dc = denial_constraint_of(parse_query("q :- S(x), R(x,y), T(y).", instance))
     assert len(core_naive(instance, dc, max_deletable=len(instance)).tuples) == 3
+    # one component of W here has 14,931 minimal transversals
+    instance = scaling_instance(105)
+    dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, instance))
+    assert len(core_naive(instance, dc, max_deletable=105).tuples) == 63
