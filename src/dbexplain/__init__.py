@@ -18,7 +18,6 @@ instance minus the union of its members is the repair core.
 from . import errors
 from .errors import *  # noqa: F401,F403 - stable exception surface
 from .explanations import (
-    DEFAULT_MAX_ENDO,
     ContingencyReport,
     DegreeReport,
     ExplanationSet,
@@ -97,7 +96,7 @@ __all__ = [
     "enumerate_witnesses", "denial_constraint_of", "DEFAULT_MAX_PATHS",
     # explanations
     "ExplanationSet", "DegreeReport", "TupleDegrees", "ContingencyReport",
-    "verify_explanation", "is_sufficient", "is_necessary", "DEFAULT_MAX_ENDO",
+    "verify_explanation", "is_sufficient", "is_necessary",
     # oracle
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
     "check_duality", "cause_repair_correspondence", "DualityResult",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fastpath, lineage, oracle, repairs
 from .errors import ExplainError
-from .explanations import DEFAULT_MAX_ENDO, frac_str
+from .explanations import frac_str
 from .model import Instance, load_instance, load_instance_csv
 from .query import (DEFAULT_MAX_PATHS, denial_constraint_of, enumerate_witnesses,
                     evaluate, parse_query)
@@ -32,7 +32,7 @@ def _load(path: str) -> Instance:
     """Accept either a JSON instance document or a CSV manifest."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # bad JSON or bad UTF-8
         return load_instance(path)  # surfaces a uniform InstanceFormatError
     if isinstance(doc, dict) and "relations" in doc:
         return load_instance_csv(path)
@@ -68,10 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-q", "--query", required=True,
                         help="query text, e.g. 'q :- S(x), R(x,y), S(y).'")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--max-endo", type=_non_negative_int, default=None,
-                        help="size bound on the endogenous part for the "
-                             "oracle families, and on the deletable tuples "
-                             f"for repairs (default: {DEFAULT_MAX_ENDO})")
     common.add_argument("--max-paths", type=_non_negative_int,
                         default=DEFAULT_MAX_PATHS,
                         help="simple-path enumeration bound")
@@ -115,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args, instance: Instance, query) -> dict:
-    max_endo = args.max_endo
     cmd = args.command
     if cmd == "eval":
         return {"satisfied": evaluate(query, instance)}
@@ -143,39 +138,33 @@ def _dispatch(args, instance: Instance, query) -> dict:
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}
-        family = oracle.enumerate_mss(instance, query, max_endo=max_endo,
-                                      max_paths=args.max_paths)
+        family = oracle.enumerate_mss(instance, query, max_paths=args.max_paths)
         if args.tuple_id is not None:
+            instance.fact(args.tuple_id)  # an unknown tid raises UnknownTupleId
             family = tuple(s for s in family if args.tuple_id in s)
         if args.min and family:
             least = min(len(s) for s in family)
             family = tuple(s for s in family if len(s) == least)
         return {"mode": "oracle", "sets": _sets(family)}
     if cmd == "mns":
-        family = oracle.enumerate_mns(instance, query, max_endo=max_endo,
-                                      max_paths=args.max_paths)
+        family = oracle.enumerate_mns(instance, query, max_paths=args.max_paths)
         return {"sets": _sets(family)}
     if cmd == "degrees":
-        report = oracle.degrees(instance, query, max_endo=max_endo,
-                                max_paths=args.max_paths)
+        report = oracle.degrees(instance, query, max_paths=args.max_paths)
         return {"degrees": report.to_dict()}
     if cmd == "causes":
-        report = oracle.actual_causes(instance, query, max_endo=max_endo,
-                                      max_paths=args.max_paths)
+        report = oracle.actual_causes(instance, query, max_paths=args.max_paths)
         return {"causes": report.to_dict()}
     if cmd == "repairs":
-        dc = denial_constraint_of(query)
-        if args.cardinality:
-            reps = repairs.enumerate_c_repairs(instance, dc, max_deletable=max_endo)
-        else:
-            reps = repairs.enumerate_s_repairs(instance, dc, max_deletable=max_endo)
+        listing = repairs.enumerate_c_repairs if args.cardinality \
+            else repairs.enumerate_s_repairs
+        reps = listing(instance, denial_constraint_of(query))
         return {"repairs": [
             {"removed": sorted(r.removed), "kept": sorted(r.kept),
              "cardinality_minimal": r.cardinality_minimal} for r in reps]}
     if cmd == "core":
         if args.method == "naive":
-            res = repairs.core_naive(instance, denial_constraint_of(query),
-                                     max_deletable=max_endo)
+            res = repairs.core_naive(instance, denial_constraint_of(query))
         else:
             res = fastpath.core_fast(instance, query)
         return {"core": sorted(res.tuples), "method": res.method}
@@ -185,14 +174,12 @@ def _dispatch(args, instance: Instance, query) -> dict:
             formula = lineage.eliminate_exogenous(formula, instance)
         return formula.to_dict()
     if cmd == "check-duality":
-        res = oracle.check_duality(instance, query, max_endo=max_endo,
-                                   max_paths=args.max_paths)
+        res = oracle.check_duality(instance, query, max_paths=args.max_paths)
         return {"holds": res.holds,
                 "violations": [{"family": kind, "set": list(s), "reason": why}
                                for kind, s, why in res.violations]}
     if cmd == "check-correspondence":
-        res = oracle.cause_repair_correspondence(
-            instance, query, max_endo=max_endo, max_paths=args.max_paths)
+        res = oracle.cause_repair_correspondence(instance, query, max_paths=args.max_paths)
         return {"holds": res.holds, "detail": res.detail}
     raise AssertionError(f"unhandled command {cmd!r}")
 

@@ -41,7 +41,9 @@ class BoundExceeded(ExplainError):
 
 
 class OracleBoundExceeded(BoundExceeded):
-    """The endogenous (or deletable) part exceeds its enumeration bound."""
+    """A listing of minimal hitting sets, or a check on one, passed its cap
+    on tests or on tuples held, or a repair request has more deletable
+    tuples than its bound; the message names the quantity and its value."""
 
 
 class PathBoundExceeded(BoundExceeded):

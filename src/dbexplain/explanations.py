@@ -20,16 +20,10 @@ from .query import Query, evaluate
 __all__ = [
     "ExplanationKind", "ExplanationSet", "DegreeReport", "TupleDegrees",
     "ContingencyReport", "verify_explanation", "is_sufficient", "is_necessary",
-    "frac_str", "DEFAULT_MAX_ENDO",
+    "frac_str",
 ]
 
 ExplanationKind = Literal["SS", "MSS", "NS", "MNS", "witness", "repair-removal"]
-
-# Minimal necessary sets and repairs are minimal transversals of the
-# witness family; their number can grow exponentially with the endogenous
-# (for repairs, the deletable) part.  20 tuples is the default ceiling for
-# desk-scale use.
-DEFAULT_MAX_ENDO = 20
 
 
 def is_sufficient(instance: Instance, query: Query, tids: Iterable[str]) -> bool:

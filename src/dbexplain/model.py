@@ -232,7 +232,7 @@ def load_instance(source: str | Path | dict) -> Instance:
     if isinstance(source, (str, Path)):
         try:
             doc = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8
             raise InstanceFormatError(f"cannot read instance document: {exc}") from exc
     else:
         doc = source
@@ -255,7 +255,7 @@ def load_instance_csv(manifest: str | Path) -> Instance:
     manifest = Path(manifest)
     try:
         doc = json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8
         raise InstanceFormatError(f"cannot read manifest: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc or "relations" not in doc:
         raise InstanceFormatError("manifest needs 'schema' and 'relations' keys")
@@ -273,7 +273,7 @@ def load_instance_csv(manifest: str | Path) -> Instance:
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
-        except OSError as exc:
+        except (OSError, ValueError, csv.Error) as exc:  # bad UTF-8, oversized field
             raise InstanceFormatError(f"cannot read relation file {path}: {exc}") from exc
         if not rows:
             raise InstanceFormatError(f"{path}: missing header row")

@@ -22,6 +22,10 @@ and query.
   to repairs and model-based diagnosis and back", 2017).  All values are
   exact rationals.
 
+No family is bounded by the size of the instance.  The minimal
+transversals, their contingency sets and the duality check, which can
+grow exponentially in |W|, run under the caps of :mod:`dbexplain.repairs`.
+
 The families are right by construction, so they are returned as read
 off W; the test suite compares every family with an exhaustive subset
 scan and checks its sets with the definition-level checkers of
@@ -33,14 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    OracleBoundExceeded,
-    QueryNotSatisfied,
-    RepairNotFound,
-    UnsupportedQuery,
-)
+from .errors import OracleBoundExceeded, QueryNotSatisfied, RepairNotFound, UnsupportedQuery
 from .explanations import (
-    DEFAULT_MAX_ENDO,
     ContingencyReport,
     DegreeReport,
     ExplanationSet,
@@ -57,7 +55,8 @@ from .query import (
     enumerate_witnesses,
     evaluate,
 )
-from .repairs import _component_transversals, enumerate_s_repairs, minimal_hitting_sets
+from .repairs import (MAX_HELD_TUPLES, MAX_TRANSVERSAL_TESTS, _component_transversals,
+                      enumerate_s_repairs, minimal_hitting_sets)
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -73,8 +72,7 @@ def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(s))
 
 
-def _mss(instance: Instance, query: Query, max_endo: int | None,
-         max_paths: int) -> list[frozenset[str]]:
+def _mss(instance: Instance, query: Query, max_paths: int) -> list[frozenset[str]]:
     """The witness antichain W, i.e. the MSS family, ordered by tids.  A CQ
     is true iff its index has an image; listing paths can cost far more
     than finding one, so a reachability query is evaluated first."""
@@ -82,14 +80,10 @@ def _mss(instance: Instance, query: Query, max_endo: int | None,
     index = _witness_index(query, instance) if cq else None
     if not (index.images if cq else evaluate(query, instance)):
         raise QueryNotSatisfied("the query is false in the instance")
-    endo = instance.endogenous_part()
-    bound = DEFAULT_MAX_ENDO if max_endo is None else max_endo
-    if len(endo) > bound:
-        raise OracleBoundExceeded(
-            f"{len(endo)} endogenous tuples exceed the oracle bound {bound}")
     if cq:
         return sorted(index.antichain, key=_by_tids)
     witnesses = enumerate_witnesses(query, instance, max_paths=max_paths)
+    endo = instance.endogenous_part()
     return sorted(_antichain(w.tuples & endo for w in witnesses), key=_by_tids)
 
 
@@ -105,27 +99,22 @@ def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
 # families
 
 def enumerate_mss(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
     """All minimal sufficient sets (subsets of the endogenous part)."""
-    return tuple(ExplanationSet("MSS", s)
-                 for s in _mss(instance, query, max_endo, max_paths))
+    return tuple(ExplanationSet("MSS", s) for s in _mss(instance, query, max_paths))
 
 
 def enumerate_mns(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
     """All minimal necessary sets; empty when no endogenous deletion can
     falsify the query (e.g. the exogenous part alone satisfies it)."""
-    return tuple(ExplanationSet("MNS", s)
-                 for s in _mns(_mss(instance, query, max_endo, max_paths)))
+    return tuple(ExplanationSet("MNS", s) for s in _mns(_mss(instance, query, max_paths)))
 
 
 # ---------------------------------------------------------------------------
 # degrees
 
 def degrees(instance: Instance, query: Query, *,
-            max_endo: int | None = None,
             max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
     """Exact necessity/sufficiency/responsibility degrees per tuple.
 
@@ -139,7 +128,7 @@ def degrees(instance: Instance, query: Query, *,
     in every MNS exactly when {t} is a member (see :mod:`dbexplain.repairs`),
     that is, when sigma(t) = 1.
     """
-    mss = _mss(instance, query, max_endo, max_paths)
+    mss = _mss(instance, query, max_paths)
     parts = [] if frozenset() in mss else _component_transversals(mss)
     least = sum(len(p[0]) for p in parts)
     eta_of: dict[str, Fraction] = {}
@@ -165,22 +154,26 @@ def degrees(instance: Instance, query: Query, *,
 
 def _contingencies(mns: list[frozenset[str]]) -> dict[str, tuple[frozenset[str], ...]]:
     """Each actual cause t mapped to its minimal contingency sets N - {t},
-    for the MNS N through t."""
-    return {
-        tid: tuple(sorted((s - {tid} for s in mns if tid in s), key=_by_tids))
-        for tid in sorted(set().union(*mns))
-    }
+    for the MNS N through t; none is built past MAX_HELD_TUPLES tuples."""
+    held = sum(len(s) * (len(s) - 1) for s in mns)
+    if held > MAX_HELD_TUPLES:
+        raise OracleBoundExceeded(f"the contingency sets of {len(mns):,} MNS would hold "
+                                  f"{held:,} tuples, past {MAX_HELD_TUPLES:,}")
+    through: dict[str, list[frozenset[str]]] = {}
+    for s in mns:
+        for tid in s:
+            through.setdefault(tid, []).append(s - {tid})
+    return {tid: tuple(sorted(through[tid], key=_by_tids)) for tid in sorted(through)}
 
 
 def actual_causes(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
     """Actual causes with their subset-minimal contingency sets.
 
     t is an actual cause when some contingency set G (endogenous, t not in
     G) leaves the query true but removing t on top falsifies it.
     """
-    mns = _mns(_mss(instance, query, max_endo, max_paths))
+    mns = _mns(_mss(instance, query, max_paths))
     return ContingencyReport(contingencies=_contingencies(mns))
 
 
@@ -194,33 +187,31 @@ class DualityResult:
 
 
 def _is_minimal_hitting_set(s: frozenset[str], family: list[frozenset[str]]) -> str | None:
+    """One pass: s meets every member, each tuple of s alone in some member."""
+    private: set[str] = set()
     for f in family:
-        if not (f & s):
+        met = f & s
+        if not met:
             return f"misses {sorted(f)}"
-    for t in sorted(s):
-        if all(f & (s - {t}) for f in family):
-            return f"not minimal: {t} is redundant"
-    if not family and s:
-        return "not minimal: the empty set already hits an empty family"
-    return None
+        if len(met) == 1:
+            private |= met
+    redundant = sorted(s - private)
+    return f"not minimal: {redundant[0]} is redundant" if redundant else None
 
 
 def check_duality(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> DualityResult:
-    """Each MSS must be a minimal hitting set of the MNS family and vice
-    versa; on failure the certificate names the offending set."""
-    mss = _mss(instance, query, max_endo, max_paths)
+    """Each MSS must be a minimal hitting set of the MNS family and vice versa;
+    the certificate names each offending set.  Past MAX_TRANSVERSAL_TESTS
+    intersections of a set with a member of the other family, none is made."""
+    mss = _mss(instance, query, max_paths)
     mns = _mns(mss)
-    violations: list[tuple[str, tuple[str, ...], str]] = []
-    for s in mss:
-        reason = _is_minimal_hitting_set(s, mns)
-        if reason:
-            violations.append(("MSS", tuple(sorted(s)), reason))
-    for nset in mns:
-        reason = _is_minimal_hitting_set(nset, mss)
-        if reason:
-            violations.append(("MNS", tuple(sorted(nset)), reason))
+    if (tests := 2 * len(mss) * len(mns)) > MAX_TRANSVERSAL_TESTS:
+        raise OracleBoundExceeded(f"{tests:,} intersection tests of the duality check "
+                                  f"exceed the cap {MAX_TRANSVERSAL_TESTS:,}")
+    violations = [(kind, tuple(sorted(s)), why)
+                  for kind, family, other in (("MSS", mss, mns), ("MNS", mns, mss))
+                  for s in family if (why := _is_minimal_hitting_set(s, other))]
     return DualityResult(holds=not violations, violations=tuple(violations))
 
 
@@ -231,7 +222,6 @@ class CorrespondenceResult:
 
 
 def cause_repair_correspondence(instance: Instance, query: Query, *,
-                                max_endo: int | None = None,
                                 max_paths: int = DEFAULT_MAX_PATHS) -> CorrespondenceResult:
     """Cross-check causes against endogenous-deletion repairs.
 
@@ -246,13 +236,13 @@ def cause_repair_correspondence(instance: Instance, query: Query, *,
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("repairs are defined via the denial constraint "
                                "of a Boolean conjunctive query")
-    mns = _mns(_mss(instance, query, max_endo, max_paths))
+    mns = _mns(_mss(instance, query, max_paths))
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)
     try:
-        reps = enumerate_s_repairs(instance, denial_constraint_of(query),
-                                   endogenous_only=True, max_deletable=max_endo)
+        reps = enumerate_s_repairs(instance, denial_constraint_of(query), endogenous_only=True,
+                                   max_deletable=len(instance.endogenous_part()))
         removals = sorted((r.removed for r in reps), key=_by_tids)
         c_removals = sorted((r.removed for r in reps if r.cardinality_minimal),
                             key=_by_tids)

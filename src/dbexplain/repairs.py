@@ -15,6 +15,11 @@ component Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter &
 Gottlob, SIAM J. Comput. 1995) extends the minimal hitting sets of the
 members seen so far by one member at a time.
 
+Dualization can list exponentially many sets, so a listing raises
+OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
+tuples held; every function here also refuses more than ``max_deletable``
+deletable tuples (20 by default).
+
 The core needs no search.  In an antichain of nonempty sets, a tuple t
 of a member S lies in some minimal hitting set: the tuples outside S,
 plus t, hit every member (no other member lies inside S) and meet S in t
@@ -32,10 +37,10 @@ some violation is witnessed by exogenous tuples alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded, RepairNotFound
-from .explanations import DEFAULT_MAX_ENDO
 from .model import Instance
 from .query import DenialConstraint, _antichain, _minimal_members, _witness_index
 
@@ -43,6 +48,12 @@ __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
     "enumerate_s_repairs", "enumerate_c_repairs", "core_naive",
 ]
+
+# Caps of one listing (with CPython 3.11 on x86-64, 10M tests take 0.3-3.5 s
+# and 2M tuples in frozensets 50-200 MB), and the default deletable bound.
+MAX_TRANSVERSAL_TESTS = 10_000_000
+MAX_HELD_TUPLES = 2_000_000
+DEFAULT_MAX_DELETABLE = 20
 
 
 @dataclass(frozen=True)
@@ -86,16 +97,31 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
     hitting set that hits the member and grow each one that misses it by
     each of its tuples; a loop, so no recursion.  A kept set is never
     dominated, and grown sets are distinct and incomparable, so a grown
-    h | {t} is dropped only when it contains a kept set through t."""
+    h | {t} is dropped only when it contains a kept set through t.
+
+    Before the sets that miss a member grow, the step is counted: a test
+    per hitting set, per kept set and tuple of the member, and, per missed
+    h, per set grown and per kept set through each tuple; and the tuples
+    the kept and grown sets hold.  Past either cap the call raises, so no
+    set is grown past a cap."""
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
-    parts = []
+    parts, tests = [], 0
     for component in _components(family):
         hitting = [frozenset()]
         for s in component:
             step = [h for h in hitting if h & s]
             through = {t: [k for k in step if t in k] for t in s}
+            missed, kept = len(hitting) - len(step), sum(map(len, step))
+            tests += (len(hitting) + len(s) * len(step)
+                      + missed * (len(s) + sum(map(len, through.values()))))
+            held = kept + len(s) * (sum(map(len, hitting)) - kept + missed)
+            if tests > MAX_TRANSVERSAL_TESTS or held > MAX_HELD_TUPLES:
+                raise OracleBoundExceeded(
+                    f"{tests:,} intersection and subset tests and {held:,} tuples held, "
+                    f"at a member of {len(s)} tuples and {len(hitting):,} hitting sets, "
+                    f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
             for h in hitting:
                 if not h & s:
                     for t in s:
@@ -108,7 +134,13 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
 
 
 def _unions(parts: list[list[frozenset[str]]]) -> list[frozenset[str]]:
-    """One member per part, joined; ordered by (size, tids)."""
+    """One member per part, joined; ordered by (size, tids).  A member of a
+    part is in count / len(part) unions; none is built past MAX_HELD_TUPLES."""
+    count = math.prod(map(len, parts))
+    held = sum(count // len(p) * sum(map(len, p)) for p in parts)
+    if held > MAX_HELD_TUPLES:
+        raise OracleBoundExceeded(f"{count:,} unions of per-component minimal hitting sets "
+                                  f"would hold {held:,} tuples, past {MAX_HELD_TUPLES:,}")
     return sorted((frozenset().union(*pick) for pick in itertools.product(*parts)),
                   key=lambda s: (len(s), sorted(s)))
 
@@ -122,13 +154,12 @@ def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
 
 
 def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
-               max_deletable: int | None) -> list[frozenset[str]]:
+               max_deletable: int) -> list[frozenset[str]]:
     """The deletable part of each violation; none for a consistent instance."""
-    bound = DEFAULT_MAX_ENDO if max_deletable is None else max_deletable
     deletable = instance.endogenous_part() if endogenous_only else instance.tids()
-    if len(deletable) > bound:
+    if len(deletable) > max_deletable:
         raise OracleBoundExceeded(
-            f"{len(deletable)} deletable tuples exceed the bound {bound}; "
+            f"{len(deletable)} deletable tuples exceed the bound {max_deletable}; "
             "raise max_deletable explicitly for larger inputs")
     witnesses = _witness_index(dc.body, instance).minimal
     for w in witnesses:
@@ -141,7 +172,7 @@ def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
                         endogenous_only: bool = False,
-                        max_deletable: int | None = None) -> tuple[Repair, ...]:
+                        max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """All subset-repairs, ordered by (removal size, removal tids).
 
     A consistent instance has itself as its sole repair.
@@ -158,7 +189,7 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
 
 def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         endogenous_only: bool = False,
-                        max_deletable: int | None = None) -> tuple[Repair, ...]:
+                        max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
     parts = _component_transversals(
@@ -171,7 +202,7 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,
                endogenous_only: bool = False,
-               max_deletable: int | None = None) -> CoreResult:
+               max_deletable: int = DEFAULT_MAX_DELETABLE) -> CoreResult:
     """Repair core, the intersection over all subset-repairs: D less the
     union of the minimal conflicts, which is the union of their minimal
     hitting sets, the repairs' removals."""

@@ -17,17 +17,18 @@ part by ascending cardinality, exactly as the definitions read:
 Per-subset satisfaction is decided against the minimal-witness family
 (bitmask containment), which is equivalent for monotone queries.  The
 functions mirror the library's signatures and return types, so results
-compare with ``==``; the library's bounds and ``QueryNotSatisfied`` are
-reproduced.  ``participating_sets`` filters the full cartesian product of
-each atom's matching facts and ``assignments`` is a nested loop over each
-atom's whole extension; both match terms to values through ``_bind``, so
-they share no code with the library's join.  ``minimal_members`` compares
-every member of a family with every other.  ``minimal_hitting_sets``
-scans the subsets of a family's elements by ascending cardinality, sharing
-no code with the library's transversals; ``simple_paths`` scans the
-subsets of a graph's edges the same way, deciding reachability by its own
-breadth-first search; and ``chase`` picks the least set of the scanned MSS
-family through the seed.
+compare with ``==``; ``QueryNotSatisfied`` is reproduced, and the scans
+refuse more than MAX_ENDO endogenous tuples.  ``participating_sets``
+filters the full cartesian product of each atom's matching facts and
+``assignments`` is a nested loop over each atom's whole extension; both
+match terms to values through ``_bind``, so they share no code with the
+library's join.  ``minimal_members`` compares every member of a family
+with every other.  ``minimal_hitting_sets`` scans the subsets of a
+family's elements by ascending cardinality, sharing no code with the
+library's transversals; ``simple_paths`` scans the subsets of a graph's
+edges the same way, deciding reachability by its own breadth-first
+search; and ``chase`` picks the least set of the scanned MSS family
+through the seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from dbexplain import (
-    DEFAULT_MAX_ENDO,
     BooleanCQ,
     DEFAULT_MAX_PATHS,
     ContingencyReport,
@@ -61,18 +61,20 @@ __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
            "participating_sets", "minimal_hitting_sets", "simple_paths",
            "assignments", "minimal_members", "chase"]
 
+# The scans take 2^n steps in the n endogenous tuples.
+MAX_ENDO = 20
+
 
 def _require_satisfied(instance: Instance, query: Query) -> None:
     if not evaluate(query, instance):
         raise QueryNotSatisfied("the query is false in the instance")
 
 
-def _endo_order(instance: Instance, max_endo: int | None) -> list[str]:
+def _endo_order(instance: Instance) -> list[str]:
     endo = sorted(instance.endogenous_part())
-    bound = DEFAULT_MAX_ENDO if max_endo is None else max_endo
-    if len(endo) > bound:
+    if len(endo) > MAX_ENDO:
         raise OracleBoundExceeded(
-            f"{len(endo)} endogenous tuples exceed the oracle bound {bound}")
+            f"{len(endo)} endogenous tuples exceed the scan bound {MAX_ENDO}")
     return endo
 
 
@@ -123,27 +125,23 @@ def _to_tids(mask: int, endo: Sequence[str]) -> frozenset[str]:
 
 
 def _family(instance: Instance, query: Query, mode: str, *,
-            max_endo: int | None, max_paths: int) -> tuple[list[str], list[frozenset[str]]]:
+            max_paths: int) -> tuple[list[str], list[frozenset[str]]]:
     _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
+    endo = _endo_order(instance)
     masks = _witness_masks(instance, query, endo, max_paths)
     fam = [_to_tids(m, endo) for m in _scan_minimal(len(endo), masks, mode)]
     return endo, sorted(fam, key=lambda s: tuple(sorted(s)))
 
 
 def enumerate_mss(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
-    _, fam = _family(instance, query, "suff",
-                     max_endo=max_endo, max_paths=max_paths)
+    _, fam = _family(instance, query, "suff", max_paths=max_paths)
     return tuple(ExplanationSet("MSS", s) for s in fam)
 
 
 def enumerate_mns(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
-    _, fam = _family(instance, query, "nec",
-                     max_endo=max_endo, max_paths=max_paths)
+    _, fam = _family(instance, query, "nec", max_paths=max_paths)
     return tuple(ExplanationSet("MNS", s) for s in fam)
 
 
@@ -162,10 +160,9 @@ def _rho_single(masks: list[int], n: int, t: int) -> Fraction:
 
 
 def degrees(instance: Instance, query: Query, *,
-            max_endo: int | None = None,
             max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
     _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
+    endo = _endo_order(instance)
     masks = _witness_masks(instance, query, endo, max_paths)
     n = len(endo)
     mss = _scan_minimal(n, masks, "suff")
@@ -192,10 +189,9 @@ def degrees(instance: Instance, query: Query, *,
 
 
 def actual_causes(instance: Instance, query: Query, *,
-                  max_endo: int | None = None,
                   max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
     _require_satisfied(instance, query)
-    endo = _endo_order(instance, max_endo)
+    endo = _endo_order(instance)
     masks = _witness_masks(instance, query, endo, max_paths)
     n = len(endo)
     full = (1 << n) - 1

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from dbexplain.cli import run
+from dbexplain.synth import SCALING_QUERY_TEXT, scaling_instance
 
 from conftest import data_path
 
@@ -247,13 +247,52 @@ def test_usage_error_exit_code(capsys):
         run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
              "--jobs", "2"])
     assert exc.value.code == 2
-    for flag, bad in itertools.product(("--max-endo", "--max-paths"), ("-1", "abc")):
+    for bad in ("-1", "abc"):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
-                 flag, bad])
+                 "--max-paths", bad])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert "--max-paths" in capsys.readouterr().err
+    # the endogenous part has no bound, so there is no flag for one
+    with pytest.raises(SystemExit) as exc:
+        run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
+             "--max-endo", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-endo" in capsys.readouterr().err
+
+
+def test_mss_tuple_rejects_an_unknown_tid(capsys):
+    """Every form of ``mss --tuple`` refuses a tid the instance lacks."""
+    base = ["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
+            "--tuple", "S:zz"]
+    for tail in ([], ["--min"], ["--chase"], ["--chase", "--min"]):
+        code, doc, _ = invoke(capsys, *base, *tail)
+        assert code == 1 and doc["error"]["type"] == "UnknownTupleId", tail
+
+
+def test_transversal_cap_is_a_semantic_error(capsys, tmp_path):
+    """A listing that passes its work cap exits 1 with a payload naming
+    the count, and stdout stays one JSON document."""
+    path = tmp_path / "scaling111.json"
+    path.write_text(json.dumps(scaling_instance(111).to_dict()))
+    code, doc, out = invoke(capsys, "mns", "-i", str(path), "-q", SCALING_QUERY_TEXT)
+    assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
+    assert doc["error"]["type"] == "OracleBoundExceeded"
+    assert "intersection and subset tests" in doc["error"]["message"]
+
+
+def test_unreadable_instance_files_are_format_errors(capsys, tmp_path):
+    """A document that is not UTF-8, and a relation file with a field past
+    the CSV reader's limit, exit 1 with a payload."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    (tmp_path / "R.csv").write_text("tid,endo,c1\nr1,true," + "a" * 200_000 + "\n")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"schema": {"R": 1}, "relations": {"R": "R.csv"}}))
+    for path in (bad, manifest):
+        code, doc, _ = invoke(capsys, "eval", "-i", str(path), "-q", "q :- R(x).")
+        assert code == 1 and doc["error"]["type"] == "InstanceFormatError", path
 
 
 def test_byte_identical_reports(capsys):

@@ -143,6 +143,19 @@ def test_csv_rejects_malformed_manifests(tmp_path):
     (tmp_path / "m.json").write_text(
         json.dumps({"schema": {"R": "1"}, "relations": {"R": "R.csv"}}))
     assert len(load_instance_csv(tmp_path / "m.json")) == 1
+    # relation files that are not UTF-8, or hold a field past the CSV
+    # reader's limit of 131,072 characters
+    for body in (b"tid,endo,c1\nr1,true,\xff\xfe\n",
+                 b"tid,endo,c1\nr1,true," + b"a" * 200_000 + b"\n"):
+        (tmp_path / "R.csv").write_bytes(body)
+        with pytest.raises(InstanceFormatError, match="cannot read relation file"):
+            load_instance_csv(tmp_path / "m.json")
+    # a manifest or an instance document that is not UTF-8
+    (tmp_path / "m.json").write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InstanceFormatError, match="cannot read manifest"):
+        load_instance_csv(tmp_path / "m.json")
+    with pytest.raises(InstanceFormatError, match="cannot read instance document"):
+        load_instance(tmp_path / "m.json")
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import dbexplain.oracle
 import dbexplain.query
+import dbexplain.repairs
 from dbexplain import (
     Fact,
     Instance,
@@ -23,7 +27,10 @@ from dbexplain import (
     parse_query,
     verify_explanation,
 )
-from dbexplain.synth import planted_query, random_instance, scaling_instance
+from dbexplain.query import Query
+from dbexplain.repairs import MAX_HELD_TUPLES, MAX_TRANSVERSAL_TESTS
+from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
+                             scaling_instance)
 
 import bruteforce
 from conftest import inst, tids
@@ -52,13 +59,161 @@ def test_mss_requires_satisfaction(rt_small):
     q = parse_query("q :- R(x,y), T('zz').", rt_small)
     with pytest.raises(QueryNotSatisfied):
         enumerate_mss(rt_small, q)
-    with pytest.raises(QueryNotSatisfied):  # reported before the bound
-        enumerate_mss(rt_small, q, max_endo=0)
 
 
-def test_oracle_bound(rt_small, q_rt):
-    with pytest.raises(OracleBoundExceeded):
-        enumerate_mss(rt_small, q_rt, max_endo=3)
+# ---------------------------------------------------------------------------
+# the work caps: no bound on the endogenous part, only on the listing
+
+def _scaling(n: int):
+    instance = scaling_instance(n)
+    return instance, parse_query(SCALING_QUERY_TEXT, instance)
+
+
+def test_degrees_answer_past_twenty_endogenous_tuples():
+    """60 endogenous tuples: eta equals the value read off the full MNS
+    listing."""
+    instance, q = _scaling(60)
+    mns = minimal_hitting_sets([s.tuples for s in enumerate_mss(instance, q)])
+    assert len(mns) == 4293
+    report = degrees(instance, q)
+    for tid in sorted(instance.endogenous_part()):
+        sizes = [len(s) for s in mns if tid in s]
+        assert report.eta(tid) == (Fraction(1, min(sizes)) if sizes else 0), tid
+
+
+def test_mss_and_degrees_answer_on_two_hundred_tuples():
+    instance, q = _scaling(200)
+    mss = enumerate_mss(instance, q)
+    assert len(mss) == 33
+    for s in mss:
+        verify_explanation(instance, q, "MSS", s.tuples)
+    report = degrees(instance, q)
+    assert set(report.per_tuple) == instance.tids()
+    for tid, d in report.per_tuple.items():
+        through = [len(s) for s in mss if tid in s.tuples]
+        assert d.sigma == (Fraction(1, min(through)) if through else 0), tid
+        assert (d.eta > 0) == bool(through), tid
+
+
+def _counts(exc: pytest.ExceptionInfo) -> tuple[int, int]:
+    """The tests made and the tuples held, as a Berge refusal names them."""
+    found = re.match(r"([0-9,]+) intersection and subset tests and ([0-9,]+) tuples held",
+                     str(exc.value))
+    assert found, str(exc.value)
+    return tuple(int(g.replace(",", "")) for g in found.groups())
+
+
+def test_transversal_listing_trips_the_test_cap():
+    """At n = 111 one component of W has 20 members and Berge's working
+    family outgrows the test cap; each call names the count that the next
+    step would reach, and refuses it."""
+    instance, q = _scaling(111)
+    for listing in (enumerate_mns, actual_causes, degrees):
+        with pytest.raises(OracleBoundExceeded) as exc:
+            listing(instance, q)
+        tests, held = _counts(exc)
+        assert tests > MAX_TRANSVERSAL_TESTS and held <= MAX_HELD_TUPLES, listing.__name__
+
+
+def _two_cycle_chain(k: int) -> tuple[Instance, Query]:
+    """k two-cycles R(a_i, b_i), R(b_i, a_i), chained by R(b_i, a_i+1), under
+    a three-edge path query: one component whose size-2 members, sorted
+    first, are pairwise disjoint."""
+    facts = []
+    for i in range(k):
+        facts += [Fact(f"R:a{i},b{i}", "R", (f"a{i}", f"b{i}")),
+                  Fact(f"R:b{i},a{i}", "R", (f"b{i}", f"a{i}"))]
+        if i + 1 < k:
+            facts.append(Fact(f"R:b{i},a{i + 1}", "R", (f"b{i}", f"a{i + 1}")))
+    instance = Instance.build({"R": 2}, facts)
+    return instance, parse_query("q :- R(x,y), R(y,z), R(z,w).", instance)
+
+
+def test_working_family_is_capped_by_the_tuples_it_holds(monkeypatch):
+    """On 24 chained two-cycles Berge's working family would double with
+    each of the first 24 members while making few tests per set; it is
+    refused on the tuples it would hold, long before the test cap (here the
+    cap is lowered to 20,000 tuples, to keep the test small)."""
+    monkeypatch.setattr(dbexplain.repairs, "MAX_HELD_TUPLES", 20_000)
+    instance, q = _two_cycle_chain(24)
+    assert len(instance) == 71
+    listings = (enumerate_mns, actual_causes, degrees, lambda i, q: enumerate_s_repairs(
+        i, denial_constraint_of(q), max_deletable=len(i)))
+    for listing in listings:
+        with pytest.raises(OracleBoundExceeded) as exc:
+            listing(instance, q)
+        tests, held = _counts(exc)
+        assert held > 20_000 and tests < 100_000, str(exc.value)
+
+
+def test_contingency_sets_are_refused_before_they_are_built():
+    """5 conflicts R(c), S(c) beside 1,000 tuples R(d) that each satisfy
+    the query with an exogenous S(d): 32 MNS of 1,005 tuples are listed,
+    but their contingency sets would hold about 32M tuples."""
+    facts = [Fact(f"{p}:c{i}", p, (f"c{i}",)) for i in range(5) for p in "RS"]
+    facts += [Fact(f"R:d{i}", "R", (f"d{i}",)) for i in range(1000)]
+    facts += [Fact(f"S:d{i}", "S", (f"d{i}",), endo=False) for i in range(1000)]
+    instance = Instance.build({"R": 1, "S": 1}, facts)
+    q = parse_query("q :- R(x), S(x).", instance)
+    assert [len(s.tuples) for s in enumerate_mns(instance, q)] == [1005] * 32
+    assert check_duality(instance, q).holds
+    for listing in (actual_causes, cause_repair_correspondence):
+        with pytest.raises(OracleBoundExceeded, match="contingency sets of 32 MNS"):
+            listing(instance, q)
+
+
+def test_duality_check_is_refused_before_its_first_test(monkeypatch):
+    """Testing 5 MSS against 32 MNS and back takes 320 tests; under a cap
+    lowered to 319 none is made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was tested")
+
+    instance = Instance.build({"R": 1, "S": 1}, [
+        Fact(f"{p}:c{i}", p, (f"c{i}",)) for i in range(5) for p in "RS"])
+    q = parse_query("q :- R(x), S(x).", instance)
+    monkeypatch.setattr(dbexplain.oracle, "MAX_TRANSVERSAL_TESTS", 319)
+    monkeypatch.setattr(dbexplain.oracle, "_is_minimal_hitting_set", refuse)
+    with pytest.raises(OracleBoundExceeded, match="320 intersection tests"):
+        check_duality(instance, q)
+
+
+def test_mns_product_is_refused_before_it_is_built(monkeypatch):
+    """At n = 100 the components' transversals are listed, but their
+    product, 2,008,395 MNS, is refused without building one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MNS were built")
+
+    instance, q = _scaling(100)
+    monkeypatch.setattr(itertools, "product", refuse)
+    with pytest.raises(OracleBoundExceeded, match="2,008,395 unions"):
+        enumerate_mns(instance, q)
+
+
+def _grid(rows: int, cols: int) -> tuple[Instance, Query]:
+    """Right and down edges over a rows x cols grid, corner to corner."""
+    facts = []
+    for r, c in itertools.product(range(rows), range(cols)):
+        for dr, dc in ((0, 1), (1, 0)):
+            if r + dr < rows and c + dc < cols:
+                facts.append(Fact(f"e{len(facts):02d}", "E",
+                                  (f"n{r}_{c}", f"n{r + dr}_{c + dc}")))
+    instance = Instance.build({"E": 2}, facts)
+    return instance, parse_query(f"q :- path(E, n0_0, n{rows - 1}_{cols - 1}).",
+                                 instance)
+
+
+def test_degrees_on_grid_paths():
+    """A 4 x 5 grid (31 edges, 35 paths) answers; a 6 x 7 grid (71 edges,
+    462 paths) trips the test cap."""
+    instance, q = _grid(4, 5)
+    assert len(instance) == 31
+    report = degrees(instance, q)
+    source = [f.tid for f in instance.facts if f.vals[0] == "n0_0"]
+    assert [report.eta(t) for t in source] == [Fraction(1, 2)] * 2
+    assert all(d.eta > 0 and d.sigma == Fraction(1, 7) for d in report.per_tuple.values())
+    instance, q = _grid(6, 7)
+    with pytest.raises(OracleBoundExceeded, match="intersection and subset tests"):
+        degrees(instance, q)
 
 
 def test_mss_enumerates_the_instance_once(monkeypatch):
@@ -171,10 +326,10 @@ def test_degrees_match_the_full_mns_list_across_components():
         *base.facts, Fact("S:z", "S", ("z",)),
         Fact("R:z,w", "R", ("z", "w"), endo=False), Fact("T:w", "T", ("w",), endo=False)])
     q = parse_query("q :- S(x), R(x,y), T(y).", instance)
-    mss = [s.tuples for s in enumerate_mss(instance, q, max_endo=41)]
+    mss = [s.tuples for s in enumerate_mss(instance, q)]
     mns = minimal_hitting_sets(mss)
     assert len(mns) == 729
-    report = degrees(instance, q, max_endo=41)
+    report = degrees(instance, q)
     for tid in sorted(instance.endogenous_part()):
         sizes = [len(s) for s in mns if tid in s]
         d = report.per_tuple[tid]

@@ -128,6 +128,17 @@ def test_repair_bound(srs_prime, q_srs):
         enumerate_s_repairs(srs_prime, denial_constraint_of(q_srs), max_deletable=3)
 
 
+def test_repair_listing_trips_the_union_cap():
+    """17 disjoint conflicts R(x), S(x) have 2^17 = 131,072 repairs, whose
+    removals would hold 2,228,224 tuples, past the cap; the deletable bound
+    is raised."""
+    inst = Instance.build({"R": 1, "S": 1}, [
+        Fact(f"{p}:c{i}", p, (f"c{i}",)) for i in range(17) for p in "RS"])
+    dc = denial_constraint_of(parse_query("q :- R(x), S(x).", inst))
+    with pytest.raises(OracleBoundExceeded, match="131,072 unions .* hold 2,228,224 tuples"):
+        enumerate_s_repairs(inst, dc, max_deletable=len(inst))
+
+
 def test_core_naive_seven_tuple_instance(srs_prime, q_srs):
     res = core_naive(srs_prime, denial_constraint_of(q_srs))
     assert sorted(res.tuples) == ["R:a,d", "R:e,f", "S:a"]
