@@ -48,7 +48,6 @@ from .oracle import (
     enumerate_mss,
 )
 from .query import (
-    DEFAULT_MAX_PATHS,
     Atom,
     BooleanCQ,
     Const,
@@ -93,7 +92,7 @@ __all__ = [
     # query engine
     "Var", "Const", "Atom", "BooleanCQ", "ReachabilityQuery", "Query",
     "Witness", "DenialConstraint", "parse_query", "evaluate",
-    "enumerate_witnesses", "denial_constraint_of", "DEFAULT_MAX_PATHS",
+    "enumerate_witnesses", "denial_constraint_of",
     # explanations
     "ExplanationSet", "DegreeReport", "TupleDegrees", "ContingencyReport",
     "verify_explanation", "is_sufficient", "is_necessary",

@@ -22,8 +22,7 @@ from . import fastpath, lineage, oracle, repairs
 from .errors import ExplainError
 from .explanations import frac_str
 from .model import Instance, load_instance, load_instance_csv
-from .query import (DEFAULT_MAX_PATHS, denial_constraint_of, enumerate_witnesses,
-                    evaluate, parse_query)
+from .query import denial_constraint_of, enumerate_witnesses, evaluate, parse_query
 
 __all__ = ["main", "run"]
 
@@ -48,13 +47,6 @@ def _sets(family) -> list[list[str]]:
     return [sorted(s.tuples) for s in family]
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="explain",
@@ -68,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-q", "--query", required=True,
                         help="query text, e.g. 'q :- S(x), R(x,y), S(y).'")
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--max-paths", type=_non_negative_int,
-                        default=DEFAULT_MAX_PATHS,
-                        help="simple-path enumeration bound")
 
     sub.add_parser("eval", parents=[common], help="evaluate the query")
     sub.add_parser("witnesses", parents=[common],
@@ -115,7 +104,7 @@ def _dispatch(args, instance: Instance, query) -> dict:
     if cmd == "eval":
         return {"satisfied": evaluate(query, instance)}
     if cmd == "witnesses":
-        wits = enumerate_witnesses(query, instance, max_paths=args.max_paths)
+        wits = enumerate_witnesses(query, instance)
         return {"witnesses": [
             {"tuples": sorted(w.tuples),
              "assignment": dict(sorted(w.assignment.items())) if w.assignment else None}
@@ -138,7 +127,7 @@ def _dispatch(args, instance: Instance, query) -> dict:
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)
             return {"mode": "chase", "set": sorted(got.tuples), "sigma": None}
-        family = oracle.enumerate_mss(instance, query, max_paths=args.max_paths)
+        family = oracle.enumerate_mss(instance, query)
         if args.tuple_id is not None:
             instance.fact(args.tuple_id)  # an unknown tid raises UnknownTupleId
             family = tuple(s for s in family if args.tuple_id in s)
@@ -147,13 +136,13 @@ def _dispatch(args, instance: Instance, query) -> dict:
             family = tuple(s for s in family if len(s) == least)
         return {"mode": "oracle", "sets": _sets(family)}
     if cmd == "mns":
-        family = oracle.enumerate_mns(instance, query, max_paths=args.max_paths)
+        family = oracle.enumerate_mns(instance, query)
         return {"sets": _sets(family)}
     if cmd == "degrees":
-        report = oracle.degrees(instance, query, max_paths=args.max_paths)
+        report = oracle.degrees(instance, query)
         return {"degrees": report.to_dict()}
     if cmd == "causes":
-        report = oracle.actual_causes(instance, query, max_paths=args.max_paths)
+        report = oracle.actual_causes(instance, query)
         return {"causes": report.to_dict()}
     if cmd == "repairs":
         listing = repairs.enumerate_c_repairs if args.cardinality \
@@ -174,12 +163,12 @@ def _dispatch(args, instance: Instance, query) -> dict:
             formula = lineage.eliminate_exogenous(formula, instance)
         return formula.to_dict()
     if cmd == "check-duality":
-        res = oracle.check_duality(instance, query, max_paths=args.max_paths)
+        res = oracle.check_duality(instance, query)
         return {"holds": res.holds,
                 "violations": [{"family": kind, "set": list(s), "reason": why}
                                for kind, s, why in res.violations]}
     if cmd == "check-correspondence":
-        res = oracle.cause_repair_correspondence(instance, query, max_paths=args.max_paths)
+        res = oracle.cause_repair_correspondence(instance, query)
         return {"holds": res.holds, "detail": res.detail}
     raise AssertionError(f"unhandled command {cmd!r}")
 

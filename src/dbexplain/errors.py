@@ -47,8 +47,9 @@ class OracleBoundExceeded(BoundExceeded):
 
 
 class PathBoundExceeded(BoundExceeded):
-    """Simple-path enumeration for a reachability query exceeded the
-    configured path-count bound."""
+    """The simple-path walk of a reachability query passed its cap on
+    paths kept or on nodes entered; the message names the quantity and
+    its value."""
 
 
 class UnsupportedQuery(ExplainError):

@@ -24,7 +24,9 @@ and query.
 
 No family is bounded by the size of the instance.  The minimal
 transversals, their contingency sets and the duality check, which can
-grow exponentially in |W|, run under the caps of :mod:`dbexplain.repairs`.
+grow exponentially in |W|, run under the caps of :mod:`dbexplain.repairs`;
+the simple-path walk that builds W for a reachability query runs under
+the caps of :mod:`dbexplain.query`.
 
 The families are right by construction, so they are returned as read
 off W; the test suite compares every family with an exhaustive subset
@@ -46,7 +48,6 @@ from .explanations import (
 )
 from .model import Instance
 from .query import (
-    DEFAULT_MAX_PATHS,
     BooleanCQ,
     Query,
     _antichain,
@@ -72,7 +73,7 @@ def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(s))
 
 
-def _mss(instance: Instance, query: Query, max_paths: int) -> list[frozenset[str]]:
+def _mss(instance: Instance, query: Query) -> list[frozenset[str]]:
     """The witness antichain W, i.e. the MSS family, ordered by tids.  A CQ
     is true iff its index has an image; listing paths can cost far more
     than finding one, so a reachability query is evaluated first."""
@@ -82,7 +83,7 @@ def _mss(instance: Instance, query: Query, max_paths: int) -> list[frozenset[str
         raise QueryNotSatisfied("the query is false in the instance")
     if cq:
         return sorted(index.antichain, key=_by_tids)
-    witnesses = enumerate_witnesses(query, instance, max_paths=max_paths)
+    witnesses = enumerate_witnesses(query, instance)
     endo = instance.endogenous_part()
     return sorted(_antichain(w.tuples & endo for w in witnesses), key=_by_tids)
 
@@ -98,24 +99,21 @@ def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
 # ---------------------------------------------------------------------------
 # families
 
-def enumerate_mss(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
+def enumerate_mss(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
     """All minimal sufficient sets (subsets of the endogenous part)."""
-    return tuple(ExplanationSet("MSS", s) for s in _mss(instance, query, max_paths))
+    return tuple(ExplanationSet("MSS", s) for s in _mss(instance, query))
 
 
-def enumerate_mns(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
+def enumerate_mns(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
     """All minimal necessary sets; empty when no endogenous deletion can
     falsify the query (e.g. the exogenous part alone satisfies it)."""
-    return tuple(ExplanationSet("MNS", s) for s in _mns(_mss(instance, query, max_paths)))
+    return tuple(ExplanationSet("MNS", s) for s in _mns(_mss(instance, query)))
 
 
 # ---------------------------------------------------------------------------
 # degrees
 
-def degrees(instance: Instance, query: Query, *,
-            max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
+def degrees(instance: Instance, query: Query) -> DegreeReport:
     """Exact necessity/sufficiency/responsibility degrees per tuple.
 
     Exogenous tuples get zero degrees: they are members of no necessary or
@@ -128,7 +126,7 @@ def degrees(instance: Instance, query: Query, *,
     in every MNS exactly when {t} is a member (see :mod:`dbexplain.repairs`),
     that is, when sigma(t) = 1.
     """
-    mss = _mss(instance, query, max_paths)
+    mss = _mss(instance, query)
     parts = [] if frozenset() in mss else _component_transversals(mss)
     least = sum(len(p[0]) for p in parts)
     eta_of: dict[str, Fraction] = {}
@@ -166,14 +164,13 @@ def _contingencies(mns: list[frozenset[str]]) -> dict[str, tuple[frozenset[str],
     return {tid: tuple(sorted(through[tid], key=_by_tids)) for tid in sorted(through)}
 
 
-def actual_causes(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
+def actual_causes(instance: Instance, query: Query) -> ContingencyReport:
     """Actual causes with their subset-minimal contingency sets.
 
     t is an actual cause when some contingency set G (endogenous, t not in
     G) leaves the query true but removing t on top falsifies it.
     """
-    mns = _mns(_mss(instance, query, max_paths))
+    mns = _mns(_mss(instance, query))
     return ContingencyReport(contingencies=_contingencies(mns))
 
 
@@ -199,12 +196,11 @@ def _is_minimal_hitting_set(s: frozenset[str], family: list[frozenset[str]]) -> 
     return f"not minimal: {redundant[0]} is redundant" if redundant else None
 
 
-def check_duality(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> DualityResult:
+def check_duality(instance: Instance, query: Query) -> DualityResult:
     """Each MSS must be a minimal hitting set of the MNS family and vice versa;
     the certificate names each offending set.  Past MAX_TRANSVERSAL_TESTS
     intersections of a set with a member of the other family, none is made."""
-    mss = _mss(instance, query, max_paths)
+    mss = _mss(instance, query)
     mns = _mns(mss)
     if (tests := 2 * len(mss) * len(mns)) > MAX_TRANSVERSAL_TESTS:
         raise OracleBoundExceeded(f"{tests:,} intersection tests of the duality check "
@@ -221,8 +217,8 @@ class CorrespondenceResult:
     detail: dict
 
 
-def cause_repair_correspondence(instance: Instance, query: Query, *,
-                                max_paths: int = DEFAULT_MAX_PATHS) -> CorrespondenceResult:
+def cause_repair_correspondence(instance: Instance,
+                                query: Query) -> CorrespondenceResult:
     """Cross-check causes against endogenous-deletion repairs.
 
     (a) {G + {t} : t actual cause, G minimal contingency} must equal the
@@ -236,7 +232,7 @@ def cause_repair_correspondence(instance: Instance, query: Query, *,
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("repairs are defined via the denial constraint "
                                "of a Boolean conjunctive query")
-    mns = _mns(_mss(instance, query, max_paths))
+    mns = _mns(_mss(instance, query))
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded, RepairNotFound
 from .model import Instance
-from .query import DenialConstraint, _antichain, _minimal_members, _witness_index
+from .query import DenialConstraint, _antichain, _witness_index
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
@@ -155,19 +155,21 @@ def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
 
 def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
                max_deletable: int) -> list[frozenset[str]]:
-    """The deletable part of each violation; none for a consistent instance."""
+    """The minimal deletable parts of the violations, read off the witness
+    index: W when only endogenous tuples may go, else the minimal
+    witnesses; none for a consistent instance."""
     deletable = instance.endogenous_part() if endogenous_only else instance.tids()
     if len(deletable) > max_deletable:
         raise OracleBoundExceeded(
             f"{len(deletable)} deletable tuples exceed the bound {max_deletable}; "
             "raise max_deletable explicitly for larger inputs")
-    witnesses = _witness_index(dc.body, instance).minimal
-    for w in witnesses:
-        if not w & deletable:
-            raise RepairNotFound(
-                f"violation {sorted(w)} cannot be resolved by deleting "
-                "endogenous tuples only")
-    return [w & deletable for w in witnesses]
+    index = _witness_index(dc.body, instance)
+    conflicts = index.antichain if endogenous_only else index.minimal
+    if frozenset() in conflicts:
+        w = next(w for w in index.minimal if not w & deletable)
+        raise RepairNotFound(f"violation {sorted(w)} cannot be resolved by deleting "
+                             "endogenous tuples only")
+    return list(conflicts)
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
@@ -206,7 +208,6 @@ def core_naive(instance: Instance, dc: DenialConstraint, *,
     """Repair core, the intersection over all subset-repairs: D less the
     union of the minimal conflicts, which is the union of their minimal
     hitting sets, the repairs' removals."""
-    conflicts = _minimal_members(set(
-        _conflicts(instance, dc, endogenous_only, max_deletable)))
+    conflicts = _conflicts(instance, dc, endogenous_only, max_deletable)
     return CoreResult(tuples=instance.tids() - frozenset().union(*conflicts),
                       method="naive-intersection")

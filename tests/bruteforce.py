@@ -40,7 +40,6 @@ from typing import Sequence
 
 from dbexplain import (
     BooleanCQ,
-    DEFAULT_MAX_PATHS,
     ContingencyReport,
     DegreeReport,
     ExplanationSet,
@@ -78,13 +77,12 @@ def _endo_order(instance: Instance) -> list[str]:
     return endo
 
 
-def _witness_masks(instance: Instance, query: Query, endo: Sequence[str],
-                   max_paths: int) -> list[int]:
+def _witness_masks(instance: Instance, query: Query, endo: Sequence[str]) -> list[int]:
     """Endogenous projections of the minimal witnesses, as an antichain of
     bitmasks over the given tid order."""
     pos = {tid: i for i, tid in enumerate(endo)}
     masks = set()
-    for w in enumerate_witnesses(query, instance, max_paths=max_paths):
+    for w in enumerate_witnesses(query, instance):
         masks.add(sum(1 << pos[t] for t in w.tuples if t in pos))
     ordered = sorted(masks, key=lambda m: (bin(m).count("1"), m))
     kept: list[int] = []
@@ -124,24 +122,22 @@ def _to_tids(mask: int, endo: Sequence[str]) -> frozenset[str]:
     return frozenset(endo[i] for i in range(len(endo)) if mask >> i & 1)
 
 
-def _family(instance: Instance, query: Query, mode: str, *,
-            max_paths: int) -> tuple[list[str], list[frozenset[str]]]:
+def _family(instance: Instance, query: Query,
+            mode: str) -> tuple[list[str], list[frozenset[str]]]:
     _require_satisfied(instance, query)
     endo = _endo_order(instance)
-    masks = _witness_masks(instance, query, endo, max_paths)
+    masks = _witness_masks(instance, query, endo)
     fam = [_to_tids(m, endo) for m in _scan_minimal(len(endo), masks, mode)]
     return endo, sorted(fam, key=lambda s: tuple(sorted(s)))
 
 
-def enumerate_mss(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
-    _, fam = _family(instance, query, "suff", max_paths=max_paths)
+def enumerate_mss(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
+    _, fam = _family(instance, query, "suff")
     return tuple(ExplanationSet("MSS", s) for s in fam)
 
 
-def enumerate_mns(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> tuple[ExplanationSet, ...]:
-    _, fam = _family(instance, query, "nec", max_paths=max_paths)
+def enumerate_mns(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
+    _, fam = _family(instance, query, "nec")
     return tuple(ExplanationSet("MNS", s) for s in fam)
 
 
@@ -159,11 +155,10 @@ def _rho_single(masks: list[int], n: int, t: int) -> Fraction:
     return Fraction(0)
 
 
-def degrees(instance: Instance, query: Query, *,
-            max_paths: int = DEFAULT_MAX_PATHS) -> DegreeReport:
+def degrees(instance: Instance, query: Query) -> DegreeReport:
     _require_satisfied(instance, query)
     endo = _endo_order(instance)
-    masks = _witness_masks(instance, query, endo, max_paths)
+    masks = _witness_masks(instance, query, endo)
     n = len(endo)
     mss = _scan_minimal(n, masks, "suff")
     mns = _scan_minimal(n, masks, "nec")
@@ -188,11 +183,10 @@ def degrees(instance: Instance, query: Query, *,
     return DegreeReport(per_tuple=per)
 
 
-def actual_causes(instance: Instance, query: Query, *,
-                  max_paths: int = DEFAULT_MAX_PATHS) -> ContingencyReport:
+def actual_causes(instance: Instance, query: Query) -> ContingencyReport:
     _require_satisfied(instance, query)
     endo = _endo_order(instance)
-    masks = _witness_masks(instance, query, endo, max_paths)
+    masks = _witness_masks(instance, query, endo)
     n = len(endo)
     full = (1 << n) - 1
     report: dict[str, tuple[frozenset[str], ...]] = {}

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dbexplain import Instance, load_instance, parse_query
+from dbexplain import Fact, Instance, load_instance, parse_query
 
 DATA = Path(__file__).parent / "data"
 
@@ -15,6 +15,18 @@ def data_path(name: str) -> Path:
 
 def inst(name: str) -> Instance:
     return load_instance(DATA / name)
+
+
+def ladder(rungs: int) -> Instance:
+    """s -> x -> t, and from x a ladder of two-node levels, each node
+    joined to both nodes of the next level, whose last level leads back to
+    x only: one simple path, but the walk enters 2^(rungs + 1) - 1 nodes."""
+    edges = [("s", "x"), ("x", "t"), ("x", "a1"), ("x", "b1")]
+    for i in range(1, rungs):
+        edges += [(u, f"{v}{i + 1}") for u in (f"a{i}", f"b{i}") for v in "ab"]
+    edges += [(f"a{rungs}", "x"), (f"b{rungs}", "x")]
+    return Instance.build({"E": 2}, [Fact(f"e{i:03d}", "E", e)
+                                     for i, e in enumerate(edges)])
 
 
 @pytest.fixture

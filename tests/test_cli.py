@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import dbexplain.query
 from dbexplain.cli import run
 from dbexplain.synth import SCALING_QUERY_TEXT, scaling_instance
 
-from conftest import data_path
+from conftest import data_path, ladder
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/dbexplain/schemas/report.schema.json")
@@ -247,19 +248,13 @@ def test_usage_error_exit_code(capsys):
         run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
              "--jobs", "2"])
     assert exc.value.code == 2
-    for bad in ("-1", "abc"):
+    # the endogenous part and the path walk have fixed caps, so no flags
+    for flag in (f"--max-{bound}" for bound in ("endo", "paths")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
-                 "--max-paths", bad])
+            run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS, flag, "5"])
         assert exc.value.code == 2
-        assert "--max-paths" in capsys.readouterr().err
-    # the endogenous part has no bound, so there is no flag for one
-    with pytest.raises(SystemExit) as exc:
-        run(["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS,
-             "--max-endo", "40"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-endo" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_mss_tuple_rejects_an_unknown_tid(capsys):
@@ -280,6 +275,22 @@ def test_transversal_cap_is_a_semantic_error(capsys, tmp_path):
     assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
     assert doc["error"]["type"] == "OracleBoundExceeded"
     assert "intersection and subset tests" in doc["error"]["message"]
+
+
+def test_path_walk_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):
+    """A path walk that enters more nodes than its cap exits 1 with a
+    payload naming the count, though the query has one simple path."""
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder(10).to_dict()))
+    argv = ["witnesses", "-i", str(path), "-q", "q :- path(E, s, t)."]
+    code, doc, _ = invoke(capsys, *argv)
+    assert code == 0 and [w["tuples"] for w in doc["result"]["witnesses"]] == \
+        [["e000", "e001"]]
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 2046)
+    code, doc, out = invoke(capsys, *argv)
+    assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
+    assert doc["error"] == {"type": "PathBoundExceeded", "message":
+                            "the simple-path walk entered 2,047 nodes, past the cap 2,046"}
 
 
 def test_unreadable_instance_files_are_format_errors(capsys, tmp_path):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
+import re
+import time
 from collections import Counter
 import weakref
 
@@ -34,7 +37,7 @@ from dbexplain.query import _antichain, _assignments, _minimal_members, _witness
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
-from conftest import tids
+from conftest import ladder, tids
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +103,45 @@ def test_printed_queries_parse_back(g_routes, g_diamond, srs_prime, rt_small,
 def test_parse_errors(srs_prime, text, err):
     with pytest.raises(err):
         parse_query(text, srs_prime)
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("q :- S(x). \t\n", [("word", "q", 0), ("entail", ":-", 2), ("word", "S", 5),
+                         ("(", "(", 6), ("word", "x", 7), (")", ")", 8), (".", ".", 9)]),
+    (" 'a b' \u00a0\u2003", [("const", "a b", 1)]),
+    ("\n \r", []),
+])
+def test_tokens_stop_at_trailing_blanks(text, tokens):
+    assert dbexplain.query._tokenize(text) == tokens
+
+
+@pytest.mark.parametrize("text,message", [
+    ("q :- S(x)?. ", "unexpected character '?' at offset 9"),
+    ("q :- S(x).?\u00a0 ", "unexpected character '?' at offset 10"),
+])
+def test_syntax_errors_name_their_offset(text, message):
+    with pytest.raises(QuerySyntaxError, match=re.escape(message)):
+        dbexplain.query._tokenize(text)
+
+
+def test_tokenizing_takes_linear_time():
+    """Trailing blanks are found once, not by copying the rest of the text
+    at every token, which made the time grow with the square of its length."""
+    sizes = [4000, 8000, 16000]
+    times = []
+    for n in sizes:
+        text = "q :- " + ", ".join(f"R(x{i}, 'c {i}')" for i in range(n)) + ".  \n"
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            dbexplain.query._tokenize(text)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    xs, ys = [math.log(n) for n in sizes], [math.log(t) for t in times]
+    xbar, ybar = sum(xs) / 3, sum(ys) / 3
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    assert slope <= 1.4, f"log-log slope {slope:.2f}, times {times}"
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +212,25 @@ def test_self_join_witness_smaller_than_atom_count(srs_prime, q_srs):
     assert sizes == [2, 3]  # one witness reuses a tuple across two atoms
 
 
-def test_path_bound_exceeded(g_routes, q_path_ab):
-    with pytest.raises(PathBoundExceeded):
-        enumerate_witnesses(q_path_ab, g_routes, max_paths=2)
+def test_path_bound_exceeded(g_routes, q_path_ab, monkeypatch):
+    monkeypatch.setattr(dbexplain.query, "MAX_PATHS", 2)
+    with pytest.raises(PathBoundExceeded, match="3 simple paths pass the cap 2"):
+        enumerate_witnesses(q_path_ab, g_routes)
+
+
+def test_path_walk_is_capped_by_the_nodes_it_enters(monkeypatch):
+    """The path count never trips on a ladder, so the walk is bounded by
+    the nodes it enters, exactly: 2,047 for 10 rungs."""
+    instance, q = ladder(10), ReachabilityQuery("E", "s", "t")
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 2047)
+    assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == \
+        [["e000", "e001"]]
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 2046)
+    tripped = "entered 2,047 nodes, past the cap 2,046"
+    with pytest.raises(PathBoundExceeded, match=tripped):
+        enumerate_witnesses(q, instance)
+    with pytest.raises(PathBoundExceeded, match=tripped):
+        enumerate_mss(instance, q)
 
 
 def _random_digraph(rng: random.Random) -> tuple[Instance, str]:
@@ -184,7 +242,7 @@ def _random_digraph(rng: random.Random) -> tuple[Instance, str]:
                                      for u, v in edges]), nodes
 
 
-def test_path_witnesses_match_bruteforce():
+def test_path_witnesses_match_bruteforce(monkeypatch):
     """The simple paths equal the judge's scan of the edge subsets, in
     order, and the path bound trips exactly past the path count."""
     rng = random.Random(13)
@@ -199,9 +257,12 @@ def test_path_witnesses_match_bruteforce():
             (sorted(instance.tids()), q)
         count = len(expected)
         if count:
-            assert len(enumerate_witnesses(q, instance, max_paths=count)) == count
-            with pytest.raises(PathBoundExceeded):
-                enumerate_witnesses(q, instance, max_paths=count - 1)
+            with monkeypatch.context() as m:
+                m.setattr(dbexplain.query, "MAX_PATHS", count)
+                assert len(enumerate_witnesses(q, instance)) == count
+                m.setattr(dbexplain.query, "MAX_PATHS", count - 1)
+                with pytest.raises(PathBoundExceeded):
+                    enumerate_witnesses(q, instance)
         loops = {f.vals[0] for f in instance.facts if f.vals[0] == f.vals[1]}
         seen["cycle through the source"] += q.source == q.target and \
             any(len(p) > 1 for p in expected)

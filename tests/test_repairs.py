@@ -24,7 +24,7 @@ from dbexplain import (
 )
 import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
-from dbexplain.repairs import _component_transversals, _components
+from dbexplain.repairs import _component_transversals, _components, _conflicts
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -119,8 +119,17 @@ def test_endogenous_only_mode(srs_prime, q_srs):
 def test_endogenous_only_mode_unrepairable():
     inst = Instance.build({"R": 1}, [Fact("r1", "R", ("a",), endo=False)])
     q = parse_query("q :- R(x).", inst)
-    with pytest.raises(RepairNotFound):
+    with pytest.raises(RepairNotFound, match=r"violation \['r1'\] cannot be resolved"):
         enumerate_s_repairs(inst, denial_constraint_of(q), endogenous_only=True)
+
+
+def test_conflicts_are_the_witness_index_antichains(srs_prime_exoR, q_srs):
+    """The conflicts are read off the index, not projected again: W when
+    only endogenous tuples may go, else the minimal witnesses."""
+    dc, index = denial_constraint_of(q_srs), _witness_index(q_srs, srs_prime_exoR)
+    assert _conflicts(srs_prime_exoR, dc, True, 20) == list(index.antichain)
+    assert _conflicts(srs_prime_exoR, dc, False, 20) == list(index.minimal)
+    assert len(index.antichain) < len(index.minimal)
 
 
 def test_repair_bound(srs_prime, q_srs):
