@@ -41,15 +41,16 @@ class BoundExceeded(ExplainError):
 
 
 class OracleBoundExceeded(BoundExceeded):
-    """A listing of minimal hitting sets, or a check on one, passed its cap
-    on tests or on tuples held, or a repair request has more deletable
-    tuples than its bound; the message names the quantity and its value."""
+    """A listing of minimal hitting sets, a minimum-size search, or a check
+    on one, passed its cap on tests or on tuples held, or a repair request
+    has more deletable tuples than its bound; the message names the
+    quantity and its value."""
 
 
 class PathBoundExceeded(BoundExceeded):
     """The simple-path walk of a reachability query passed its cap on
-    paths kept or on nodes entered; the message names the quantity and
-    its value."""
+    paths kept, on nodes entered or on tuples in the paths kept; the
+    message names the quantity and its value."""
 
 
 class UnsupportedQuery(ExplainError):

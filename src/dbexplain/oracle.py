@@ -14,8 +14,10 @@ and query.
   and there is no MNS.
 * Degrees: eta(t) = 1/min{|N| : N an MNS, t in N} (0 when t is in no MNS)
   and sigma(t) likewise over the MSS.  An MNS is the union of one minimal
-  transversal per connected component of W, so eta is read off the
-  components' transversals without listing the MNS.  The responsibility
+  transversal per connected component of W, so eta needs only the least
+  size of each component's transversals and of those through t in t's
+  component, which a minimum-size search finds without listing any
+  transversal family (see :mod:`dbexplain.repairs`).  The responsibility
   rho(t) = 1/(1+|G|) for the smallest contingency set G equals eta(t).
   The subset-minimal contingency sets of t are the sets N - {t} for the
   MNS N through t (Bertossi & Salimi, "From causes for database queries
@@ -23,8 +25,9 @@ and query.
   exact rationals.
 
 No family is bounded by the size of the instance.  The minimal
-transversals, their contingency sets and the duality check, which can
-grow exponentially in |W|, run under the caps of :mod:`dbexplain.repairs`;
+transversals, their contingency sets, the search for eta and the
+duality check, which can take time exponential in |W|, run under the
+caps of :mod:`dbexplain.repairs`;
 the simple-path walk that builds W for a reachability query runs under
 the caps of :mod:`dbexplain.query`.
 
@@ -48,6 +51,7 @@ from .explanations import (
 )
 from .model import Instance
 from .query import (
+    MAX_HELD_TUPLES,
     BooleanCQ,
     Query,
     _antichain,
@@ -56,8 +60,8 @@ from .query import (
     enumerate_witnesses,
     evaluate,
 )
-from .repairs import (MAX_HELD_TUPLES, MAX_TRANSVERSAL_TESTS, _component_transversals,
-                      enumerate_s_repairs, minimal_hitting_sets)
+from .repairs import (MAX_TRANSVERSAL_TESTS, _least_transversals_through, enumerate_s_repairs,
+                      minimal_hitting_sets)
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -119,21 +123,18 @@ def degrees(instance: Instance, query: Query) -> DegreeReport:
     Exogenous tuples get zero degrees: they are members of no necessary or
     sufficient set by definition.  Strong flags mean membership in every
     MNS (resp. every MSS), with an empty family counting as not strong.
-    eta comes from the minimal transversals of each connected component
-    of W, without listing the MNS: an MNS joins one per component, so the
+    eta comes from least transversal sizes per connected component of W,
+    without listing the MNS: an MNS joins one per component, so the
     smallest through t takes the smallest through t in t's component and
     the other components' minima.  Both strong flags are read off W: t is
     in every MNS exactly when {t} is a member (see :mod:`dbexplain.repairs`),
     that is, when sigma(t) = 1.
     """
     mss = _mss(instance, query)
-    parts = [] if frozenset() in mss else _component_transversals(mss)
-    least = sum(len(p[0]) for p in parts)
-    eta_of: dict[str, Fraction] = {}
-    for part in parts:
-        for s in part:  # ascending size: the first set through t is smallest
-            for tid in s:
-                eta_of.setdefault(tid, Fraction(1, least - len(part[0]) + len(s)))
+    parts = [] if frozenset() in mss else _least_transversals_through(mss)
+    least = sum(size for size, _ in parts)
+    eta_of = {tid: Fraction(1, least - size + through)
+              for size, part in parts for tid, through in part.items()}
     sigma_of: dict[str, Fraction] = {}
     for s in sorted(mss, key=len):
         for tid in s:

@@ -43,6 +43,10 @@ __all__ = [
 # enters (with CPython 3.11 on x86-64, 2M entries take about 1-2 s).
 MAX_PATHS = 100_000
 MAX_PATH_STEPS = 2_000_000
+# The tuples that the sets one listing keeps may hold: the walk's paths
+# here, the transversal searches' sets in :mod:`dbexplain.repairs` (2M
+# tuples in frozensets take 50-200 MB).
+MAX_HELD_TUPLES = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +144,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
+            pos = len(text) - len(text[pos:].lstrip())
             raise QuerySyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
         if m.lastgroup == "entail":
             tokens.append(("entail", ":-", m.start("entail")))
@@ -376,12 +381,13 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozense
     the stack; the target is checked first, so cycles through a source
     that is the target count.  Each node entered costs a scan of its
     edges, so a walk with few paths can still take exponential time: past
-    MAX_PATHS paths kept or MAX_PATH_STEPS nodes entered the call raises."""
+    MAX_PATHS paths kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES
+    tuples in the paths kept the call raises."""
     by_src: dict[str, list[Fact]] = {}
     for f in instance.relation(query.edge_pred):
         by_src.setdefault(f.vals[0], []).append(f)
     paths: list[frozenset[str]] = []
-    visited, nodes, edges, steps = {query.source}, [], [], 0
+    visited, nodes, edges, steps, held = {query.source}, [], [], 0, 0
     stack = [iter(by_src.get(query.source, ()))]
     while stack:
         f = next(stack[-1], None)
@@ -393,6 +399,10 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozense
             continue
         nxt = f.vals[1]
         if nxt == query.target:
+            held += len(edges) + 1
+            if held > MAX_HELD_TUPLES:
+                raise PathBoundExceeded(f"{len(paths) + 1:,} simple paths would hold "
+                                        f"{held:,} tuples, past the cap {MAX_HELD_TUPLES:,}")
             paths.append(frozenset((*edges, f.tid)))
             if len(paths) > MAX_PATHS:
                 raise PathBoundExceeded(

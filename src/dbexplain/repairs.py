@@ -9,13 +9,18 @@ check in the test suite.
 
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
-connected), so the search runs on each component alone, and the
-cardinality repairs join the components' minimum-size ones.  Within a
+connected), so the search runs on each component alone.  Within a
 component Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter &
 Gottlob, SIAM J. Comput. 1995) extends the minimal hitting sets of the
-members seen so far by one member at a time.
+members seen so far by one member at a time; it serves where the whole
+family is the answer (the subset-repairs, and the MNS and causes of
+:mod:`dbexplain.oracle`).  Minimum-size questions need no such list: the
+cardinality repairs join each component's minimum-size hitting sets,
+and eta reads least sizes, both from a branch-and-bound search over the
+component's members as bitmasks.  A hitting set of least size is
+minimal, so the search makes no minimality test.
 
-Dualization can list exponentially many sets, so a listing raises
+Both searches can take exponential time, so one call raises
 OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
 tuples held; every function here also refuses more than ``max_deletable``
 deletable tuples (20 by default).
@@ -38,21 +43,23 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import OracleBoundExceeded, RepairNotFound
 from .model import Instance
-from .query import DenialConstraint, _antichain, _witness_index
+from .query import MAX_HELD_TUPLES, DenialConstraint, _antichain, _witness_index
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
     "enumerate_s_repairs", "enumerate_c_repairs", "core_naive",
 ]
 
-# Caps of one listing (with CPython 3.11 on x86-64, 10M tests take 0.3-3.5 s
-# and 2M tuples in frozensets 50-200 MB), and the default deletable bound.
+# The test cap of one listing (with CPython 3.11 on x86-64, 10M tests take
+# 0.3-3.5 s; the tuples held are capped by query.MAX_HELD_TUPLES), and the
+# default deletable bound.
 MAX_TRANSVERSAL_TESTS = 10_000_000
-MAX_HELD_TUPLES = 2_000_000
 DEFAULT_MAX_DELETABLE = 20
 
 
@@ -90,6 +97,12 @@ def _components(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
     return list(groups.values())
 
 
+def _refuse(tests: int, held: int, where: str) -> NoReturn:
+    raise OracleBoundExceeded(
+        f"{tests:,} intersection and subset tests and {held:,} tuples held, {where}, "
+        f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
+
+
 def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
     """The minimal hitting sets of each connected component of the family,
     each list ordered by (size, tids).  Per component, Berge's dualization:
@@ -111,25 +124,179 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
     for component in _components(family):
         hitting = [frozenset()]
         for s in component:
-            step = [h for h in hitting if h & s]
-            through = {t: [k for k in step if t in k] for t in s}
-            missed, kept = len(hitting) - len(step), sum(map(len, step))
-            tests += (len(hitting) + len(s) * len(step)
-                      + missed * (len(s) + sum(map(len, through.values()))))
-            held = kept + len(s) * (sum(map(len, hitting)) - kept + missed)
-            if tests > MAX_TRANSVERSAL_TESTS or held > MAX_HELD_TUPLES:
-                raise OracleBoundExceeded(
-                    f"{tests:,} intersection and subset tests and {held:,} tuples held, "
-                    f"at a member of {len(s)} tuples and {len(hitting):,} hitting sets, "
-                    f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
+            step, missed, kept, grow = [], [], 0, 0
             for h in hitting:
-                if not h & s:
-                    for t in s:
-                        grown = h | {t}
-                        if not any(k <= grown for k in through[t]):
-                            step.append(grown)
+                if h & s:
+                    step.append(h)
+                    kept += len(h)
+                else:
+                    missed.append(h)
+                    grow += len(h) + 1
+            through = {t: [k for k in step if t in k] for t in s}
+            tests += (len(hitting) + len(s) * len(step)
+                      + len(missed) * (len(s) + sum(map(len, through.values()))))
+            held = kept + len(s) * grow
+            if tests > MAX_TRANSVERSAL_TESTS or held > MAX_HELD_TUPLES:
+                _refuse(tests, held, f"at a member of {len(s)} tuples and "
+                                     f"{len(hitting):,} hitting sets")
+            for h in missed:
+                for t in s:
+                    grown = h | {t}
+                    if not any(k <= grown for k in through[t]):
+                        step.append(grown)
             hitting = step
         parts.append(sorted(hitting, key=lambda h: (len(h), sorted(h))))
+    return parts
+
+
+def _packing(members: list[int], room: int) -> int:
+    """How many of the members, taken in order, are disjoint from all those
+    taken before (a lower bound on the size of a hitting set), counted up
+    to room + 1."""
+    cover = count = 0
+    for m in members:
+        if not m & cover:
+            cover |= m
+            count += 1
+            if count > room:
+                break
+    return count
+
+
+class _Search:
+    """Branch and bound for hitting sets of families of bitmasks, counting
+    the member tests of one request against MAX_TRANSVERSAL_TESTS."""
+
+    def __init__(self) -> None:
+        self.tests = 0
+
+    def hitting_sets(self, members: list[int], size: int, first: bool) -> list[int]:
+        """The hitting sets of at most size tuples, or the first one found.
+
+        A node holds the tuples chosen and the members they miss, less the
+        banned tuples.  It branches on a missed member with the fewest
+        tuples left: the i-th child chooses its i-th tuple and bans the
+        ones before it, so each set is reached once.  A node is pruned when
+        its chosen tuples plus a packing of its missed members pass size.
+        Each node counts a test per member of its parent's list and per
+        member of its own; past the test cap, or when the sets found would
+        hold more than MAX_HELD_TUPLES tuples, the call raises."""
+        found: list[int] = []
+        tests, stack = self.tests, [(0, 0, members, 0, 0)]
+        while stack:
+            chosen, depth, missed, bit, ban = stack.pop()
+            tests += len(missed)
+            keep = ~ban
+            missed = [m & keep for m in missed if not m & bit]
+            if not missed:
+                found.append(chosen)
+                if first:
+                    break
+                if len(found) * size > MAX_HELD_TUPLES:
+                    self.tests = tests
+                    _refuse(tests, len(found) * size, f"with {len(found):,} hitting sets "
+                            f"of {size} tuples found among {len(members):,} members")
+                continue
+            tests += len(missed)
+            if tests > MAX_TRANSVERSAL_TESTS:
+                self.tests = tests
+                _refuse(tests, len(found) * size, f"in a search for hitting sets of "
+                        f"{size} tuples among {len(members):,} members")
+            if _packing(missed, size - depth) > size - depth:
+                continue
+            branch = min(missed, key=int.bit_count)
+            for low in _bits(branch):
+                stack.append((chosen | low, depth + 1, missed, low, branch & (low - 1)))
+        self.tests = tests
+        return found
+
+    def least(self, members: list[int], first: bool) -> tuple[int, list[int]]:
+        """The least size of a hitting set and the hitting sets of that size
+        (or the first one found), deepening the size from a packing; a
+        hitting set of the least size is minimal."""
+        self.tests += len(members)
+        size = _packing(members, len(members))
+        while not (found := self.hitting_sets(members, size, first)):
+            size += 1
+        return size, found
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _bitmask_components(family: list[frozenset[str]]) -> tuple[list[str], list[tuple[int, list[int]]]]:
+    """The tuples of a family of nonempty sets, sorted, and its connected
+    components as bitmasks over them: each the union of its members and
+    the members, fewest tuples first.  A union-find over the members links
+    each member to the first member through each of its tuples."""
+    tuples = sorted(frozenset().union(*family))
+    bit = {t: 1 << i for i, t in enumerate(tuples)}
+    root, first, masks = list(range(len(family))), {}, []
+    for i, s in enumerate(family):
+        m = 0
+        for t in s:
+            m |= bit[t]
+            j = first.setdefault(t, i)
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            root[j] = i
+        masks.append(m)
+    components: dict[int, list] = {}
+    for i, m in enumerate(masks):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        c = components.setdefault(i, [0, []])
+        c[0] |= m
+        c[1].append(m)
+    return tuples, [(cover, sorted(members, key=int.bit_count))
+                    for cover, members in components.values()]
+
+
+def _minimum_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+    """The minimum-size hitting sets of each connected component of an
+    antichain of distinct nonempty sets."""
+    search = _Search()
+    tuples, components = _bitmask_components(family)
+    return [[frozenset(tuples[b.bit_length() - 1] for b in _bits(h))
+             for h in search.least(members, first=False)[1]]
+            for _, members in components]
+
+
+def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int, dict[str, int]]]:
+    """Per connected component C of an antichain of distinct nonempty sets:
+    the least size m of a minimal hitting set of C, and for each tuple t
+    of C the least size of a minimal hitting set of C through t.
+
+    That size is 1 + g, for g the least size of a hitting set of
+    {M - S : M in C, t not in M} over the members S through t.  A least
+    such G meets no S, so G | {t} hits C, meets S in t alone, and meets
+    some M without t in each tuple of G alone: it is minimal.  Conversely
+    a minimal N through t meets some S in t alone, so N - {t} hits that
+    family for S.  As 1 + g >= m, g starts at m - 1 and stops at the
+    first size for which some S has a hitting set.  The sub-families count
+    a test per member they filter or build."""
+    search, parts = _Search(), []
+    tuples, components = _bitmask_components(family)
+    for cover, members in components:
+        least, _ = search.least(members, first=True)
+        through = {}
+        for bit in _bits(cover):
+            t = tuples[bit.bit_length() - 1]
+            others = [m for m in members if not m & bit]
+            subs = [[m & ~s for m in others] for s in members if s & bit]
+            search.tests += len(members) + len(subs) * len(others)
+            if search.tests > MAX_TRANSVERSAL_TESTS:
+                _refuse(search.tests, 0, f"building the families through {t}")
+            g = least - 1
+            while not any(search.hitting_sets(sub, g, first=True) for sub in subs):
+                g += 1
+            through[t] = 1 + g
+        parts.append((least, through))
     return parts
 
 
@@ -194,12 +361,10 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
-    parts = _component_transversals(
-        _conflicts(instance, dc, endogenous_only, max_deletable))
+    parts = _minimum_transversals(_conflicts(instance, dc, endogenous_only, max_deletable))
     all_tids = instance.tids()
     return tuple(Repair(kept=all_tids - r, removed=r, cardinality_minimal=True)
-                 for r in _unions([[s for s in p if len(s) == len(p[0])]
-                                   for p in parts]))
+                 for r in _unions(parts))
 
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,

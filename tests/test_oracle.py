@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from dbexplain import (
     verify_explanation,
 )
 from dbexplain.query import Query
-from dbexplain.repairs import MAX_HELD_TUPLES, MAX_TRANSVERSAL_TESTS
+from dbexplain.repairs import _component_transversals
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -105,14 +106,16 @@ def _counts(exc: pytest.ExceptionInfo) -> tuple[int, int]:
 
 def test_transversal_listing_trips_the_test_cap():
     """At n = 111 one component of W has 20 members and Berge's working
-    family outgrows the test cap; each call names the count that the next
-    step would reach, and refuses it."""
+    family outgrows the test cap; each listing names the count that the
+    next step would reach, and refuses it.  eta needs no listing."""
     instance, q = _scaling(111)
-    for listing in (enumerate_mns, actual_causes, degrees):
+    for listing in (enumerate_mns, actual_causes):
         with pytest.raises(OracleBoundExceeded) as exc:
             listing(instance, q)
-        tests, held = _counts(exc)
-        assert tests > MAX_TRANSVERSAL_TESTS and held <= MAX_HELD_TUPLES, listing.__name__
+        assert _counts(exc) == (10_243_960, 166_401), listing.__name__
+    etas = Counter(d.eta for d in degrees(instance, q).per_tuple.values())
+    assert etas == {0: 65, Fraction(1, 10): 22, Fraction(1, 11): 10,
+                    Fraction(1, 12): 7, Fraction(1, 13): 7}
 
 
 def _two_cycle_chain(k: int) -> tuple[Instance, Query]:
@@ -137,13 +140,15 @@ def test_working_family_is_capped_by_the_tuples_it_holds(monkeypatch):
     monkeypatch.setattr(dbexplain.repairs, "MAX_HELD_TUPLES", 20_000)
     instance, q = _two_cycle_chain(24)
     assert len(instance) == 71
-    listings = (enumerate_mns, actual_causes, degrees, lambda i, q: enumerate_s_repairs(
+    listings = (enumerate_mns, actual_causes, lambda i, q: enumerate_s_repairs(
         i, denial_constraint_of(q), max_deletable=len(i)))
     for listing in listings:
         with pytest.raises(OracleBoundExceeded) as exc:
             listing(instance, q)
-        tests, held = _counts(exc)
-        assert held > 20_000 and tests < 100_000, str(exc.value)
+        assert _counts(exc) == (6_141, 22_528), str(exc.value)
+    # as for 8 two-cycles, judged by Berge in test_eta_is_read_off_berges_listing
+    etas = Counter(d.eta for d in degrees(instance, q).per_tuple.values())
+    assert etas == {Fraction(1, 24): 26, Fraction(1, 25): 45}
 
 
 def test_contingency_sets_are_refused_before_they_are_built():
@@ -203,17 +208,48 @@ def _grid(rows: int, cols: int) -> tuple[Instance, Query]:
 
 
 def test_degrees_on_grid_paths():
-    """A 4 x 5 grid (31 edges, 35 paths) answers; a 6 x 7 grid (71 edges,
-    462 paths) trips the test cap."""
+    """A 4 x 5 grid (31 edges, 35 paths) and a 5 x 5 grid (40 edges, 70
+    paths) answer; a 6 x 7 grid (71 edges, 462 paths) trips the test cap."""
     instance, q = _grid(4, 5)
     assert len(instance) == 31
     report = degrees(instance, q)
     source = [f.tid for f in instance.facts if f.vals[0] == "n0_0"]
     assert [report.eta(t) for t in source] == [Fraction(1, 2)] * 2
     assert all(d.eta > 0 and d.sigma == Fraction(1, 7) for d in report.per_tuple.values())
+    instance, q = _grid(5, 5)
+    etas = Counter(d.eta for d in degrees(instance, q).per_tuple.values())
+    assert etas == {Fraction(1, 2): 4, Fraction(1, 3): 8, Fraction(1, 4): 12,
+                    Fraction(1, 5): 16}
     instance, q = _grid(6, 7)
     with pytest.raises(OracleBoundExceeded, match="intersection and subset tests"):
         degrees(instance, q)
+
+
+def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
+    """eta read off Berge's transversals of each component: the smallest
+    through t in t's component, plus the other components' minima."""
+    parts = _component_transversals(mss)
+    least = sum(len(part[0]) for part in parts)
+    eta: dict[str, Fraction] = {}
+    for part in parts:
+        for s in part:
+            for tid in s:
+                eta.setdefault(tid, Fraction(1, least - len(part[0]) + len(s)))
+    return eta
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: _scaling(n) for n in (60, 100, 109, 120, 200)),
+    lambda: _grid(4, 5), lambda: _two_cycle_chain(8)],
+    ids=["n60", "n100", "n109", "n120", "n200", "grid4x5", "two-cycles8"])
+def test_eta_is_read_off_berges_listing(make):
+    """eta by the minimum-size search equals eta read off the full
+    listing, where the listing finishes (at n = 109 it makes 6.5M tests)."""
+    instance, q = make()
+    eta = _eta_by_listing([s.tuples for s in enumerate_mss(instance, q)])
+    report = degrees(instance, q)
+    for tid in sorted(instance.tids()):
+        assert report.eta(tid) == eta.get(tid, 0), tid
 
 
 def test_mss_enumerates_the_instance_once(monkeypatch):

@@ -23,6 +23,8 @@ from dbexplain import (
 )
 from dbexplain.synth import planted_query, random_instance
 
+import bruteforce
+
 
 def _case(seed: int, *, exo_mode: str = "none", self_join: bool = False,
           n_atoms: int = 2):
@@ -80,6 +82,14 @@ def test_degrees_are_unit_fractions(seed):
     for d in rep.per_tuple.values():
         for value in (d.eta, d.sigma, d.rho):
             assert value == 0 or value.numerator == 1
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(deadline=None, max_examples=60)
+def test_degrees_equal_the_subset_scan(seed):
+    instance, q = _case(seed, exo_mode=("none", "tuples", "predicates")[seed % 3],
+                        self_join=seed % 2 == 0, n_atoms=1 + seed % 3)
+    assert degrees(instance, q) == bruteforce.degrees(instance, q)
 
 
 def test_witness_families_agree_with_mss_when_all_endogenous(srs_base):

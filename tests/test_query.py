@@ -118,6 +118,8 @@ def test_tokens_stop_at_trailing_blanks(text, tokens):
 @pytest.mark.parametrize("text,message", [
     ("q :- S(x)?. ", "unexpected character '?' at offset 9"),
     ("q :- S(x).?\u00a0 ", "unexpected character '?' at offset 10"),
+    ("q :- S(x) ? .", "unexpected character '?' at offset 10"),
+    ("q :-\u2003\t?", "unexpected character '?' at offset 6"),
 ])
 def test_syntax_errors_name_their_offset(text, message):
     with pytest.raises(QuerySyntaxError, match=re.escape(message)):
@@ -227,6 +229,28 @@ def test_path_walk_is_capped_by_the_nodes_it_enters(monkeypatch):
         [["e000", "e001"]]
     monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 2046)
     tripped = "entered 2,047 nodes, past the cap 2,046"
+    with pytest.raises(PathBoundExceeded, match=tripped):
+        enumerate_witnesses(q, instance)
+    with pytest.raises(PathBoundExceeded, match=tripped):
+        enumerate_mss(instance, q)
+
+
+def test_path_walk_is_capped_by_the_tuples_it_keeps(monkeypatch):
+    """A chain of 50 edges ending in 4 diamond levels has 16 paths of 58
+    edges, far below the path and node caps; they hold 928 tuples, so a
+    tuple cap of 927 refuses the 16th path before it is built."""
+    edges = [(f"c{i}", f"c{i + 1}") for i in range(50)]
+    level = "c50"
+    for i in range(4):
+        edges += [(level, f"u{i}"), (level, f"v{i}"), (f"u{i}", f"d{i}"), (f"v{i}", f"d{i}")]
+        level = f"d{i}"
+    instance = Instance.build({"E": 2}, [Fact(f"e{i:03d}", "E", e)
+                                         for i, e in enumerate(edges)])
+    q = ReachabilityQuery("E", "c0", "d3")
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 928)
+    assert [len(w.tuples) for w in enumerate_witnesses(q, instance)] == [58] * 16
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 927)
+    tripped = "16 simple paths would hold 928 tuples, past the cap 927"
     with pytest.raises(PathBoundExceeded, match=tripped):
         enumerate_witnesses(q, instance)
     with pytest.raises(PathBoundExceeded, match=tripped):

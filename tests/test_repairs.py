@@ -12,6 +12,7 @@ from dbexplain import (
     OracleBoundExceeded,
     RepairNotFound,
     core_naive,
+    degrees,
     denial_constraint_of,
     enumerate_c_repairs,
     enumerate_mns,
@@ -22,9 +23,11 @@ from dbexplain import (
     parse_query,
     verify_explanation,
 )
+import dbexplain.oracle
 import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
-from dbexplain.repairs import _component_transversals, _components, _conflicts
+from dbexplain.repairs import (_component_transversals, _components, _conflicts,
+                               _least_transversals_through, _minimum_transversals)
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -227,6 +230,22 @@ def test_component_transversals_match_bruteforce_per_component():
              for c in _components(_antichain(family))], family
 
 
+def test_minimum_transversals_are_the_least_of_berges():
+    """Per component, the branch-and-bound search finds exactly Berge's
+    transversals of least size, and the least size through each tuple."""
+    rng = random.Random(17)
+    for _ in range(300):
+        family = _antichain(_random_family(rng))
+        berge = sorted(_component_transversals(family), key=lambda part: sorted(part[0]))
+        least = [sorted(part, key=sorted) for part in _minimum_transversals(family)]
+        assert sorted(least, key=lambda part: sorted(part[0])) == \
+            [[s for s in part if len(s) == len(part[0])] for part in berge], family
+        through = [(len(part[0]), {t: min(len(s) for s in part if t in s)
+                                   for t in frozenset().union(*part)}) for part in berge]
+        assert sorted(_least_transversals_through(family), key=lambda part: min(part[1])) == \
+            sorted(through, key=lambda part: min(part[1])), family
+
+
 def test_component_transversals_are_dual_on_scaling_instances():
     """Per component of W, the minimal transversals of its minimal
     transversals are the component again: a check on families far beyond
@@ -370,3 +389,25 @@ def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
     instance = scaling_instance(105)
     dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, instance))
     assert len(core_naive(instance, dc, max_deletable=105).tuples) == 63
+
+
+def test_degrees_and_c_repairs_list_no_transversal_family(monkeypatch, srs_prime, q_srs):
+    """eta and the cardinality repairs come from the minimum-size search
+    alone: neither runs Berge's listing, which refuses n = 105 and 111 at
+    the test cap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Berge's listing ran")
+
+    monkeypatch.setattr(dbexplain.repairs, "_component_transversals", refuse)
+    monkeypatch.setattr(dbexplain.oracle, "_component_transversals", refuse, raising=False)
+    star = _star_instance((4, 3), 1, noise=3)
+    cases = [(srs_prime, q_srs),
+             (star, parse_query("q :- S(x), R(x,y), T(y).", star))]
+    for n in (105, 111):
+        instance = scaling_instance(n)
+        cases.append((instance, parse_query(SCALING_QUERY_TEXT, instance)))
+    for instance, q in cases:
+        dc = denial_constraint_of(q)
+        c_reps = enumerate_c_repairs(instance, dc, max_deletable=len(instance))
+        assert c_reps and all(r.cardinality_minimal for r in c_reps)
+        assert degrees(instance, q).per_tuple.keys() == instance.tids()
