@@ -9,21 +9,23 @@ check in the test suite.
 
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
-connected), so the search runs on each component alone.  Within a
-component Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter &
-Gottlob, SIAM J. Comput. 1995) extends the minimal hitting sets of the
-members seen so far by one member at a time; it serves where the whole
-family is the answer (the subset-repairs, and the MNS and causes of
+connected), so the search runs on each component alone, on bitmasks
+whose highest bit is the least tid: for n tuples, the integer key
+(popcount << n) - mask orders distinct sets by (size, tids), and the key
+of a union of disjoint parts is the sum of theirs.  Within a component
+Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter & Gottlob,
+SIAM J. Comput. 1995) extends the minimal hitting sets of the members
+seen so far by one member at a time; it serves where the whole family
+is the answer (the subset-repairs, and the MNS and causes of
 :mod:`dbexplain.oracle`).  Minimum-size questions need no such list: the
-cardinality repairs join each component's minimum-size hitting sets,
-and eta reads least sizes, both from a branch-and-bound search over the
-component's members as bitmasks.  A hitting set of least size is
-minimal, so the search makes no minimality test.
+cardinality repairs join each component's minimum-size hitting sets, and
+eta reads least sizes, both from a branch-and-bound search.  A hitting
+set of least size is minimal, so the search makes no minimality test.
 
 Both searches can take exponential time, so one call raises
 OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
-tuples held; every function here also refuses more than ``max_deletable``
-deletable tuples (20 by default).
+tuples held (also by the repairs' kept sets); every function here also
+refuses more than ``max_deletable`` deletable tuples (20 by default).
 
 The core needs no search.  In an antichain of nonempty sets, a tuple t
 of a member S lies in some minimal hitting set: the tuples outside S,
@@ -41,7 +43,6 @@ some violation is witnessed by exogenous tuples alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -78,39 +79,20 @@ class CoreResult:
     method: str
 
 
-def _components(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
-    """The connected components of a family of nonempty sets, by a
-    union-find over their elements, in order of first member."""
-    parent: dict[str, str] = {}
-
-    def find(t: str) -> str:
-        while parent.setdefault(t, t) != t:
-            parent[t] = t = parent[parent[t]]
-        return t
-
-    for s in family:
-        for t in s:
-            parent[find(t)] = find(min(s))
-    groups: dict[str, list[frozenset[str]]] = {}
-    for s in family:
-        groups.setdefault(find(min(s)), []).append(s)
-    return list(groups.values())
-
-
 def _refuse(tests: int, held: int, where: str) -> NoReturn:
     raise OracleBoundExceeded(
         f"{tests:,} intersection and subset tests and {held:,} tuples held, {where}, "
         f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
 
 
-def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+def _component_transversals(family: list[frozenset[str]]) -> tuple[list[str], list[list[int]]]:
     """The minimal hitting sets of each connected component of the family,
-    each list ordered by (size, tids).  Per component, Berge's dualization:
-    starting from the empty set, take the members in turn, keep each
-    hitting set that hits the member and grow each one that misses it by
-    each of its tuples; a loop, so no recursion.  A kept set is never
-    dominated, and grown sets are distinct and incomparable, so a grown
-    h | {t} is dropped only when it contains a kept set through t.
+    as _bitmask_components' tuples and masks.  Per component, Berge's
+    dualization: starting from the empty set, take the members in turn,
+    keep each hitting set that hits the member and grow each one that
+    misses it by each of its tuples; a loop, so no recursion.  A kept set
+    is never dominated, and grown sets are distinct and incomparable, so a
+    grown h | t is dropped only when it contains a kept set through t.
 
     Before the sets that miss a member grow, the step is counted: a test
     per hitting set, per kept set and tuple of the member, and, per missed
@@ -120,33 +102,37 @@ def _component_transversals(family: list[frozenset[str]]) -> list[list[frozenset
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
+    tuples, components = _bitmask_components(family)
     parts, tests = [], 0
-    for component in _components(family):
-        hitting = [frozenset()]
-        for s in component:
+    for _, members in components:
+        hitting = [0]
+        for s in members:
             step, missed, kept, grow = [], [], 0, 0
             for h in hitting:
                 if h & s:
                     step.append(h)
-                    kept += len(h)
+                    kept += h.bit_count()
                 else:
                     missed.append(h)
-                    grow += len(h) + 1
-            through = {t: [k for k in step if t in k] for t in s}
-            tests += (len(hitting) + len(s) * len(step)
-                      + len(missed) * (len(s) + sum(map(len, through.values()))))
-            held = kept + len(s) * grow
+                    grow += h.bit_count() + 1
+            through = {t: [k for k in step if k & t] for t in _bits(s)}
+            tests += (len(hitting) + len(through) * len(step)
+                      + len(missed) * (len(through) + sum(map(len, through.values()))))
+            held = kept + len(through) * grow
             if tests > MAX_TRANSVERSAL_TESTS or held > MAX_HELD_TUPLES:
-                _refuse(tests, held, f"at a member of {len(s)} tuples and "
+                _refuse(tests, held, f"at a member of {len(through)} tuples and "
                                      f"{len(hitting):,} hitting sets")
             for h in missed:
-                for t in s:
-                    grown = h | {t}
-                    if not any(k <= grown for k in through[t]):
+                for t, kept_through in through.items():
+                    grown = h | t
+                    for k in kept_through:
+                        if k & grown == k:
+                            break
+                    else:
                         step.append(grown)
             hitting = step
-        parts.append(sorted(hitting, key=lambda h: (len(h), sorted(h))))
-    return parts
+        parts.append(hitting)
+    return tuples, parts
 
 
 def _packing(members: list[int], room: int) -> int:
@@ -230,11 +216,12 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _bitmask_components(family: list[frozenset[str]]) -> tuple[list[str], list[tuple[int, list[int]]]]:
-    """The tuples of a family of nonempty sets, sorted, and its connected
-    components as bitmasks over them: each the union of its members and
-    the members, fewest tuples first.  A union-find over the members links
-    each member to the first member through each of its tuples."""
-    tuples = sorted(frozenset().union(*family))
+    """The tuples of a family of nonempty sets, descending, and its
+    connected components as bitmasks over them (bit i for tuples[i]): each
+    the union of its members and the members, fewest tuples first (a
+    stable sort).  A union-find over the members links each member to the
+    first member through each of its tuples."""
+    tuples = sorted(frozenset().union(*family), reverse=True)
     bit = {t: 1 << i for i, t in enumerate(tuples)}
     root, first, masks = list(range(len(family))), {}, []
     for i, s in enumerate(family):
@@ -257,14 +244,12 @@ def _bitmask_components(family: list[frozenset[str]]) -> tuple[list[str], list[t
                     for cover, members in components.values()]
 
 
-def _minimum_transversals(family: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+def _minimum_transversals(family: list[frozenset[str]]) -> tuple[list[str], list[list[int]]]:
     """The minimum-size hitting sets of each connected component of an
-    antichain of distinct nonempty sets."""
+    antichain of distinct nonempty sets, as tuples and masks."""
     search = _Search()
     tuples, components = _bitmask_components(family)
-    return [[frozenset(tuples[b.bit_length() - 1] for b in _bits(h))
-             for h in search.least(members, first=False)[1]]
-            for _, members in components]
+    return tuples, [search.least(members, first=False)[1] for _, members in components]
 
 
 def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int, dict[str, int]]]:
@@ -278,14 +263,15 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     some M without t in each tuple of G alone: it is minimal.  Conversely
     a minimal N through t meets some S in t alone, so N - {t} hits that
     family for S.  As 1 + g >= m, g starts at m - 1 and stops at the
-    first size for which some S has a hitting set.  The sub-families count
+    first size for which some S has a hitting set; the tuples of the
+    first minimum-size set found need no search.  The sub-families count
     a test per member they filter or build."""
     search, parts = _Search(), []
     tuples, components = _bitmask_components(family)
     for cover, members in components:
-        least, _ = search.least(members, first=True)
-        through = {}
-        for bit in _bits(cover):
+        least, (found,) = search.least(members, first=True)
+        through = {tuples[bit.bit_length() - 1]: least for bit in _bits(found)}
+        for bit in _bits(cover & ~found):
             t = tuples[bit.bit_length() - 1]
             others = [m for m in members if not m & bit]
             subs = [[m & ~s for m in others] for s in members if s & bit]
@@ -300,16 +286,22 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     return parts
 
 
-def _unions(parts: list[list[frozenset[str]]]) -> list[frozenset[str]]:
-    """One member per part, joined; ordered by (size, tids).  A member of a
-    part is in count / len(part) unions; none is built past MAX_HELD_TUPLES."""
+def _unions(tuples: list[str], parts: list[list[int]]) -> list[frozenset[str]]:
+    """One member per part of disjoint masks over the tuples, joined, in
+    (size, tids) order: by the sum of the members' keys.  A member of a part
+    is in count / len(part) unions; none is built past MAX_HELD_TUPLES.
+    Parts join fewest members first, one set union per partial union."""
     count = math.prod(map(len, parts))
-    held = sum(count // len(p) * sum(map(len, p)) for p in parts)
+    held = sum(count // len(p) * sum(map(int.bit_count, p)) for p in parts)
     if held > MAX_HELD_TUPLES:
         raise OracleBoundExceeded(f"{count:,} unions of per-component minimal hitting sets "
                                   f"would hold {held:,} tuples, past {MAX_HELD_TUPLES:,}")
-    return sorted((frozenset().union(*pick) for pick in itertools.product(*parts)),
-                  key=lambda s: (len(s), sorted(s)))
+    width, joined = len(tuples), [(0, frozenset())]
+    for part in sorted(parts, key=len):
+        part = [((m.bit_count() << width) - m,
+                 frozenset(tuples[b.bit_length() - 1] for b in _bits(m))) for m in part]
+        joined = [(key + k, union | s) for key, union in joined for k, s in part]
+    return [union for _, union in sorted(joined)]  # distinct keys: no set is compared
 
 
 def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
@@ -317,7 +309,7 @@ def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
     ordered by (size, tids): the unions of one minimal hitting set per
     connected component.  The empty family has the empty set as its sole
     hitting set."""
-    return _unions(_component_transversals(family))
+    return _unions(*_component_transversals(family))
 
 
 def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
@@ -339,6 +331,19 @@ def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
     return list(conflicts)
 
 
+def _repairs(instance: Instance, removals: list[frozenset[str]]) -> tuple[Repair, ...]:
+    """The repairs deleting the removals, given in (size, tids) order; none
+    is built when their kept sets would hold over MAX_HELD_TUPLES tuples."""
+    all_tids = instance.tids()
+    kept = len(removals) * len(all_tids) - sum(map(len, removals))
+    if kept > MAX_HELD_TUPLES:
+        raise OracleBoundExceeded(f"{len(removals):,} repairs would keep {kept:,} tuples, "
+                                  f"past {MAX_HELD_TUPLES:,}")
+    least = len(removals[0])
+    return tuple(Repair(kept=all_tids - r, removed=r, cardinality_minimal=len(r) == least)
+                 for r in removals)
+
+
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
                         endogenous_only: bool = False,
                         max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
@@ -346,14 +351,8 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
 
     A consistent instance has itself as its sole repair.
     """
-    removals = minimal_hitting_sets(
-        _conflicts(instance, dc, endogenous_only, max_deletable))
-    least = len(removals[0])  # the component minima, joined
-    all_tids = instance.tids()
-    return tuple(
-        Repair(kept=all_tids - r, removed=r, cardinality_minimal=len(r) == least)
-        for r in removals
-    )
+    return _repairs(instance, minimal_hitting_sets(
+        _conflicts(instance, dc, endogenous_only, max_deletable)))
 
 
 def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
@@ -361,10 +360,8 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
-    parts = _minimum_transversals(_conflicts(instance, dc, endogenous_only, max_deletable))
-    all_tids = instance.tids()
-    return tuple(Repair(kept=all_tids - r, removed=r, cardinality_minimal=True)
-                 for r in _unions(parts))
+    return _repairs(instance, _unions(*_minimum_transversals(
+        _conflicts(instance, dc, endogenous_only, max_deletable))))
 
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,

@@ -108,3 +108,10 @@ def tids(family) -> list[list[str]]:
         s = s.tuples if hasattr(s, "tuples") else s
         out.append(sorted(s))
     return sorted(out)
+
+
+def mask_sets(tuples: list[str], masks) -> list[frozenset[str]]:
+    """The tid sets that bitmasks over the tuples stand for (bit i for
+    tuples[i]), ordered by (size, tids)."""
+    return sorted((frozenset(t for i, t in enumerate(tuples) if m >> i & 1) for m in masks),
+                  key=lambda s: (len(s), sorted(s)))

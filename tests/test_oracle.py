@@ -34,7 +34,7 @@ from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
 import bruteforce
-from conftest import inst, tids
+from conftest import inst, mask_sets, tids
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,8 @@ def test_degrees_on_grid_paths():
 def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
     """eta read off Berge's transversals of each component: the smallest
     through t in t's component, plus the other components' minima."""
-    parts = _component_transversals(mss)
+    tuples, parts = _component_transversals(mss)
+    parts = [mask_sets(tuples, part) for part in parts]
     least = sum(len(part[0]) for part in parts)
     eta: dict[str, Fraction] = {}
     for part in parts:

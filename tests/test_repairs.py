@@ -26,13 +26,13 @@ from dbexplain import (
 import dbexplain.oracle
 import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
-from dbexplain.repairs import (_component_transversals, _components, _conflicts,
+from dbexplain.repairs import (_bitmask_components, _component_transversals, _conflicts,
                                _least_transversals_through, _minimum_transversals)
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
 import bruteforce
-from conftest import tids
+from conftest import mask_sets, tids
 
 
 def removals(reps):
@@ -225,9 +225,10 @@ def test_component_transversals_match_bruteforce_per_component():
     rng = random.Random(5)
     for _ in range(300):
         family = _random_family(rng)
-        assert _component_transversals(family) == \
-            [bruteforce.minimal_hitting_sets(c)
-             for c in _components(_antichain(family))], family
+        tuples, parts = _component_transversals(family)
+        assert [mask_sets(tuples, part) for part in parts] == \
+            [bruteforce.minimal_hitting_sets(mask_sets(tuples, members))
+             for _, members in _bitmask_components(_antichain(family))[1]], family
 
 
 def test_minimum_transversals_are_the_least_of_berges():
@@ -236,14 +237,39 @@ def test_minimum_transversals_are_the_least_of_berges():
     rng = random.Random(17)
     for _ in range(300):
         family = _antichain(_random_family(rng))
-        berge = sorted(_component_transversals(family), key=lambda part: sorted(part[0]))
-        least = [sorted(part, key=sorted) for part in _minimum_transversals(family)]
+        tuples, parts = _component_transversals(family)
+        berge = sorted((mask_sets(tuples, part) for part in parts),
+                       key=lambda part: sorted(part[0]))
+        tuples, parts = _minimum_transversals(family)
+        least = [sorted(mask_sets(tuples, part), key=sorted) for part in parts]
         assert sorted(least, key=lambda part: sorted(part[0])) == \
             [[s for s in part if len(s) == len(part[0])] for part in berge], family
         through = [(len(part[0]), {t: min(len(s) for s in part if t in s)
                                    for t in frozenset().union(*part)}) for part in berge]
         assert sorted(_least_transversals_through(family), key=lambda part: min(part[1])) == \
             sorted(through, key=lambda part: min(part[1])), family
+
+
+def test_mask_keys_give_the_size_and_tid_order():
+    """With the least tid on the highest bit, (popcount, -mask) and the
+    integer key (popcount << width) - mask order distinct sets by (size,
+    tids), and -mask orders an antichain by sorted tids: the keys that sort
+    the transversals, the repairs and the path witnesses."""
+    def by_mask(sets, key):
+        tuples, components = _bitmask_components(sets)
+        masks = [m for _, members in components for m in members]
+        return [frozenset(t for i, t in enumerate(tuples) if m >> i & 1)
+                for m in sorted(masks, key=lambda m: key(m, len(tuples)))]
+
+    rng = random.Random(23)
+    for _ in range(300):
+        family = list({frozenset(rng.sample("abcdefghij", rng.randint(1, 6)))
+                       for _ in range(rng.randint(1, 12))})
+        by_size = sorted(family, key=lambda s: (len(s), sorted(s)))
+        assert by_mask(family, lambda m, width: (m.bit_count(), -m)) == by_size, family
+        assert by_mask(family, lambda m, width: (m.bit_count() << width) - m) == by_size
+        antichain = _antichain(family)
+        assert by_mask(antichain, lambda m, width: -m) == sorted(antichain, key=sorted)
 
 
 def test_component_transversals_are_dual_on_scaling_instances():
@@ -255,11 +281,12 @@ def test_component_transversals_are_dual_on_scaling_instances():
         instance = scaling_instance(n)
         w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
                                 instance).antichain)
-        components = _components(_antichain(w))
-        parts = _component_transversals(w)
+        _, components = _bitmask_components(_antichain(w))
+        tuples, parts = _component_transversals(w)
         assert len(parts) == len(components) > 1
-        for part, component in zip(parts, components):
-            assert minimal_hitting_sets(part) == _antichain(component), n
+        for part, (_, members) in zip(parts, components):
+            assert minimal_hitting_sets(mask_sets(tuples, part)) == \
+                mask_sets(tuples, members), n
 
 
 def _cardinality_filter(reps):
@@ -287,7 +314,7 @@ def test_c_repairs_equal_filtered_s_repairs_on_random_instances():
             assert all(r.cardinality_minimal == (r in least) for r in reps)
             assert enumerate_c_repairs(instance, dc, endogenous_only=endo_only) == least
         family = _antichain(w.tuples for w in enumerate_witnesses(q, instance))
-        multi += len(_components(family)) > 1
+        multi += len(_bitmask_components(family)[1]) > 1
     assert multi > 50
 
 
@@ -369,6 +396,28 @@ def test_core_naive_is_the_intersection_of_the_repairs_on_random_instances():
             checked[exo_mode] += 1
     assert min(checked.values()) > 50 and refused > 10 and self_joins > 50, \
         (checked, refused, self_joins)
+
+
+def test_repairs_are_capped_by_the_tuples_they_keep():
+    """At n = 120 the 59,535 cardinality repairs would keep 6,251,175 tuples
+    (about 300 MB of Repair objects): they are refused before any is
+    built.  At n = 105 the 3,645 repairs keep 342,630 tuples."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repair was built")
+
+    def repairs(n):
+        instance = scaling_instance(n)
+        dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, instance))
+        return enumerate_c_repairs(instance, dc, max_deletable=n)
+
+    reps = repairs(105)
+    assert len(reps) == 3_645
+    assert sum(len(r.kept) for r in reps) == 342_630
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dbexplain.repairs, "Repair", refuse)
+        with pytest.raises(OracleBoundExceeded,
+                           match="59,535 repairs would keep 6,251,175 tuples"):
+            repairs(120)
 
 
 def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
