@@ -60,7 +60,7 @@ from .query import (
     enumerate_witnesses,
     evaluate,
 )
-from .repairs import (MAX_TRANSVERSAL_TESTS, _least_transversals_through, enumerate_s_repairs,
+from .repairs import (MAX_TRANSVERSAL_TESTS, _conflicts, _least_transversals_through,
                       minimal_hitting_sets)
 
 __all__ = [
@@ -237,14 +237,13 @@ def cause_repair_correspondence(instance: Instance,
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)
-    try:
-        reps = enumerate_s_repairs(instance, denial_constraint_of(query), endogenous_only=True,
-                                   max_deletable=len(instance.endogenous_part()))
-        removals = sorted((r.removed for r in reps), key=_by_tids)
-        c_removals = sorted((r.removed for r in reps if r.cardinality_minimal),
-                            key=_by_tids)
+    try:  # the s-repair removals, with no Repair (and no kept set) built
+        removals = minimal_hitting_sets(_conflicts(instance, denial_constraint_of(query), True,
+                                                   len(instance.endogenous_part())))
     except RepairNotFound:
-        removals, c_removals = [], []
+        removals = []
+    c_removals = sorted((r for r in removals if len(r) == len(removals[0])), key=_by_tids)
+    removals = sorted(removals, key=_by_tids)
     least = min(map(len, mns), default=0)
     min_mns = [s for s in mns if len(s) == least]
     holds_a = mns == removals == cause_sets

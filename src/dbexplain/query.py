@@ -374,38 +374,36 @@ def evaluate(query: Query, instance: Instance) -> bool:
     return next(_assignments(query, instance), None) is not None
 
 
-def _simple_paths(instance: Instance, query: ReachabilityQuery) -> dict[int, frozenset[str]]:
-    """Edge sets of the simple source-to-target paths keyed by their masks
-    (the least tid on the highest bit), depth first on an explicit stack,
-    so path length is not bounded by recursion.  The visited set and the
-    path's nodes, edges and masks change in place with the stack; the
-    target is checked first, so cycles through a source that is the
-    target count.  Each node entered scans its edges, so a walk with few
-    paths can still take exponential time: past MAX_PATHS paths kept,
-    MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES tuples kept it raises."""
-    facts = instance.relation(query.edge_pred)  # in tid order
-    succ: dict[str, list[tuple[str, str, int]]] = {}
-    for i, f in enumerate(facts):
-        succ.setdefault(f.vals[0], []).append((f.vals[1], f.tid, 1 << (len(facts) - 1 - i)))
-    paths: dict[int, frozenset[str]] = {}
-    visited, nodes, edges, masks, steps, held = {query.source}, [], [], [0], 0, 0
-    stack = [iter(succ.get(query.source, ()))]
+def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozenset[str]]:
+    """Edge sets of the simple source-to-target paths, depth first, with
+    an explicit stack so that path length is not bounded by recursion.
+    The visited set and the path's nodes and edges change in place with
+    the stack; the target is checked first, so cycles through a source
+    that is the target count.  Each node entered costs a scan of its
+    edges, so a walk with few paths can still take exponential time: past
+    MAX_PATHS paths kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES
+    tuples in the paths kept the call raises."""
+    by_src: dict[str, list[Fact]] = {}
+    for f in instance.relation(query.edge_pred):
+        by_src.setdefault(f.vals[0], []).append(f)
+    paths: list[frozenset[str]] = []
+    visited, nodes, edges, steps, held = {query.source}, [], [], 0, 0
+    stack = [iter(by_src.get(query.source, ()))]
     while stack:
-        edge = next(stack[-1], None)
-        if edge is None:
+        f = next(stack[-1], None)
+        if f is None:
             stack.pop()
             if nodes:
                 visited.remove(nodes.pop())
                 edges.pop()
-                masks.pop()
             continue
-        nxt, tid, bit = edge
+        nxt = f.vals[1]
         if nxt == query.target:
             held += len(edges) + 1
             if held > MAX_HELD_TUPLES:
                 raise PathBoundExceeded(f"{len(paths) + 1:,} simple paths would hold "
                                         f"{held:,} tuples, past the cap {MAX_HELD_TUPLES:,}")
-            paths[masks[-1] | bit] = frozenset((*edges, tid))
+            paths.append(frozenset((*edges, f.tid)))
             if len(paths) > MAX_PATHS:
                 raise PathBoundExceeded(
                     f"{len(paths):,} simple paths pass the cap {MAX_PATHS:,}")
@@ -418,9 +416,8 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> dict[int, fro
                                     f"past the cap {MAX_PATH_STEPS:,}")
         visited.add(nxt)
         nodes.append(nxt)
-        edges.append(tid)
-        masks.append(masks[-1] | bit)
-        stack.append(iter(succ.get(nxt, ())))
+        edges.append(f.tid)
+        stack.append(iter(by_src.get(nxt, ())))
     return paths
 
 
@@ -510,10 +507,10 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
     """All subset-minimal witnesses; empty iff the query is false."""
     if isinstance(query, ReachabilityQuery):
         _check_schema(query, instance.schema)
-        # edge sets of distinct simple paths are never comparable, so
-        # their sorted-tid order is the descending order of their masks
+        # edge sets of distinct simple paths are distinct and never
+        # comparable, so the family is already an antichain
         paths = _simple_paths(instance, query)
-        return tuple(Witness(tuples=paths[m]) for m in sorted(paths, reverse=True))
+        return tuple(Witness(tuples=p) for p in sorted(paths, key=sorted))
     index = _witness_index(query, instance)
     witnesses = [Witness(tuples=s, assignment=dict(index.images[s]))
                  for s in index.minimal]

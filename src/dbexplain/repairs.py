@@ -9,18 +9,19 @@ check in the test suite.
 
 Every minimal hitting set is the union of one minimal hitting set per
 connected component of the family (members sharing a tuple are
-connected), so the search runs on each component alone, on bitmasks
-whose highest bit is the least tid: for n tuples, the integer key
-(popcount << n) - mask orders distinct sets by (size, tids), and the key
-of a union of disjoint parts is the sum of theirs.  Within a component
-Berge's dualization (C. Berge, *Hypergraphs*, 1989; Eiter & Gottlob,
-SIAM J. Comput. 1995) extends the minimal hitting sets of the members
-seen so far by one member at a time; it serves where the whole family
-is the answer (the subset-repairs, and the MNS and causes of
-:mod:`dbexplain.oracle`).  Minimum-size questions need no such list: the
-cardinality repairs join each component's minimum-size hitting sets, and
-eta reads least sizes, both from a branch-and-bound search.  A hitting
-set of least size is minimal, so the search makes no minimality test.
+connected), so the search runs on each component alone, on bitmasks over
+its own tuples.  The joined sets are sorted on integers: with the least
+tid on the highest of n bits, the key (popcount << n) - mask orders
+distinct sets by (size, tids), and a union of disjoint sets sums their
+keys.  Within a component Berge's dualization (C. Berge, *Hypergraphs*,
+1989; Eiter & Gottlob, SIAM J. Comput. 1995) extends the minimal hitting
+sets of the members seen so far by one member at a time; it serves where
+the whole family is the answer (the subset-repairs, and the MNS and
+causes of :mod:`dbexplain.oracle`).  Minimum-size questions need no such
+list: the cardinality repairs join each component's minimum-size hitting
+sets, and eta reads least sizes, both from a branch-and-bound search.  A
+hitting set of least size is minimal, so the search makes no minimality
+test.
 
 Both searches can take exponential time, so one call raises
 OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
@@ -85,9 +86,9 @@ def _refuse(tests: int, held: int, where: str) -> NoReturn:
         f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
 
 
-def _component_transversals(family: list[frozenset[str]]) -> tuple[list[str], list[list[int]]]:
+def _component_transversals(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
     """The minimal hitting sets of each connected component of the family,
-    as _bitmask_components' tuples and masks.  Per component, Berge's
+    as masks over _bitmask_components' tuples.  Per component, Berge's
     dualization: starting from the empty set, take the members in turn,
     keep each hitting set that hits the member and grow each one that
     misses it by each of its tuples; a loop, so no recursion.  A kept set
@@ -102,9 +103,8 @@ def _component_transversals(family: list[frozenset[str]]) -> tuple[list[str], li
     family = _antichain(family)
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
-    tuples, components = _bitmask_components(family)
     parts, tests = [], 0
-    for _, members in components:
+    for tuples, members in _bitmask_components(family):
         hitting = [0]
         for s in members:
             step, missed, kept, grow = [], [], 0, 0
@@ -131,8 +131,8 @@ def _component_transversals(family: list[frozenset[str]]) -> tuple[list[str], li
                     else:
                         step.append(grown)
             hitting = step
-        parts.append(hitting)
-    return tuples, parts
+        parts.append((tuples, hitting))
+    return parts
 
 
 def _packing(members: list[int], room: int) -> int:
@@ -215,41 +215,43 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bitmask_components(family: list[frozenset[str]]) -> tuple[list[str], list[tuple[int, list[int]]]]:
-    """The tuples of a family of nonempty sets, descending, and its
-    connected components as bitmasks over them (bit i for tuples[i]): each
-    the union of its members and the members, fewest tuples first (a
-    stable sort).  A union-find over the members links each member to the
-    first member through each of its tuples."""
-    tuples = sorted(frozenset().union(*family), reverse=True)
-    bit = {t: 1 << i for i, t in enumerate(tuples)}
-    root, first, masks = list(range(len(family))), {}, []
+def _bitmask_components(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
+    """The connected components of a family of nonempty sets, in order of
+    first member: each its own tuples, sorted, and its members as masks
+    over them (bit i for tuples[i]), fewest tuples first (a stable sort).  A
+    union-find links each member to the first member through each tuple."""
+    root, first = list(range(len(family))), {}
     for i, s in enumerate(family):
-        m = 0
         for t in s:
-            m |= bit[t]
             j = first.setdefault(t, i)
             while root[j] != j:
                 root[j] = j = root[root[j]]
             root[j] = i
-        masks.append(m)
-    components: dict[int, list] = {}
-    for i, m in enumerate(masks):
+    roots, components = [], {}
+    for i in range(len(family)):
         while root[i] != i:
             root[i] = i = root[root[i]]
-        c = components.setdefault(i, [0, []])
-        c[0] |= m
-        c[1].append(m)
-    return tuples, [(cover, sorted(members, key=int.bit_count))
-                    for cover, members in components.values()]
+        roots.append(i)
+        components.setdefault(i, ([], []))
+    at = {}  # positions, not one-bit masks: those would hold n^2/16 bytes
+    for t in sorted(first):
+        tuples = components[roots[first[t]]][0]
+        at[t] = len(tuples)
+        tuples.append(t)
+    for s, i in zip(family, roots):
+        m = 0
+        for t in s:
+            m |= 1 << at[t]
+        components[i][1].append(m)
+    return [(tuples, sorted(masks, key=int.bit_count)) for tuples, masks in components.values()]
 
 
-def _minimum_transversals(family: list[frozenset[str]]) -> tuple[list[str], list[list[int]]]:
+def _minimum_transversals(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
     """The minimum-size hitting sets of each connected component of an
-    antichain of distinct nonempty sets, as tuples and masks."""
+    antichain of distinct nonempty sets, as masks over its tuples."""
     search = _Search()
-    tuples, components = _bitmask_components(family)
-    return tuples, [search.least(members, first=False)[1] for _, members in components]
+    return [(tuples, search.least(members, first=False)[1])
+            for tuples, members in _bitmask_components(family)]
 
 
 def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int, dict[str, int]]]:
@@ -267,11 +269,10 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     first minimum-size set found need no search.  The sub-families count
     a test per member they filter or build."""
     search, parts = _Search(), []
-    tuples, components = _bitmask_components(family)
-    for cover, members in components:
+    for tuples, members in _bitmask_components(family):
         least, (found,) = search.least(members, first=True)
-        through = {tuples[bit.bit_length() - 1]: least for bit in _bits(found)}
-        for bit in _bits(cover & ~found):
+        through = {tuples[b.bit_length() - 1]: least for b in _bits(found)}
+        for bit in _bits((1 << len(tuples)) - 1 & ~found):
             t = tuples[bit.bit_length() - 1]
             others = [m for m in members if not m & bit]
             subs = [[m & ~s for m in others] for s in members if s & bit]
@@ -286,20 +287,24 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     return parts
 
 
-def _unions(tuples: list[str], parts: list[list[int]]) -> list[frozenset[str]]:
-    """One member per part of disjoint masks over the tuples, joined, in
-    (size, tids) order: by the sum of the members' keys.  A member of a part
-    is in count / len(part) unions; none is built past MAX_HELD_TUPLES.
-    Parts join fewest members first, one set union per partial union."""
-    count = math.prod(map(len, parts))
-    held = sum(count // len(p) * sum(map(int.bit_count, p)) for p in parts)
+def _unions(parts: list[tuple[list[str], list[int]]]) -> list[frozenset[str]]:
+    """One member per part (a component's tuples and masks over them),
+    joined, in (size, tids) order; none is built past MAX_HELD_TUPLES (a
+    member of a part is in count / len(part) unions).  One-member parts are
+    in every union, so they join first, as one set; the others' tuples get a
+    bit each, the least tid the highest, and a union's key sums its members'."""
+    count = math.prod(len(masks) for _, masks in parts)
+    held = sum(count // len(masks) * sum(map(int.bit_count, masks)) for _, masks in parts)
     if held > MAX_HELD_TUPLES:
         raise OracleBoundExceeded(f"{count:,} unions of per-component minimal hitting sets "
                                   f"would hold {held:,} tuples, past {MAX_HELD_TUPLES:,}")
-    width, joined = len(tuples), [(0, frozenset())]
-    for part in sorted(parts, key=len):
-        part = [((m.bit_count() << width) - m,
-                 frozenset(tuples[b.bit_length() - 1] for b in _bits(m))) for m in part]
+    many = sorted((p for p in parts if len(p[1]) > 1), key=lambda p: len(p[1]))
+    at = {t: i for i, t in enumerate(sorted((t for p in many for t in p[0]), reverse=True))}
+    joined = [(0, frozenset(tuples[b.bit_length() - 1] for tuples, masks in parts
+                           if len(masks) == 1 for b in _bits(masks[0])))]
+    for tuples, masks in many:
+        part = [((len(s) << len(at)) - sum(1 << at[t] for t in s), frozenset(s))
+                for s in ([tuples[b.bit_length() - 1] for b in _bits(m)] for m in masks)]
         joined = [(key + k, union | s) for key, union in joined for k, s in part]
     return [union for _, union in sorted(joined)]  # distinct keys: no set is compared
 
@@ -309,7 +314,7 @@ def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
     ordered by (size, tids): the unions of one minimal hitting set per
     connected component.  The empty family has the empty set as its sole
     hitting set."""
-    return _unions(*_component_transversals(family))
+    return _unions(_component_transversals(family))
 
 
 def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
@@ -339,9 +344,8 @@ def _repairs(instance: Instance, removals: list[frozenset[str]]) -> tuple[Repair
     if kept > MAX_HELD_TUPLES:
         raise OracleBoundExceeded(f"{len(removals):,} repairs would keep {kept:,} tuples, "
                                   f"past {MAX_HELD_TUPLES:,}")
-    least = len(removals[0])
-    return tuple(Repair(kept=all_tids - r, removed=r, cardinality_minimal=len(r) == least)
-                 for r in removals)
+    return tuple(Repair(kept=all_tids - r, removed=r,
+                        cardinality_minimal=len(r) == len(removals[0])) for r in removals)
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
@@ -360,7 +364,7 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
-    return _repairs(instance, _unions(*_minimum_transversals(
+    return _repairs(instance, _unions(_minimum_transversals(
         _conflicts(instance, dc, endogenous_only, max_deletable))))
 
 

@@ -228,8 +228,7 @@ def test_degrees_on_grid_paths():
 def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
     """eta read off Berge's transversals of each component: the smallest
     through t in t's component, plus the other components' minima."""
-    tuples, parts = _component_transversals(mss)
-    parts = [mask_sets(tuples, part) for part in parts]
+    parts = [mask_sets(tuples, part) for tuples, part in _component_transversals(mss)]
     least = sum(len(part[0]) for part in parts)
     eta: dict[str, Fraction] = {}
     for part in parts:
@@ -440,6 +439,22 @@ def test_correspondence_all_endogenous_equals_repairs(srs_base):
     removals = [sorted(r.removed) for r in enumerate_s_repairs(
         srs_base, denial_constraint_of(q))]
     assert sorted(res.detail["mns"]) == sorted(removals)
+
+
+def test_correspondence_builds_no_repair(monkeypatch):
+    """Nine conflicts R(i), S(i) beside 4,000 unrelated tuples: the 512
+    s-repairs would keep 2,052,608 tuples, past the held-tuple cap, but
+    the correspondence reads their removals alone and answers."""
+    facts = [Fact(f"{p}{i}", p, (str(i),)) for p in "RS" for i in range(9)]
+    facts += [Fact(f"u{i:04d}", "U", (str(i),)) for i in range(4_000)]
+    instance = Instance.build({"R": 1, "S": 1, "U": 1}, facts)
+    q = parse_query("q :- R(x), S(x).", instance)
+    with pytest.raises(OracleBoundExceeded, match="512 repairs would keep 2,052,608 tuples"):
+        enumerate_s_repairs(instance, denial_constraint_of(q), max_deletable=len(facts))
+    monkeypatch.setattr(dbexplain.repairs, "Repair", None)
+    res = cause_repair_correspondence(instance, q)
+    assert res.holds
+    assert len(res.detail["s_repair_removals"]) == len(res.detail["c_repair_removals"]) == 512
 
 
 def test_correspondence_vacuous_with_exogenous_witness():

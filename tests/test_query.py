@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 import weakref
 
@@ -255,6 +256,23 @@ def test_path_walk_is_capped_by_the_tuples_it_keeps(monkeypatch):
         enumerate_witnesses(q, instance)
     with pytest.raises(PathBoundExceeded, match=tripped):
         enumerate_mss(instance, q)
+
+
+def test_long_chain_walk_holds_its_path_only():
+    """A 20,000-edge chain has one path of 20,000 edges: the walk keeps a
+    tid per stack level, so its peak is a few MB, not a mask as wide as
+    the edge relation per level."""
+    n = 20_000
+    instance = Instance.build({"E": 2}, [Fact(f"e{i:05d}", "E", (f"c{i}", f"c{i + 1}"))
+                                         for i in range(n)])
+    tracemalloc.start()
+    try:
+        witnesses = enumerate_witnesses(ReachabilityQuery("E", "c0", f"c{n}"), instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(w.tuples) for w in witnesses] == [n]
+    assert peak < 20 * 2**20, f"{peak:,} bytes"
 
 
 def _random_digraph(rng: random.Random) -> tuple[Instance, str]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -27,7 +29,7 @@ import dbexplain.oracle
 import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
 from dbexplain.repairs import (_bitmask_components, _component_transversals, _conflicts,
-                               _least_transversals_through, _minimum_transversals)
+                               _least_transversals_through, _minimum_transversals, _unions)
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -225,10 +227,9 @@ def test_component_transversals_match_bruteforce_per_component():
     rng = random.Random(5)
     for _ in range(300):
         family = _random_family(rng)
-        tuples, parts = _component_transversals(family)
-        assert [mask_sets(tuples, part) for part in parts] == \
+        assert [mask_sets(tuples, part) for tuples, part in _component_transversals(family)] == \
             [bruteforce.minimal_hitting_sets(mask_sets(tuples, members))
-             for _, members in _bitmask_components(_antichain(family))[1]], family
+             for tuples, members in _bitmask_components(_antichain(family))], family
 
 
 def test_minimum_transversals_are_the_least_of_berges():
@@ -237,11 +238,11 @@ def test_minimum_transversals_are_the_least_of_berges():
     rng = random.Random(17)
     for _ in range(300):
         family = _antichain(_random_family(rng))
-        tuples, parts = _component_transversals(family)
-        berge = sorted((mask_sets(tuples, part) for part in parts),
+        berge = sorted((mask_sets(tuples, part)
+                        for tuples, part in _component_transversals(family)),
                        key=lambda part: sorted(part[0]))
-        tuples, parts = _minimum_transversals(family)
-        least = [sorted(mask_sets(tuples, part), key=sorted) for part in parts]
+        least = [sorted(mask_sets(tuples, part), key=sorted)
+                 for tuples, part in _minimum_transversals(family)]
         assert sorted(least, key=lambda part: sorted(part[0])) == \
             [[s for s in part if len(s) == len(part[0])] for part in berge], family
         through = [(len(part[0]), {t: min(len(s) for s in part if t in s)
@@ -253,12 +254,11 @@ def test_minimum_transversals_are_the_least_of_berges():
 def test_mask_keys_give_the_size_and_tid_order():
     """With the least tid on the highest bit, (popcount, -mask) and the
     integer key (popcount << width) - mask order distinct sets by (size,
-    tids), and -mask orders an antichain by sorted tids: the keys that sort
-    the transversals, the repairs and the path witnesses."""
+    tids), and -mask orders an antichain by sorted tids."""
     def by_mask(sets, key):
-        tuples, components = _bitmask_components(sets)
-        masks = [m for _, members in components for m in members]
-        return [frozenset(t for i, t in enumerate(tuples) if m >> i & 1)
+        tuples = sorted(frozenset().union(*sets), reverse=True)
+        masks = [sum(1 << tuples.index(t) for t in s) for s in sets]
+        return [mask_sets(tuples, [m])[0]
                 for m in sorted(masks, key=lambda m: key(m, len(tuples)))]
 
     rng = random.Random(23)
@@ -272,6 +272,51 @@ def test_mask_keys_give_the_size_and_tid_order():
         assert by_mask(antichain, lambda m, width: -m) == sorted(antichain, key=sorted)
 
 
+def test_unions_are_in_size_and_tid_order():
+    """Joining parts over disjoint tuples, each numbering its own, gives the
+    (size, tids) order of all the picks; one-member parts join as one set."""
+    rng = random.Random(29)
+    for _ in range(300):
+        letters, parts = rng.sample("abcdefghijklmnop", 16), []
+        for i in range(rng.randint(0, 5)):
+            width = rng.randint(1, 3)
+            tuples = sorted(letters[3 * i:3 * i + width], reverse=True)
+            masks = rng.sample(range(1, 1 << width), rng.randint(1, (1 << width) - 1))
+            parts.append((tuples, masks))
+        picks = itertools.product(*(mask_sets(tuples, masks) for tuples, masks in parts))
+        assert _unions(parts) == sorted((frozenset().union(*pick) for pick in picks),
+                                        key=lambda s: (len(s), sorted(s))), parts
+
+
+def test_many_components_take_linear_time_and_space():
+    """W of k single-tuple witnesses beside two that share a tuple: each
+    component numbers its own tuples, so no mask grows with k, and the k
+    one-member parts join as one set, not by k unions that each copy the
+    union so far.  Both made the time grow with the square of k."""
+    sizes, times = [2000, 4000, 8000], []
+    for k in sizes:
+        family = [frozenset({f"t{i:05d}"}) for i in range(k)] + [frozenset("ab"), frozenset("bc")]
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            hitting = minimal_hitting_sets(family)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+        assert [len(s) for s in hitting] == [k + 1, k + 2]
+    xs, ys = [math.log(n) for n in sizes], [math.log(t) for t in times]
+    xbar, ybar = sum(xs) / 3, sum(ys) / 3
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    assert slope <= 1.5, f"log-log slope {slope:.2f}, times {times}"
+    tracemalloc.start()
+    try:
+        minimal_hitting_sets(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak:,} bytes at k = 8,000"
+
+
 def test_component_transversals_are_dual_on_scaling_instances():
     """Per component of W, the minimal transversals of its minimal
     transversals are the component again: a check on families far beyond
@@ -281,10 +326,10 @@ def test_component_transversals_are_dual_on_scaling_instances():
         instance = scaling_instance(n)
         w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
                                 instance).antichain)
-        _, components = _bitmask_components(_antichain(w))
-        tuples, parts = _component_transversals(w)
+        components = _bitmask_components(_antichain(w))
+        parts = _component_transversals(w)
         assert len(parts) == len(components) > 1
-        for part, (_, members) in zip(parts, components):
+        for (tuples, part), (_, members) in zip(parts, components):
             assert minimal_hitting_sets(mask_sets(tuples, part)) == \
                 mask_sets(tuples, members), n
 
@@ -314,7 +359,7 @@ def test_c_repairs_equal_filtered_s_repairs_on_random_instances():
             assert all(r.cardinality_minimal == (r in least) for r in reps)
             assert enumerate_c_repairs(instance, dc, endogenous_only=endo_only) == least
         family = _antichain(w.tuples for w in enumerate_witnesses(q, instance))
-        multi += len(_bitmask_components(family)[1]) > 1
+        multi += len(_bitmask_components(family)) > 1
     assert multi > 50
 
 
