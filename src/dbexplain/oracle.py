@@ -58,10 +58,9 @@ from .query import (
     _witness_index,
     denial_constraint_of,
     enumerate_witnesses,
-    evaluate,
 )
-from .repairs import (MAX_TRANSVERSAL_TESTS, _conflicts, _least_transversals_through,
-                      minimal_hitting_sets)
+from .repairs import (MAX_TRANSVERSAL_TESTS, _component_transversals, _conflicts,
+                      _least_transversals_through, _unions, minimal_hitting_sets)
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -78,18 +77,17 @@ def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
 
 
 def _mss(instance: Instance, query: Query) -> list[frozenset[str]]:
-    """The witness antichain W, i.e. the MSS family, ordered by tids.  A CQ
-    is true iff its index has an image; listing paths can cost far more
-    than finding one, so a reachability query is evaluated first."""
-    cq = isinstance(query, BooleanCQ)
-    index = _witness_index(query, instance) if cq else None
-    if not (index.images if cq else evaluate(query, instance)):
+    """The witness antichain W, i.e. the MSS family, ordered by tids; it is
+    empty iff the query is false.  The simple-path walk enters no node
+    when the target is unreachable, so no reachability test comes first."""
+    if isinstance(query, BooleanCQ):
+        mss = _witness_index(query, instance).antichain
+    else:
+        endo = instance.endogenous_part()
+        mss = _antichain(w.tuples & endo for w in enumerate_witnesses(query, instance))
+    if not mss:
         raise QueryNotSatisfied("the query is false in the instance")
-    if cq:
-        return sorted(index.antichain, key=_by_tids)
-    witnesses = enumerate_witnesses(query, instance)
-    endo = instance.endogenous_part()
-    return sorted(_antichain(w.tuples & endo for w in witnesses), key=_by_tids)
+    return sorted(mss, key=_by_tids)
 
 
 def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
@@ -97,7 +95,7 @@ def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
     tids; none when W holds the empty set."""
     if frozenset() in mss:
         return []
-    return sorted(minimal_hitting_sets(mss), key=_by_tids)
+    return _unions(_component_transversals(mss), by_size=False)
 
 
 # ---------------------------------------------------------------------------

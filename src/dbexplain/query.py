@@ -23,7 +23,7 @@ import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
-                    Optional, Sequence, Union)
+                    NoReturn, Optional, Sequence, Union)
 
 from .errors import (
     PathBoundExceeded,
@@ -349,21 +349,25 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
         stack.append(iter(plans[i][0](env)))
 
 
+def _reach(links: Mapping[str, list[str]], start: Iterable[str]) -> set[str]:
+    """The nodes reached from start over links (node -> nodes), start included."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        for nxt in links.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
     succ: dict[str, list[str]] = {}
     for f in instance.relation(query.edge_pred):
         succ.setdefault(f.vals[0], []).append(f.vals[1])
     # reached via >= 1 edge, matching the least fixpoint of the usual
     # transitive-closure rules (no zero-length paths)
-    frontier = list(succ.get(query.source, ()))
-    seen = set(frontier)
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return query.target in seen
+    return query.target in _reach(succ, succ.get(query.source, ()))
 
 
 def evaluate(query: Query, instance: Instance) -> bool:
@@ -374,50 +378,89 @@ def evaluate(query: Query, instance: Instance) -> bool:
     return next(_assignments(query, instance), None) is not None
 
 
-def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozenset[str]]:
-    """Edge sets of the simple source-to-target paths, depth first, with
-    an explicit stack so that path length is not bounded by recursion.
-    The visited set and the path's nodes and edges change in place with
-    the stack; the target is checked first, so cycles through a source
-    that is the target count.  Each node entered costs a scan of its
-    edges, so a walk with few paths can still take exponential time: past
-    MAX_PATHS paths kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES
-    tuples in the paths kept the call raises."""
-    by_src: dict[str, list[Fact]] = {}
-    for f in instance.relation(query.edge_pred):
-        by_src.setdefault(f.vals[0], []).append(f)
-    paths: list[frozenset[str]] = []
-    visited, nodes, edges, steps, held = {query.source}, [], [], 0, 0
-    stack = [iter(by_src.get(query.source, ()))]
+def _refuse_steps(steps: int) -> NoReturn:
+    raise PathBoundExceeded(f"the simple-path walk entered {steps:,} nodes, "
+                            f"past the cap {MAX_PATH_STEPS:,}")
+
+
+def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[list[str]]:
+    """The tids of the simple source-to-target paths, each list sorted, in
+    depth-first order, with an explicit stack so that path length is not
+    bounded by recursion.
+
+    The walk enters only live nodes, those with a path of zero or more
+    edges to the target (one backward search finds them), so a part of
+    the graph that never reaches the target costs nothing.  A run node is
+    a live node other than the target whose one live edge leads to the
+    target or to a run node; a cycle of such nodes never reaches the
+    target, so each run ends there, and a second backward pass from the
+    target finds the runs.  The walk pushes no run node: at an edge
+    into one it reads the run to the target in one loop and keeps the
+    path.  No run node is on the path then, since only pushed nodes and
+    the source are, and a source that is a run node starts a walk that is
+    its run alone.  The visited set and the path's nodes and edges change
+    in place with the stack; the target is checked first, so cycles
+    through a source that is the target count.
+
+    Each node entered, a run node read included, costs a step, so a walk
+    with few paths can still take exponential time: past MAX_PATHS paths
+    kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES tuples in the
+    paths kept the call raises."""
+    source, target = query.source, query.target
+    facts = instance.relation(query.edge_pred)
+    into: dict[str, list[str]] = {}
+    for f in facts:
+        into.setdefault(f.vals[1], []).append(f.vals[0])
+    live = _reach(into, (target,))
+    out: dict[str, list[tuple[str, str]]] = {}  # node -> its live edges (tid, head)
+    for f in facts:
+        if f.vals[1] in live:
+            out.setdefault(f.vals[0], []).append((f.tid, f.vals[1]))
+    run: dict[str, tuple[str, str]] = {}  # run node -> its live edge
+    frontier = [target]
+    while frontier:
+        # the one live edge of u leads here, so u is seen once
+        for u in into.get(frontier.pop(), ()):
+            if len(out[u]) == 1 and u != target:
+                run[u] = out[u][0]
+                frontier.append(u)
+    paths: list[list[str]] = []
+    visited, nodes, tids, steps, held = {source}, [], [], 0, 0
+    stack = [iter(out.get(source, ()))]
     while stack:
-        f = next(stack[-1], None)
-        if f is None:
+        edge = next(stack[-1], None)
+        if edge is None:
             stack.pop()
             if nodes:
                 visited.remove(nodes.pop())
-                edges.pop()
+                tids.pop()
             continue
-        nxt = f.vals[1]
-        if nxt == query.target:
-            held += len(edges) + 1
+        tid, nxt = edge
+        if nxt == target or nxt in run:
+            tids.append(tid)
+            while nxt != target:
+                steps += 1
+                if steps > MAX_PATH_STEPS:
+                    _refuse_steps(steps)
+                tid, nxt = run[nxt]
+                tids.append(tid)
+            held += len(tids)
             if held > MAX_HELD_TUPLES:
                 raise PathBoundExceeded(f"{len(paths) + 1:,} simple paths would hold "
                                         f"{held:,} tuples, past the cap {MAX_HELD_TUPLES:,}")
-            paths.append(frozenset((*edges, f.tid)))
+            paths.append(sorted(tids))
             if len(paths) > MAX_PATHS:
                 raise PathBoundExceeded(
                     f"{len(paths):,} simple paths pass the cap {MAX_PATHS:,}")
-            continue
-        if nxt in visited:
-            continue
-        steps += 1
-        if steps > MAX_PATH_STEPS:
-            raise PathBoundExceeded(f"the simple-path walk entered {steps:,} nodes, "
-                                    f"past the cap {MAX_PATH_STEPS:,}")
-        visited.add(nxt)
-        nodes.append(nxt)
-        edges.append(f.tid)
-        stack.append(iter(by_src.get(nxt, ())))
+            del tids[len(nodes):]
+        elif nxt not in visited:
+            steps += 1
+            if steps > MAX_PATH_STEPS:
+                _refuse_steps(steps)
+            visited.add(nxt)
+            nodes.append(nxt)
+            tids.append(tid)
+            stack.append(iter(out[nxt]))
     return paths
 
 
@@ -443,8 +486,11 @@ def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]
 
 
 def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    """The subset-minimal members, deduplicated and ordered by (size, tids)."""
-    return _minimal_members(sorted(set(sets), key=lambda s: (len(s), sorted(s))))
+    """The subset-minimal members, deduplicated and ordered by (size, tids).
+    The sort keys hold tuples, not lists, so that the collector stops
+    tracking them at its first pass and promotes none to its oldest
+    generation (see repairs._bitmask_components)."""
+    return _minimal_members(sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s)))))
 
 
 class _WitnessIndex(NamedTuple):
@@ -504,13 +550,17 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
 
 
 def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]:
-    """All subset-minimal witnesses; empty iff the query is false."""
+    """All subset-minimal witnesses; empty iff the query is false.
+
+    For a reachability query these are the edge sets of the simple paths,
+    found by a walk that enters only nodes that reach the target and reads
+    a forced run of one-edge nodes to it in one loop, each run node
+    counting as a node entered against MAX_PATH_STEPS."""
     if isinstance(query, ReachabilityQuery):
         _check_schema(query, instance.schema)
         # edge sets of distinct simple paths are distinct and never
         # comparable, so the family is already an antichain
-        paths = _simple_paths(instance, query)
-        return tuple(Witness(tuples=p) for p in sorted(paths, key=sorted))
+        return tuple(Witness(frozenset(p)) for p in sorted(_simple_paths(instance, query)))
     index = _witness_index(query, instance)
     witnesses = [Witness(tuples=s, assignment=dict(index.images[s]))
                  for s in index.minimal]

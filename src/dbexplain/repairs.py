@@ -45,7 +45,7 @@ some violation is witnessed by exogenous tuples alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -86,14 +86,16 @@ def _refuse(tests: int, held: int, where: str) -> NoReturn:
         f"pass the caps {MAX_TRANSVERSAL_TESTS:,} and {MAX_HELD_TUPLES:,}")
 
 
-def _component_transversals(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
+def _component_transversals(
+        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """The minimal hitting sets of each connected component of the family,
-    as masks over _bitmask_components' tuples.  Per component, Berge's
-    dualization: starting from the empty set, take the members in turn,
-    keep each hitting set that hits the member and grow each one that
-    misses it by each of its tuples; a loop, so no recursion.  A kept set
-    is never dominated, and grown sets are distinct and incomparable, so a
-    grown h | t is dropped only when it contains a kept set through t.
+    as a tuple of masks over _bitmask_components' tuples (see there why
+    not a list).  Per component, Berge's dualization: starting from the
+    empty set, take the members in turn, keep each hitting set that hits
+    the member and grow each one that misses it by each of its tuples; a
+    loop, so no recursion.  A kept set is never dominated, and grown sets
+    are distinct and incomparable, so a grown h | t is dropped only when it
+    contains a kept set through t.
 
     Before the sets that miss a member grow, the step is counted: a test
     per hitting set, per kept set and tuple of the member, and, per missed
@@ -131,11 +133,11 @@ def _component_transversals(family: list[frozenset[str]]) -> list[tuple[list[str
                     else:
                         step.append(grown)
             hitting = step
-        parts.append((tuples, hitting))
+        parts.append((tuples, tuple(hitting)))
     return parts
 
 
-def _packing(members: list[int], room: int) -> int:
+def _packing(members: Sequence[int], room: int) -> int:
     """How many of the members, taken in order, are disjoint from all those
     taken before (a lower bound on the size of a hitting set), counted up
     to room + 1."""
@@ -156,7 +158,7 @@ class _Search:
     def __init__(self) -> None:
         self.tests = 0
 
-    def hitting_sets(self, members: list[int], size: int, first: bool) -> list[int]:
+    def hitting_sets(self, members: Sequence[int], size: int, first: bool) -> list[int]:
         """The hitting sets of at most size tuples, or the first one found.
 
         A node holds the tuples chosen and the members they miss, less the
@@ -196,7 +198,7 @@ class _Search:
         self.tests = tests
         return found
 
-    def least(self, members: list[int], first: bool) -> tuple[int, list[int]]:
+    def least(self, members: Sequence[int], first: bool) -> tuple[int, list[int]]:
         """The least size of a hitting set and the hitting sets of that size
         (or the first one found), deepening the size from a packing; a
         hitting set of the least size is minimal."""
@@ -215,11 +217,19 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bitmask_components(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
+def _bitmask_components(
+        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """The connected components of a family of nonempty sets, in order of
     first member: each its own tuples, sorted, and its members as masks
     over them (bit i for tuples[i]), fewest tuples first (a stable sort).  A
-    union-find links each member to the first member through each tuple."""
+    union-find links each member to the first member through each tuple.
+
+    A lone member, one that shares no tuple, is its own component and is
+    built at once, as tuples: the collector stops tracking a tuple of
+    strings or ints at its first pass, where lists kept for each of
+    thousands of lone members through the call would be promoted to its
+    oldest generation and start a full collection, which scans the whole
+    heap, so that the time would grow faster than the family."""
     root, first = list(range(len(family))), {}
     for i, s in enumerate(family):
         for t in s:
@@ -227,26 +237,35 @@ def _bitmask_components(family: list[frozenset[str]]) -> list[tuple[list[str], l
             while root[j] != j:
                 root[j] = j = root[root[j]]
             root[j] = i
-    roots, components = [], {}
+    roots, size = [], {}
     for i in range(len(family)):
         while root[i] != i:
             root[i] = i = root[root[i]]
         roots.append(i)
-        components.setdefault(i, ([], []))
+        size[i] = size.get(i, 0) + 1
+    components = {}
+    for s, i in zip(family, roots):
+        if i not in components:
+            components[i] = ([], []) if size[i] > 1 else (tuple(sorted(s)), ((1 << len(s)) - 1,))
     at = {}  # positions, not one-bit masks: those would hold n^2/16 bytes
     for t in sorted(first):
-        tuples = components[roots[first[t]]][0]
-        at[t] = len(tuples)
-        tuples.append(t)
+        i = roots[first[t]]
+        if size[i] > 1:
+            tuples = components[i][0]
+            at[t] = len(tuples)
+            tuples.append(t)
     for s, i in zip(family, roots):
-        m = 0
-        for t in s:
-            m |= 1 << at[t]
-        components[i][1].append(m)
-    return [(tuples, sorted(masks, key=int.bit_count)) for tuples, masks in components.values()]
+        if size[i] > 1:
+            m = 0
+            for t in s:
+                m |= 1 << at[t]
+            components[i][1].append(m)
+    return [(tuple(tuples), tuple(sorted(masks, key=int.bit_count))) if size[i] > 1
+            else (tuples, masks) for i, (tuples, masks) in components.items()]
 
 
-def _minimum_transversals(family: list[frozenset[str]]) -> list[tuple[list[str], list[int]]]:
+def _minimum_transversals(
+        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], list[int]]]:
     """The minimum-size hitting sets of each connected component of an
     antichain of distinct nonempty sets, as masks over its tuples."""
     search = _Search()
@@ -287,23 +306,34 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     return parts
 
 
-def _unions(parts: list[tuple[list[str], list[int]]]) -> list[frozenset[str]]:
+def _unions(parts: Sequence[tuple[Sequence[str], Sequence[int]]], universe: int = 0,
+            by_size: bool = True) -> list[frozenset[str]]:
     """One member per part (a component's tuples and masks over them),
-    joined, in (size, tids) order; none is built past MAX_HELD_TUPLES (a
-    member of a part is in count / len(part) unions).  One-member parts are
-    in every union, so they join first, as one set; the others' tuples get a
-    bit each, the least tid the highest, and a union's key sums its members'."""
+    joined, in (size, tids) order, or in tids order when not by_size.
+
+    None is built past MAX_HELD_TUPLES tuples, read off the parts' sizes
+    alone: first those of the unions (a member of a part is in count /
+    len(part) unions), then those that repairs of a universe of that many
+    tuples would keep (count * universe less the unions').  One-member
+    parts are in every union, so they join first, as one set, and change
+    no comparison; the others' tuples get a bit each, the least tid the
+    highest, and a union's key sums its members': (size << bits) - mask,
+    or -mask alone, which orders an antichain by tids."""
     count = math.prod(len(masks) for _, masks in parts)
     held = sum(count // len(masks) * sum(map(int.bit_count, masks)) for _, masks in parts)
     if held > MAX_HELD_TUPLES:
         raise OracleBoundExceeded(f"{count:,} unions of per-component minimal hitting sets "
                                   f"would hold {held:,} tuples, past {MAX_HELD_TUPLES:,}")
+    if (kept := count * universe - held) > MAX_HELD_TUPLES:
+        raise OracleBoundExceeded(f"{count:,} repairs would keep {kept:,} tuples, "
+                                  f"past {MAX_HELD_TUPLES:,}")
     many = sorted((p for p in parts if len(p[1]) > 1), key=lambda p: len(p[1]))
     at = {t: i for i, t in enumerate(sorted((t for p in many for t in p[0]), reverse=True))}
+    unit = 1 << len(at) if by_size else 0  # the weight of a tuple in a key
     joined = [(0, frozenset(tuples[b.bit_length() - 1] for tuples, masks in parts
                            if len(masks) == 1 for b in _bits(masks[0])))]
     for tuples, masks in many:
-        part = [((len(s) << len(at)) - sum(1 << at[t] for t in s), frozenset(s))
+        part = [(len(s) * unit - sum(1 << at[t] for t in s), frozenset(s))
                 for s in ([tuples[b.bit_length() - 1] for b in _bits(m)] for m in masks)]
         joined = [(key + k, union | s) for key, union in joined for k, s in part]
     return [union for _, union in sorted(joined)]  # distinct keys: no set is compared
@@ -336,14 +366,13 @@ def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
     return list(conflicts)
 
 
-def _repairs(instance: Instance, removals: list[frozenset[str]]) -> tuple[Repair, ...]:
-    """The repairs deleting the removals, given in (size, tids) order; none
-    is built when their kept sets would hold over MAX_HELD_TUPLES tuples."""
+def _repairs(instance: Instance,
+             parts: Sequence[tuple[Sequence[str], Sequence[int]]]) -> tuple[Repair, ...]:
+    """The repairs deleting the unions of the parts, in (size, tids) order;
+    _unions refuses them before it joins any when their removals or kept
+    sets would hold over MAX_HELD_TUPLES tuples."""
     all_tids = instance.tids()
-    kept = len(removals) * len(all_tids) - sum(map(len, removals))
-    if kept > MAX_HELD_TUPLES:
-        raise OracleBoundExceeded(f"{len(removals):,} repairs would keep {kept:,} tuples, "
-                                  f"past {MAX_HELD_TUPLES:,}")
+    removals = _unions(parts, len(all_tids))
     return tuple(Repair(kept=all_tids - r, removed=r,
                         cardinality_minimal=len(r) == len(removals[0])) for r in removals)
 
@@ -355,7 +384,7 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
 
     A consistent instance has itself as its sole repair.
     """
-    return _repairs(instance, minimal_hitting_sets(
+    return _repairs(instance, _component_transversals(
         _conflicts(instance, dc, endogenous_only, max_deletable)))
 
 
@@ -364,8 +393,8 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
                         max_deletable: int = DEFAULT_MAX_DELETABLE) -> tuple[Repair, ...]:
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
-    return _repairs(instance, _unions(_minimum_transversals(
-        _conflicts(instance, dc, endogenous_only, max_deletable))))
+    return _repairs(instance, _minimum_transversals(
+        _conflicts(instance, dc, endogenous_only, max_deletable)))
 
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,

@@ -22,6 +22,7 @@ from dbexplain import (
     Fact,
     Instance,
     PathBoundExceeded,
+    QueryNotSatisfied,
     QuerySyntaxError,
     ReachabilityQuery,
     UnknownPredicate,
@@ -313,6 +314,116 @@ def test_path_witnesses_match_bruteforce(monkeypatch):
             evaluate(ReachabilityQuery("E", v, v), instance) for v in nodes)
         seen["unreachable"] += count == 0
     assert min(seen.values()) >= 20, seen
+
+
+def _subdivided(instance: Instance, rng: random.Random) -> tuple[Instance, dict[str, list[str]]]:
+    """The digraph with each edge kept or replaced, at random, by a chain
+    through 1-5 new nodes, and the tids that stand for each old edge."""
+    facts, chains = [], {}
+    for f in instance.facts:
+        inner = [f"{f.tid}/{i}" for i in range(rng.choice((0, 0, 1, 3, 5)))]
+        nodes = [f.vals[0], *inner, f.vals[1]]
+        chains[f.tid] = [f"{f.tid}#{i}" for i in range(len(nodes) - 1)]
+        facts += [Fact(t, "E", (u, v)) for t, u, v in zip(chains[f.tid], nodes, nodes[1:])]
+    return Instance.build({"E": 2}, facts), chains
+
+
+def test_path_witnesses_read_runs_to_the_target(monkeypatch):
+    """Chains of one-edge nodes make runs, long ones into the target among
+    them: the simple paths equal the judge's scan of the plain digraph,
+    each edge read as its chain, in order, and the path bound trips
+    exactly past the path count."""
+    rng = random.Random(31)
+    seen = dict.fromkeys(["run of 3+ nodes", "cycle through the source",
+                          "subdivided cycle through the source", "self-loop",
+                          "unreachable"], 0)
+    for _ in range(400):
+        plain, nodes = _random_digraph(rng)
+        q = ReachabilityQuery("E", rng.choice(nodes), rng.choice(nodes + "z"))
+        instance, chains = _subdivided(plain, rng)
+        expected = sorted(sorted(t for e in p for t in chains[e])
+                          for p in bruteforce.simple_paths(plain, q))
+        assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == expected, \
+            (sorted(instance.tids()), q)
+        count = len(expected)
+        if count:
+            with monkeypatch.context() as m:
+                m.setattr(dbexplain.query, "MAX_PATHS", count)
+                assert len(enumerate_witnesses(q, instance)) == count
+                m.setattr(dbexplain.query, "MAX_PATHS", count - 1)
+                with pytest.raises(PathBoundExceeded,
+                                   match=f"{count} simple paths pass the cap {count - 1}"):
+                    enumerate_witnesses(q, instance)
+        into_target = [f for f in plain.facts if f.vals[1] == q.target]
+        seen["run of 3+ nodes"] += count > 0 and any(len(chains[f.tid]) > 3
+                                                     for f in into_target)
+        seen["cycle through the source"] += q.source == q.target and count > 0
+        seen["subdivided cycle through the source"] += q.source == q.target and any(
+            len(p) > 1 for p in expected)
+        seen["self-loop"] += count > 0 and any(
+            f.vals[0] == f.vals[1] and len(chains[f.tid]) == 1 for f in plain.facts)
+        seen["unreachable"] += count == 0
+    assert min(seen.values()) >= 20, seen
+
+
+def _edges(*pairs: str) -> Instance:
+    """An edge relation from "uv" pairs of one-letter nodes, tids in order."""
+    return Instance.build({"E": 2}, [Fact(f"e{i}", "E", tuple(p)) for i, p in enumerate(pairs)])
+
+
+def test_run_nodes_count_as_entered_and_dead_ends_do_not(monkeypatch):
+    """s -> a, s -> b, a -> r -> u -> t and b -> r: a, b, r and u each have
+    one edge that leads on to t, so the walk pushes none of them and reads
+    the runs a r u and b r u, six nodes entered, as a walk that pushed
+    each would count; the dead ends s -> d -> e and r -> d cost nothing."""
+    instance = _edges("sa", "sb", "ar", "ru", "ut", "br", "sd", "de", "rd")
+    q = ReachabilityQuery("E", "s", "t")
+    expected = [["e0", "e2", "e3", "e4"], ["e1", "e3", "e4", "e5"]]
+    assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == expected \
+        == [sorted(p) for p in bruteforce.simple_paths(instance, q)]
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 6)
+    assert len(enumerate_witnesses(q, instance)) == 2
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 5)
+    with pytest.raises(PathBoundExceeded, match="entered 6 nodes, past the cap 5"):
+        enumerate_witnesses(q, instance)
+
+
+def test_a_source_on_a_run_walks_its_run_alone(monkeypatch):
+    """s -> m -> n -> t is forced: the source's other edge is a dead end, and
+    x -> s, x -> m and t -> s lead into the run, so the walk reads m and n
+    in one loop: one path, two nodes entered."""
+    instance = _edges("sm", "mn", "nt", "sd", "xs", "xm", "ts")
+    q = ReachabilityQuery("E", "s", "t")
+    assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == \
+        [sorted(p) for p in bruteforce.simple_paths(instance, q)] == [["e0", "e1", "e2"]]
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 2)
+    assert len(enumerate_witnesses(q, instance)) == 1
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 1)
+    with pytest.raises(PathBoundExceeded, match="entered 2 nodes, past the cap 1"):
+        enumerate_witnesses(q, instance)
+
+
+def test_dead_end_grid_costs_no_steps(monkeypatch):
+    """A 12 x 12 grid hangs off the source and never reaches the target.
+    Walking its simple paths from the corner would enter about 2.7M nodes;
+    the walk enters only nodes that reach the target, so the direct edge
+    is the one witness under the default caps and under a node cap of 0.
+    Without that edge the query is false, and the oracle says so with the
+    same cap, as it walks nothing."""
+    facts = [Fact("direct", "E", ("a", "b")), Fact("hang", "E", ("a", "g0_0"))]
+    for r, c in itertools.product(range(12), range(12)):
+        for dr, dc in ((0, 1), (1, 0)):
+            if r + dr < 12 and c + dc < 12:
+                facts.append(Fact(f"g{len(facts):03d}", "E",
+                                  (f"g{r}_{c}", f"g{r + dr}_{c + dc}")))
+    instance, q = Instance.build({"E": 2}, facts), ReachabilityQuery("E", "a", "b")
+    assert [w.tuples for w in enumerate_witnesses(q, instance)] == [{"direct"}]
+    monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 0)
+    assert [w.tuples for w in enumerate_witnesses(q, instance)] == [{"direct"}]
+    without = instance.restrict(instance.tids() - {"direct"})
+    assert enumerate_witnesses(q, without) == ()
+    with pytest.raises(QueryNotSatisfied):
+        enumerate_mss(without, q)
 
 
 def test_long_chain_path_is_one_witness():

@@ -29,7 +29,8 @@ import dbexplain.oracle
 import dbexplain.repairs
 from dbexplain.query import _antichain, _witness_index
 from dbexplain.repairs import (_bitmask_components, _component_transversals, _conflicts,
-                               _least_transversals_through, _minimum_transversals, _unions)
+                               _least_transversals_through, _minimum_transversals, _repairs,
+                               _unions)
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -230,6 +231,29 @@ def test_component_transversals_match_bruteforce_per_component():
         assert [mask_sets(tuples, part) for tuples, part in _component_transversals(family)] == \
             [bruteforce.minimal_hitting_sets(mask_sets(tuples, members))
              for tuples, members in _bitmask_components(_antichain(family))], family
+
+
+def test_bitmask_components_are_the_connected_components():
+    """Against components grown member by member from their first member:
+    in order of first member, each its own tuples sorted and its members
+    as masks in family order, stably sorted by size; lone members too."""
+    rng = random.Random(41)
+    for _ in range(300):
+        family, expected, placed = _antichain(_random_family(rng)), [], set()
+        for i, s in enumerate(family):
+            if i in placed:
+                continue
+            members, tuples, grown = {i}, set(s), True
+            while grown:
+                joining = {j for j, other in enumerate(family) if j not in members and tuples & other}
+                members |= joining
+                tuples.update(*(family[j] for j in joining))
+                grown = bool(joining)
+            placed |= members
+            order = sorted(tuples)
+            masks = [sum(1 << order.index(t) for t in family[j]) for j in sorted(members)]
+            expected.append((order, sorted(masks, key=int.bit_count)))
+        assert [(list(t), list(m)) for t, m in _bitmask_components(family)] == expected, family
 
 
 def test_minimum_transversals_are_the_least_of_berges():
@@ -463,6 +487,54 @@ def test_repairs_are_capped_by_the_tuples_they_keep():
         with pytest.raises(OracleBoundExceeded,
                            match="59,535 repairs would keep 6,251,175 tuples"):
             repairs(120)
+
+
+def test_kept_set_cap_needs_no_join():
+    """The kept sets' tuples are counted off the parts' sizes (count * |D|
+    less the removals' tuples), so the repairs of n = 120 (cardinality)
+    and n = 87 (subset) are refused from parts whose tuples cannot be
+    read, with the message the public functions give."""
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("the join read the tuples")
+
+        def __getitem__(self, i):
+            raise AssertionError("the join read the tuples")
+
+    for n, listing, enumerate_repairs, tripped in (
+            (120, _minimum_transversals, enumerate_c_repairs,
+             "59,535 repairs would keep 6,251,175 tuples"),
+            (87, _component_transversals, enumerate_s_repairs,
+             "71,685 repairs would keep 5,300,667 tuples")):
+        instance = scaling_instance(n)
+        dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, instance))
+        parts = listing(_conflicts(instance, dc, False, n))
+        with pytest.raises(OracleBoundExceeded, match=tripped):
+            _repairs(instance, [(Unread(tuples), masks) for tuples, masks in parts])
+        with pytest.raises(OracleBoundExceeded, match=tripped):
+            enumerate_repairs(instance, dc, max_deletable=n)
+
+
+def test_unions_in_tid_order_need_no_second_sort():
+    """-mask orders an antichain by sorted tids, and the tuples of
+    one-member parts are in every union: the minimal hitting sets of random
+    families of several components, joined by -mask alone, come out as
+    sorting them by tids would put them, and so do the oracle's MNS."""
+    rng = random.Random(37)
+    mixed = 0
+    for _ in range(300):
+        pool, family = rng.sample("abcdefghijklmnopqrstuvwxyz", 20), []
+        for c in range(rng.randint(1, 4)):
+            letters = pool[5 * c:5 * c + 5]
+            family += [frozenset(rng.sample(letters, rng.randint(1, 3)))
+                       for _ in range(rng.randint(1, 4))]
+        family = _antichain(family)
+        parts = _component_transversals(family)
+        mixed += min(len(m) for _, m in parts) == 1 < max(len(m) for _, m in parts)
+        expected = sorted(minimal_hitting_sets(family), key=sorted)
+        assert _unions(parts, by_size=False) == expected, family
+        assert dbexplain.oracle._mns(family) == expected
+    assert mixed > 50, mixed
 
 
 def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
