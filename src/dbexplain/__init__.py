@@ -5,9 +5,9 @@ The library computes, for a query that is true in an instance split into
 endogenous and exogenous tuples: minimal sufficient and minimal necessary
 tuple sets, exact necessity/sufficiency/responsibility degrees, actual
 causes with contingency sets, subset- and cardinality-repairs of the
-query's denial constraint, the repair core (both by repair intersection
-and in polynomial time), chase-style construction of a minimal sufficient
-set through a given tuple, and the monotone-DNF lineage with minimal-model
+query's denial constraint, the repair core (both as the instance minus
+the union of the minimal conflicts and in polynomial time), chase-style
+construction of a minimal sufficient set through a given tuple, and the monotone-DNF lineage with minimal-model
 enumeration.  The sufficiency and necessity families, degrees, causes and
 the polynomial core are all derived from one object, the antichain W of
 endogenous witness projections: its members are the minimal sufficient

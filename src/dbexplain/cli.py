@@ -20,9 +20,9 @@ from pathlib import Path
 
 from . import fastpath, lineage, oracle, repairs
 from .errors import ExplainError
-from .explanations import frac_str
 from .model import Instance, load_instance, load_instance_csv
-from .query import denial_constraint_of, enumerate_witnesses, evaluate, parse_query
+from .query import (_witness_index, denial_constraint_of, enumerate_witnesses, evaluate,
+                    parse_query)
 
 __all__ = ["main", "run"]
 
@@ -115,14 +115,14 @@ def _dispatch(args, instance: Instance, query) -> dict:
                 res = fastpath.min_mss_sjf(instance, query, args.tuple_id)
                 return {"mode": "chase-min",
                         "set": sorted(res.mss.tuples) if res.mss is not None else None,
-                        "sigma": frac_str(res.sigma) if res.sigma is not None else None}
+                        "sigma": str(res.sigma) if res.sigma is not None else None}
             if args.tuple_id is None:
                 # the least tuple in the union of W seeds the chase
-                union = fastpath._sufficient_union(instance, query)
+                index = _witness_index(query, instance)
+                union = index.union()
                 if not union:
                     # W is empty (the query is false) or holds only the empty set
-                    return {"mode": "chase", "sigma": None,
-                            "set": [] if enumerate_witnesses(query, instance) else None}
+                    return {"mode": "chase", "sigma": None, "set": [] if index.images else None}
                 got = fastpath.chase_mss(instance, query, min(union))
             else:
                 got = fastpath.chase_mss(instance, query, args.tuple_id)

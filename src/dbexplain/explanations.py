@@ -20,7 +20,6 @@ from .query import Query, evaluate
 __all__ = [
     "ExplanationKind", "ExplanationSet", "DegreeReport", "TupleDegrees",
     "ContingencyReport", "verify_explanation", "is_sufficient", "is_necessary",
-    "frac_str",
 ]
 
 ExplanationKind = Literal["SS", "MSS", "NS", "MNS", "witness", "repair-removal"]
@@ -124,9 +123,9 @@ class DegreeReport:
     def to_dict(self) -> dict:
         return {
             tid: {
-                "eta": frac_str(d.eta),
-                "sigma": frac_str(d.sigma),
-                "rho": frac_str(d.rho),
+                "eta": str(d.eta),
+                "sigma": str(d.sigma),
+                "rho": str(d.rho),
                 "strong_necessary": d.strong_necessary,
                 "strong_sufficient": d.strong_sufficient,
             }
@@ -149,8 +148,3 @@ class ContingencyReport:
             tid: [sorted(g) for g in gammas]
             for tid, gammas in sorted(self.contingencies.items())
         }
-
-
-def frac_str(x: Fraction) -> str:
-    """Exact rational rendering: '0', '1', '1/2', ..."""
-    return str(x)

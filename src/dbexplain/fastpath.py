@@ -24,7 +24,9 @@ seed are the members of W that contain it, so ``chase_mss`` returns the
 least of them by (size, sorted tids), among those whose other tuples a
 given repair keeps, and ``min_mss_sjf`` the least member through its tuple
 or, without one, the least member of W.  Neither needs the predicates'
-extensions to be wholly endogenous or wholly exogenous.
+extensions to be wholly endogenous or wholly exogenous.  Only a
+conjunctive query has a witness index, so every function here refuses
+any other query with ``UnsupportedQuery``.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .errors import (
     ExplanationInvalid,
     QueryNotSatisfied,
     UnknownTupleId,
-    UnsupportedQuery,
 )
 from .explanations import ExplanationSet, verify_explanation
 from .model import Instance
-from .query import BooleanCQ, Query, _witness_index
+from .query import Query, _witness_index
 from .repairs import CoreResult, Repair
 
 __all__ = [
@@ -76,23 +77,10 @@ class MinMssResult:
     sigma: Optional[Fraction]
 
 
-def _require_cq(query: Query) -> BooleanCQ:
-    if not isinstance(query, BooleanCQ):
-        raise UnsupportedQuery(
-            "the fast path handles Boolean conjunctive queries only")
-    return query
-
-
-def _sufficient_union(instance: Instance, query: Query) -> frozenset[str]:
-    """The union of W: the tuples in some minimal sufficient set."""
-    return _witness_index(_require_cq(query), instance).union()
-
-
 def participating_sets(instance: Instance, query: Query) -> ParticipatingSets:
     """The R_i sets: the per-atom projection of the satisfying
     combinations, enumerated once by the indexed join."""
-    cq = _require_cq(query)
-    return ParticipatingSets(per_atom=_witness_index(cq, instance).per_atom)
+    return ParticipatingSets(per_atom=_witness_index(query, instance).per_atom)
 
 
 def core_fast(instance: Instance, query: Query) -> CoreResult:
@@ -103,7 +91,7 @@ def core_fast(instance: Instance, query: Query) -> CoreResult:
     all repairs when every tuple is endogenous; all of D when the
     exogenous part alone satisfies the query.
     """
-    core = instance.tids() - _sufficient_union(instance, query)
+    core = instance.tids() - _witness_index(query, instance).union()
     return CoreResult(tuples=core, method="lemma1")
 
 
@@ -113,15 +101,15 @@ def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
     tuple t, is a sufficient set; for t in the kept part it provably is
     not, so that is an error.  The set rests on the caller's repair, not
     on W alone, so it is checked."""
-    cq = _require_cq(query)
+    union = _witness_index(query, instance).union()
     if tid not in instance:
         raise UnknownTupleId(f"unknown tid {tid!r}")
     if tid not in repair.removed:
         raise ExplanationInvalid(
             f"{tid!r} is kept by the repair; the construction yields a "
             "sufficient set exactly for removed tuples")
-    tids = (repair.kept & _sufficient_union(instance, cq)) | {tid}
-    verify_explanation(instance, cq, "SS", tids)
+    tids = (repair.kept & union) | {tid}
+    verify_explanation(instance, query, "SS", tids)
     return ExplanationSet("SS", tids)
 
 
@@ -142,8 +130,7 @@ def chase_mss(instance: Instance, query: Query, tid: str,
     member of W (it lies in the repair core), and a repair that keeps no
     member of W through the seed.
     """
-    cq = _require_cq(query)
-    index = _witness_index(cq, instance)
+    index = _witness_index(query, instance)
     if not instance.fact(tid).endo:
         raise ChaseSeedError(f"seed {tid!r} is exogenous")
     if repair is not None and tid not in repair.removed:
@@ -176,8 +163,7 @@ def min_mss_sjf(instance: Instance, query: Query,
     self-joins included; the name keeps the self-join-free case that
     first had a polynomial shortcut.
     """
-    cq = _require_cq(query)
-    index = _witness_index(cq, instance)
+    index = _witness_index(query, instance)
     if not index.images:
         raise QueryNotSatisfied("the query is false in the instance")
     if tid is None:
@@ -187,5 +173,5 @@ def min_mss_sjf(instance: Instance, query: Query,
     elif tid not in index.union():
         return MinMssResult(mss=None, sigma=Fraction(0))
     else:
-        mss = chase_mss(instance, cq, tid)
+        mss = ExplanationSet("MSS", _least(s for s in index.antichain if tid in s))
     return MinMssResult(mss=mss, sigma=Fraction(1, len(mss)) if len(mss) else None)

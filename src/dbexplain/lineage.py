@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedQuery
 from .model import Instance
-from .query import BooleanCQ, Query, _minimal_members, _witness_index
+from .query import Query, _minimal_members, _witness_index
 
 __all__ = ["LineageFormula", "lineage_of", "eliminate_exogenous", "minimal_models"]
 
@@ -56,9 +55,6 @@ def lineage_of(instance: Instance, query: Query) -> LineageFormula:
     """One clause per minimal witness; the empty disjunction when the query
     is false.  Clauses are tuple sets, so under self-joins a clause may
     have fewer variables than the query has atoms."""
-    if not isinstance(query, BooleanCQ):
-        raise UnsupportedQuery("lineage is built for Boolean conjunctive "
-                               "queries; path witnesses have unbounded width")
     return LineageFormula(clauses=frozenset(_witness_index(query, instance).minimal))
 
 

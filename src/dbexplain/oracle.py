@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleBoundExceeded, QueryNotSatisfied, RepairNotFound, UnsupportedQuery
+from .errors import OracleBoundExceeded, QueryNotSatisfied, RepairNotFound
 from .explanations import (
     ContingencyReport,
     DegreeReport,
@@ -54,10 +54,11 @@ from .query import (
     MAX_HELD_TUPLES,
     BooleanCQ,
     Query,
-    _antichain,
+    _check_schema,
+    _minimal_members,
+    _simple_paths,
     _witness_index,
     denial_constraint_of,
-    enumerate_witnesses,
 )
 from .repairs import (MAX_TRANSVERSAL_TESTS, _component_transversals, _conflicts,
                       _least_transversals_through, _unions, minimal_hitting_sets)
@@ -78,13 +79,15 @@ def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
 
 def _mss(instance: Instance, query: Query) -> list[frozenset[str]]:
     """The witness antichain W, i.e. the MSS family, ordered by tids; it is
-    empty iff the query is false.  The simple-path walk enters no node
-    when the target is unreachable, so no reachability test comes first."""
+    empty iff the query is false.  For a reachability query it is read off
+    the paths' endogenous parts; the simple-path walk enters no node when
+    the target is unreachable, so no reachability test comes first."""
     if isinstance(query, BooleanCQ):
         mss = _witness_index(query, instance).antichain
     else:
+        _check_schema(query, instance.schema)
         endo = instance.endogenous_part()
-        mss = _antichain(w.tuples & endo for w in enumerate_witnesses(query, instance))
+        mss = _minimal_members({endo.intersection(p) for p in _simple_paths(instance, query)})
     if not mss:
         raise QueryNotSatisfied("the query is false in the instance")
     return sorted(mss, key=_by_tids)
@@ -226,17 +229,16 @@ def cause_repair_correspondence(instance: Instance,
         cardinality-repair removal sets.
 
     When no repair exists within the endogenous part both sides are empty
-    and the correspondence holds vacuously.
+    and the correspondence holds vacuously.  A path query has no denial
+    constraint, so it is refused.
     """
-    if not isinstance(query, BooleanCQ):
-        raise UnsupportedQuery("repairs are defined via the denial constraint "
-                               "of a Boolean conjunctive query")
+    dc = denial_constraint_of(query)
     mns = _mns(_mss(instance, query))
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)
     try:  # the s-repair removals, with no Repair (and no kept set) built
-        removals = minimal_hitting_sets(_conflicts(instance, denial_constraint_of(query), True,
+        removals = minimal_hitting_sets(_conflicts(instance, dc, True,
                                                    len(instance.endogenous_part())))
     except RepairNotFound:
         removals = []

@@ -508,8 +508,11 @@ class _WitnessIndex(NamedTuple):
 _last_index: tuple[weakref.ref[Instance], BooleanCQ, _WitnessIndex] | None = None
 
 
-def _witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
+def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
     """The witness index of the pair, built once per instance and query.
+
+    Only a conjunctive query has one, so every operation read off it
+    refuses any other query here, with ``UnsupportedQuery``.
 
     One slot remembers the most recent pair, since calls on one pair come
     together; an index per instance would keep one for every live
@@ -522,6 +525,9 @@ def _witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     reused while it is kept.  It is replaced by one assignment, so a
     concurrent caller sees a whole pair or rebuilds."""
     global _last_index
+    if not isinstance(query, BooleanCQ):
+        raise UnsupportedQuery("this operation reads the witness index, which only "
+                               "Boolean conjunctive queries have")
     last = _last_index
     if last is not None and last[0]() is instance and last[1] is query:
         return last[2]

@@ -21,6 +21,7 @@ from dbexplain import (
     UnsupportedQuery,
     available_backends,
     backend_name,
+    cause_repair_correspondence,
     chase_mss,
     core_fast,
     core_naive,
@@ -447,6 +448,24 @@ def test_min_mss_sjf_answers_self_joins(srs_prime, q_srs, rrs_loop, q_rrs):
 def test_min_mss_sjf_rejects_reachability(g_routes, q_path_ab):
     with pytest.raises(UnsupportedQuery):
         min_mss_sjf(g_routes, q_path_ab)
+
+
+@pytest.mark.parametrize("call", [
+    lambda instance, q, repair: dbexplain.query._witness_index(q, instance),
+    lambda instance, q, repair: chase_mss(instance, q, min(repair.removed)),
+    lambda instance, q, repair: participating_sets(instance, q),
+    lambda instance, q, repair: sufficient_set_from(instance, q, repair, min(repair.removed)),
+    lambda instance, q, repair: sufficient_set_from(instance, q, repair, "no such tid"),
+    lambda instance, q, repair: cause_repair_correspondence(instance, q),
+], ids=["witness-index", "chase", "participating", "sufficient-set", "sufficient-set-unknown-tid",
+        "correspondence"])
+def test_readers_of_the_witness_index_refuse_reachability(call, g_routes, q_path_ab):
+    """Only a conjunctive query has a witness index, so the index is the
+    one gate of the operations read off it, ahead of any tid check."""
+    removed = frozenset({min(g_routes.tids())})
+    repair = Repair(kept=g_routes.tids() - removed, removed=removed, cardinality_minimal=True)
+    with pytest.raises(UnsupportedQuery):
+        call(g_routes, q_path_ab, repair)
 
 
 def test_min_mss_sjf_requires_satisfaction(rt_small):

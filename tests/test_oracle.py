@@ -16,6 +16,7 @@ from dbexplain import (
     Instance,
     OracleBoundExceeded,
     QueryNotSatisfied,
+    ReachabilityQuery,
     actual_causes,
     cause_repair_correspondence,
     check_duality,
@@ -491,6 +492,54 @@ def test_families_match_bruteforce_on_fixtures():
                            (degrees, bruteforce.degrees),
                            (actual_causes, bruteforce.actual_causes)]:
             assert ours(instance, q) == scan(instance, q), (name, ours.__name__)
+
+
+def _random_exo_digraph(rng: random.Random) -> tuple[Instance, str]:
+    """At most 10 distinct edges, self-loops included, over 2-5 nodes, each
+    edge exogenous with probability 1/3."""
+    nodes = "abcde"[:rng.randint(2, 5)]
+    pairs = [(u, v) for u in nodes for v in nodes]
+    edges = rng.sample(pairs, rng.randint(1, min(10, len(pairs))))
+    return Instance.build({"E": 2}, [Fact(f"E:{u},{v}", "E", (u, v), endo=rng.random() > 1 / 3)
+                                     for u, v in edges]), nodes
+
+
+def test_path_families_match_bruteforce_on_random_digraphs():
+    """A path query's W comes off the simple-path walk, with no witness
+    objects: its families equal the exhaustive scan's on random digraphs
+    with cycles and exogenous edges.  In the fixed graph the exogenous
+    edge s->m makes the endogenous part {m->t} of s->m->t a proper subset
+    of that of s->n->m->t, and s->k->m->t repeats it, so W needs the
+    minimality pass."""
+    assert not hasattr(dbexplain.oracle, "enumerate_witnesses")
+    assert not hasattr(dbexplain.oracle, "_antichain")
+    nested = Instance.build({"E": 2}, [
+        Fact(tid, "E", tuple(tid), endo=tid in ("sn", "nm", "mt"))
+        for tid in ("sm", "sn", "nm", "sk", "km", "mt")])
+    cases = [(nested, ReachabilityQuery("E", "s", "t"))]
+    rng = random.Random(2121)
+    for _ in range(150):
+        instance, nodes = _random_exo_digraph(rng)
+        cases.append((instance, ReachabilityQuery("E", rng.choice(nodes), rng.choice(nodes))))
+    seen = Counter()
+    for instance, q in cases:
+        endo = instance.endogenous_part()
+        parts = [p & endo for p in bruteforce.simple_paths(instance, q)]
+        seen["false"] += not parts
+        seen["exogenous path"] += frozenset() in parts
+        seen["nested"] += any(a < b for a in parts for b in parts)
+        for ours, scan in [(enumerate_mss, bruteforce.enumerate_mss),
+                           (enumerate_mns, bruteforce.enumerate_mns),
+                           (degrees, bruteforce.degrees),
+                           (actual_causes, bruteforce.actual_causes)]:
+            if not parts:
+                with pytest.raises(QueryNotSatisfied):
+                    ours(instance, q)
+                continue
+            assert ours(instance, q) == scan(instance, q), \
+                (sorted(instance.tids()), sorted(endo), str(q), ours.__name__)
+    assert tids(enumerate_mss(nested, cases[0][1])) == [["mt"]]
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
