@@ -106,9 +106,9 @@ class ReachabilityQuery:
 Query = Union[BooleanCQ, ReachabilityQuery]
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A subset-minimal fact set satisfying the query.
+class Witness(NamedTuple):
+    """A subset-minimal fact set satisfying the query (an immutable named
+    tuple, cheaper to build than a frozen dataclass).
 
     ``assignment`` is a representative satisfying assignment for
     conjunctive queries and None for reachability queries.
@@ -383,10 +383,11 @@ def _refuse_steps(steps: int) -> NoReturn:
                             f"past the cap {MAX_PATH_STEPS:,}")
 
 
-def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[list[str]]:
-    """The tids of the simple source-to-target paths, each list sorted, in
-    depth-first order, with an explicit stack so that path length is not
-    bounded by recursion.
+def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[tuple[str, ...]]:
+    """The tids of the simple source-to-target paths, each a sorted tuple
+    (which the collector stops tracking at its first pass), in depth-first
+    order, with an explicit stack so that path length is not bounded by
+    recursion.
 
     The walk enters only live nodes, those with a path of zero or more
     edges to the target (one backward search finds them), so a part of
@@ -424,7 +425,7 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[list[str
             if len(out[u]) == 1 and u != target:
                 run[u] = out[u][0]
                 frontier.append(u)
-    paths: list[list[str]] = []
+    paths: list[tuple[str, ...]] = []
     visited, nodes, tids, steps, held = {source}, [], [], 0, 0
     stack = [iter(out.get(source, ()))]
     while stack:
@@ -448,7 +449,7 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[list[str
             if held > MAX_HELD_TUPLES:
                 raise PathBoundExceeded(f"{len(paths) + 1:,} simple paths would hold "
                                         f"{held:,} tuples, past the cap {MAX_HELD_TUPLES:,}")
-            paths.append(sorted(tids))
+            paths.append(tuple(sorted(tids)))
             if len(paths) > MAX_PATHS:
                 raise PathBoundExceeded(
                     f"{len(paths):,} simple paths pass the cap {MAX_PATHS:,}")

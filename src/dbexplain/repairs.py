@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .errors import OracleBoundExceeded, RepairNotFound
 from .model import Instance
@@ -65,8 +65,10 @@ MAX_TRANSVERSAL_TESTS = 10_000_000
 DEFAULT_MAX_DELETABLE = 20
 
 
-@dataclass(frozen=True)
-class Repair:
+class Repair(NamedTuple):
+    """The tuples a repair keeps and removes, and whether its removal has
+    the least size (an immutable named tuple)."""
+
     kept: frozenset[str]
     removed: frozenset[str]
     cardinality_minimal: bool
@@ -330,13 +332,13 @@ def _unions(parts: Sequence[tuple[Sequence[str], Sequence[int]]], universe: int 
     many = sorted((p for p in parts if len(p[1]) > 1), key=lambda p: len(p[1]))
     at = {t: i for i, t in enumerate(sorted((t for p in many for t in p[0]), reverse=True))}
     unit = 1 << len(at) if by_size else 0  # the weight of a tuple in a key
-    joined = [(0, frozenset(tuples[b.bit_length() - 1] for tuples, masks in parts
-                           if len(masks) == 1 for b in _bits(masks[0])))]
+    joined = {0: frozenset(tuples[b.bit_length() - 1] for tuples, masks in parts
+                           if len(masks) == 1 for b in _bits(masks[0]))}
     for tuples, masks in many:
         part = [(len(s) * unit - sum(1 << at[t] for t in s), frozenset(s))
                 for s in ([tuples[b.bit_length() - 1] for b in _bits(m)] for m in masks)]
-        joined = [(key + k, union | s) for key, union in joined for k, s in part]
-    return [union for _, union in sorted(joined)]  # distinct keys: no set is compared
+        joined = {key + k: union | s for key, union in joined.items() for k, s in part}
+    return [joined[key] for key in sorted(joined)]  # distinct keys: no union is dropped
 
 
 def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
@@ -373,8 +375,8 @@ def _repairs(instance: Instance,
     sets would hold over MAX_HELD_TUPLES tuples."""
     all_tids = instance.tids()
     removals = _unions(parts, len(all_tids))
-    return tuple(Repair(kept=all_tids - r, removed=r,
-                        cardinality_minimal=len(r) == len(removals[0])) for r in removals)
+    least = len(removals[0])
+    return tuple(Repair(all_tids - r, r, len(r) == least) for r in removals)
 
 
 def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,

@@ -28,6 +28,7 @@ from dbexplain import (
     UnknownPredicate,
     UnsupportedQuery,
     Var,
+    Witness,
     denial_constraint_of,
     enumerate_mss,
     enumerate_witnesses,
@@ -35,7 +36,8 @@ from dbexplain import (
     parse_query,
 )
 
-from dbexplain.query import _antichain, _assignments, _minimal_members, _witness_index
+from dbexplain.query import (_antichain, _assignments, _minimal_members, _simple_paths,
+                             _witness_index)
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
@@ -187,6 +189,42 @@ def test_witnesses_three_disjoint_triples(srs_base):
 def test_witnesses_simple_paths(g_routes, q_path_ab):
     assert tids(enumerate_witnesses(q_path_ab, g_routes)) == [
         ["t1"], ["t2", "t3"], ["t4", "t5", "t6"]]
+
+
+def test_witness_is_an_immutable_named_tuple(srs_prime, q_srs, g_routes, q_path_ab):
+    """A witness keeps its field names and their order, refuses assignment
+    and unpacks; a path witness, with no assignment, hashes."""
+    assert Witness._fields == ("tuples", "assignment")
+    w = enumerate_witnesses(q_srs, srs_prime)[0]
+    tuples, assignment = w
+    assert (tuples, assignment) == (w.tuples, w.assignment) and assignment
+    with pytest.raises(AttributeError):
+        w.tuples = frozenset()
+    paths = enumerate_witnesses(q_path_ab, g_routes)
+    assert all(p.assignment is None for p in paths)
+    assert len(set(paths)) == len(paths) == 3
+    assert hash(paths[1]) == hash(Witness(frozenset({"t2", "t3"})))
+    assert paths[1].sort_key() == ("t2", "t3")
+    assert paths[1]._replace(tuples=frozenset({"t1"})) == paths[0]
+
+
+def test_simple_paths_are_tuples_of_sorted_tids(g_routes_exo23, g_routes_exo24):
+    """The walk keeps each path as a tuple of sorted tids, and their sets
+    are the judge's simple paths; the witnesses come in tids order, and the
+    MSS read off the paths through exogenous edges are the judge's."""
+    rng = random.Random(47)
+    for _ in range(200):
+        instance, nodes = _random_digraph(rng)
+        q = ReachabilityQuery("E", rng.choice(nodes), rng.choice(nodes))
+        paths = _simple_paths(instance, q)
+        assert all(type(p) is tuple and list(p) == sorted(p) for p in paths)
+        expected = bruteforce.simple_paths(instance, q)
+        assert sorted(map(frozenset, paths), key=sorted) == expected
+        assert [w.sort_key() for w in enumerate_witnesses(q, instance)] == \
+            sorted(paths) == [tuple(sorted(s)) for s in expected]
+    for instance in (g_routes_exo23, g_routes_exo24):
+        q = parse_query("q :- path(E, a, b).", instance)
+        assert enumerate_mss(instance, q) == bruteforce.enumerate_mss(instance, q)
 
 
 def test_witnesses_false_query_empty(rt_small):

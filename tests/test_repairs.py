@@ -12,6 +12,7 @@ from dbexplain import (
     Fact,
     Instance,
     OracleBoundExceeded,
+    Repair,
     RepairNotFound,
     core_naive,
     degrees,
@@ -152,6 +153,22 @@ def test_repair_listing_trips_the_union_cap():
     dc = denial_constraint_of(parse_query("q :- R(x), S(x).", inst))
     with pytest.raises(OracleBoundExceeded, match="131,072 unions .* hold 2,228,224 tuples"):
         enumerate_s_repairs(inst, dc, max_deletable=len(inst))
+
+
+def test_repair_is_an_immutable_named_tuple(srs_prime, q_srs):
+    """A repair keeps its field names and their order, refuses assignment,
+    hashes, unpacks, and still builds from keywords."""
+    assert Repair._fields == ("kept", "removed", "cardinality_minimal")
+    reps = enumerate_s_repairs(srs_prime, denial_constraint_of(q_srs))
+    kept, removed, least = reps[0]
+    assert (kept, removed, least) == (reps[0].kept, reps[0].removed,
+                                      reps[0].cardinality_minimal)
+    with pytest.raises(AttributeError):
+        reps[0].kept = frozenset()
+    assert len(set(reps)) == len(reps) > 1
+    again = Repair(kept=kept, removed=removed, cardinality_minimal=least)
+    assert again == reps[0] and hash(again) == hash(reps[0])
+    assert reps[0]._replace(cardinality_minimal=not least) == (kept, removed, not least)
 
 
 def test_core_naive_seven_tuple_instance(srs_prime, q_srs):
@@ -310,6 +327,28 @@ def test_unions_are_in_size_and_tid_order():
         picks = itertools.product(*(mask_sets(tuples, masks) for tuples, masks in parts))
         assert _unions(parts) == sorted((frozenset().union(*pick) for pick in picks),
                                         key=lambda s: (len(s), sorted(s))), parts
+
+
+def test_unions_of_several_multi_member_parts_match_the_product():
+    """Parts over disjoint tuples, two or more of them with several members,
+    each an antichain over tuples in any order: the joined unions are the
+    product's unions sorted by (size, tids), and by tids alone when not
+    by_size, so the keys that several parts add up name one union each."""
+    rng = random.Random(43)
+    for _ in range(300):
+        letters, parts, picks = rng.sample("abcdefghijklmnopqrstuvwx", 24), [], []
+        for i in range(rng.randint(2, 5)):
+            pool, members = letters[4 * i:4 * i + 4], []
+            while len(members) < (2 if i < 2 else 1):
+                members = _antichain(frozenset(rng.sample(pool, rng.randint(1, 3)))
+                                     for _ in range(rng.randint(1, 5)))
+            tuples = rng.sample(pool, 4)
+            parts.append((tuples, [sum(1 << tuples.index(t) for t in s) for s in members]))
+            picks.append(members)
+        assert sum(len(masks) > 1 for _, masks in parts) >= 2
+        unions = [frozenset().union(*pick) for pick in itertools.product(*picks)]
+        assert _unions(parts) == sorted(unions, key=lambda s: (len(s), sorted(s))), parts
+        assert _unions(parts, by_size=False) == sorted(unions, key=sorted), parts
 
 
 def test_many_components_take_linear_time_and_space():
