@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
                     NoReturn, Optional, Sequence, Union)
 
@@ -272,6 +272,8 @@ def _check_schema(query: Query, schema: Mapping[str, int]) -> None:
 # conjunctive query evaluation (a backtracking join over atoms in textual
 # order, each atom probing a hash index of its facts on its bound positions)
 
+_tid = attrgetter("tid")
+
 # (probe, the (position, name) of each new variable, the position pairs
 # that hold one repeated new variable)
 _Plan = tuple[Callable[[Mapping[str, str]], Sequence[Fact]],
@@ -311,12 +313,14 @@ def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
 def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
     """All satisfying assignments, as (environment, per-atom fact binding),
     atoms in textual order and facts in tid order: a backtracking join over
-    a stack of candidate iterators, one per atom, so query length is not
-    bounded by recursion.  Each atom's ``_plan`` is built when the search
-    first reaches it, so the pairs come in the order of a nested loop over
-    the extensions, but only candidates that agree on the bound positions
-    are tried.  One environment changes in place; a deeper atom's stale
-    variables are rebound before they are read or yielded."""
+    a stack of candidate iterators, one per atom but the last, so query
+    length is not bounded by recursion.  Once the atoms before the last
+    are bound, the last atom's probe is read in one loop, each candidate
+    that agrees yielding one assignment.  Each atom's ``_plan`` is built
+    when the search first reaches it, so the pairs come in the order of a
+    nested loop over the extensions, but only candidates that agree on the
+    bound positions are tried.  One environment changes in place; a deeper
+    atom's stale variables are rebound before they are read or yielded."""
     atoms = query.atoms
     if not atoms:
         yield {}, ()
@@ -324,29 +328,44 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
     pools = [instance.relation(a.pred) for a in atoms]
     env: dict[str, str] = {}
     facts: list = [None] * len(atoms)
-    plans = [_plan(atoms[0], pools[0], env)]
-    stack = [iter(plans[0][0](env))]
-    while stack:
-        i = len(stack) - 1
-        fact = next(stack[i], None)
-        if fact is None:
-            stack.pop()
-            continue
-        _, binds, agree = plans[i]
-        vals = fact.vals
-        if agree and any(vals[p] != vals[q] for p, q in agree):
-            continue
-        for p, name in binds:
-            env[name] = vals[p]
-        facts[i] = fact
-        i += 1
-        if i == len(atoms):
-            yield dict(env), tuple(facts)
-            continue
+    last = len(atoms) - 1
+    plans: list[_Plan] = []
+    stack: list[Iterator[Fact]] = []
+    i = 0  # the atom to extend next: atoms[:i] are bound
+    while True:
         if i == len(plans):
             # env binds exactly the variables of atoms[:i] on the first visit
             plans.append(_plan(atoms[i], pools[i], env))
-        stack.append(iter(plans[i][0](env)))
+        probe, binds, agree = plans[i]
+        if i < last:
+            stack.append(iter(probe(env)))
+        else:
+            for fact in probe(env):
+                vals = fact.vals
+                if agree and any(vals[p] != vals[q] for p, q in agree):
+                    continue
+                for p, name in binds:
+                    env[name] = vals[p]
+                facts[last] = fact
+                yield dict(env), tuple(facts)
+        # bind the deepest open atom to its next candidate that agrees
+        while True:
+            if not stack:
+                return
+            i = len(stack) - 1
+            fact = next(stack[i], None)
+            if fact is None:
+                stack.pop()
+                continue
+            _, binds, agree = plans[i]
+            vals = fact.vals
+            if agree and any(vals[p] != vals[q] for p, q in agree):
+                continue
+            for p, name in binds:
+                env[name] = vals[p]
+            facts[i] = fact
+            i += 1
+            break
 
 
 def _reach(links: Mapping[str, list[str]], start: Iterable[str]) -> set[str]:
@@ -542,24 +561,36 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     query when it contains an image, and a set of endogenous tuples is
     sufficient when it contains an image's endogenous projection; so the
     minimal images are the witnesses, and their minimal projections are
-    the minimal sufficient sets."""
+    the minimal sufficient sets.  The pass keeps each binding, and each
+    atom's tuples are read off the kept bindings after it.  When no bound
+    tuple is exogenous each image is its own projection, so ``W`` is the
+    minimal images themselves, and the instance's endogenous part is not
+    built; otherwise the projections are deduplicated in the order of
+    the minimal images, so ``W`` is in family order either way."""
     _check_schema(query, instance.schema)
     images: dict[frozenset[str], dict[str, str]] = {}
-    per_atom: list[set[str]] = [set() for _ in query.atoms]
+    bindings: list[tuple[Fact, ...]] = []
     for env, bound in _assignments(query, instance):
-        images.setdefault(frozenset(f.tid for f in bound), env)
-        for r_i, f in zip(per_atom, bound):
-            r_i.add(f.tid)
+        images.setdefault(frozenset(map(_tid, bound)), env)
+        bindings.append(bound)
     minimal = tuple(_minimal_members(images))
-    endo = instance.endogenous_part()
-    return _WitnessIndex(images, minimal, tuple(map(frozenset, per_atom)),
-                         tuple(_minimal_members({image & endo for image in minimal})))
+    per_atom = tuple(frozenset([b[i].tid for b in bindings]) for i in range(query.k))
+    if all(f.endo for b in bindings for f in b):
+        antichain = minimal
+    else:
+        endo = instance.endogenous_part()
+        antichain = tuple(_minimal_members(dict.fromkeys(s & endo for s in minimal)))
+    return _WitnessIndex(images, minimal, per_atom, antichain)
 
 
 def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]:
-    """All subset-minimal witnesses; empty iff the query is false.
+    """All subset-minimal witnesses, ordered by their sorted tids; empty
+    iff the query is false.
 
-    For a reachability query these are the edge sets of the simple paths,
+    For a conjunctive query the minimal images of the witness index are
+    sorted once by their sorted tids, which are distinct, and each
+    witness gets a copy of its image's first assignment.  For a
+    reachability query these are the edge sets of the simple paths,
     found by a walk that enters only nodes that reach the target and reads
     a forced run of one-edge nodes to it in one loop, each run node
     counting as a node entered against MAX_PATH_STEPS."""
@@ -569,9 +600,9 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
         # comparable, so the family is already an antichain
         return tuple(Witness(frozenset(p)) for p in sorted(_simple_paths(instance, query)))
     index = _witness_index(query, instance)
-    witnesses = [Witness(tuples=s, assignment=dict(index.images[s]))
-                 for s in index.minimal]
-    return tuple(sorted(witnesses, key=Witness.sort_key))
+    # distinct sets have distinct keys, so no frozenset is ever compared
+    return tuple(Witness(s, dict(index.images[s]))
+                 for _, s in sorted([(tuple(sorted(s)), s) for s in index.minimal]))
 
 
 def denial_constraint_of(query: Query) -> DenialConstraint:

@@ -3,11 +3,15 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 import weakref
 
 import pytest
@@ -572,6 +576,9 @@ def test_join_yields_the_nested_loop_sequence():
     assert total > 2000 and min(seen.values()) > 100, (total, seen)
 
 
+# the last four vary the last atom, which the join reads in one loop: a
+# repeated bound variable, a repeated new variable, a constant, and a
+# one-atom query, whose first atom is also its last
 SELF_JOIN_SHAPES = (
     "q :- R(x,x).",
     "q :- R(x,y), R(y,x).",
@@ -579,6 +586,10 @@ SELF_JOIN_SHAPES = (
     "q :- R(x,y), R(y,z), R(z,x).",
     "q :- R(x,'{c}'), R('{c}',y), R(y,x).",
     "q :- S(x), R(x,x), R(y,'{c}'), S(y).",
+    "q :- R(x,y), R(y,y).",
+    "q :- R(x,y), R(z,z).",
+    "q :- R(x,y), R(y,'{c}').",
+    "q :- R('{c}',x).",
 )
 
 
@@ -597,9 +608,10 @@ def _self_join_instance(rng: random.Random) -> Instance:
 def test_join_order_on_self_join_shapes():
     """On self-join instances, with a variable repeated inside one atom, a
     variable repeated across atoms and constants, the join yields the
-    nested loop's (environment, binding) sequence; the index keeps the
-    images in that order, and its minimal images and minimal endogenous
-    projections in family order."""
+    nested loop's (environment, binding) sequence, and its first pair,
+    which ``evaluate`` stops at, is the nested loop's first; the index
+    keeps the images in that order, and its minimal images and minimal
+    endogenous projections in family order."""
     rng = random.Random(14)
     satisfied = Counter()
     for _ in range(300):
@@ -609,14 +621,66 @@ def test_join_order_on_self_join_shapes():
             q = parse_query(shape.format(c=rng.choice("abc")), schema=instance.schema)
             want = bruteforce.assignments(q, instance)
             assert list(_assignments(q, instance)) == want, q
+            assert next(_assignments(q, instance), None) == (want[0] if want else None), q
             images = list(dict.fromkeys(frozenset(f.tid for f in b) for _, b in want))
             index = _witness_index(q, instance)
             assert list(index.images) == images
             assert list(index.minimal) == bruteforce.minimal_members(images)
             assert list(index.antichain) == bruteforce.minimal_members(
-                list({s & endo for s in index.minimal}))
+                list(dict.fromkeys(s & endo for s in index.minimal)))
             satisfied[shape] += bool(want)
     assert len(satisfied) == len(SELF_JOIN_SHAPES) and min(satisfied.values()) >= 50, satisfied
+
+
+def test_antichain_is_the_minimal_images_when_no_bound_tuple_is_exogenous():
+    """On an all-endogenous instance each image is its own projection:
+    ``W`` is the minimal images, in their order, and the instance's
+    endogenous part is never built."""
+    for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
+        instance = scaling_instance(200)
+        index = _witness_index(parse_query(text, instance), instance)
+        assert index.minimal and index.antichain == index.minimal
+        assert "_endogenous_part" not in instance.__dict__
+
+
+def test_antichain_projects_exogenous_images(srs_prime_exoR):
+    """With exogenous tuples bound, ``W`` is the minimal endogenous
+    projections of the minimal images, in their order."""
+    q = parse_query("q :- S(x), R(x,y), S(y).", srs_prime_exoR)
+    index = _witness_index(q, srs_prime_exoR)
+    endo = srs_prime_exoR.endogenous_part()
+    assert index.antichain != index.minimal
+    assert list(index.antichain) == bruteforce.minimal_members(
+        list(dict.fromkeys(s & endo for s in index.minimal)))
+
+
+_PRINT_ANTICHAIN = """
+from dbexplain import Fact, Instance, parse_query
+from dbexplain.query import _witness_index
+from dbexplain.synth import scaling_instance
+base = scaling_instance(60)
+instance = Instance.build(base.schema, [
+    Fact(f.tid, f.pred, f.vals, f.pred != "T") for f in base.facts])
+q = parse_query("q :- S(x), R(x,y), T(y).", instance)
+for s in _witness_index(q, instance).antichain:
+    print(*sorted(s))
+"""
+
+
+def test_antichain_order_does_not_depend_on_the_hash_seed():
+    """``W`` of an instance with exogenous tuples comes out in one order
+    under any string hash seed: the projections are deduplicated in the
+    order of the minimal images, not in a set's."""
+    src = str(Path(dbexplain.__file__).resolve().parents[1])
+    printed = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _PRINT_ANTICHAIN], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        printed.append(run.stdout)
+    assert len(printed[0].splitlines()) >= 10
+    assert printed[0] == printed[1] == printed[2]
 
 
 def _random_family(rng: random.Random) -> list[frozenset[str]]:
