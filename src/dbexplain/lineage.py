@@ -67,7 +67,7 @@ def eliminate_exogenous(formula: LineageFormula, instance: Instance, *,
     absorb=False to look at the raw eliminated form.
     """
     exo = instance.exogenous_part()
-    reduced = frozenset(frozenset(c - exo) for c in formula.clauses)
+    reduced = frozenset(c if exo.isdisjoint(c) else c - exo for c in formula.clauses)
     if absorb:
         reduced = frozenset(_minimal_members(reduced))
     return LineageFormula(clauses=reduced)

@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -74,12 +75,23 @@ class Instance:
 
     ``facts`` is kept sorted by tid, which fixes the iteration order used
     by every enumeration in the package.
+
+    ``probe`` hash-indexes a relation on a tuple of argument positions the
+    first time a join asks, and keeps the index while the instance lives,
+    so every later join on the instance reuses it.  The indexes are keyed
+    by predicate and positions, never by values, so there are at most as
+    many as predicates times position sets.  Two threads that ask for the
+    same index at once may both build it, and the later one is kept; both
+    are built from the same immutable facts, so either is correct, and a
+    reader sees a whole index or none.
     """
 
     schema_items: tuple[tuple[str, int], ...]
     facts: tuple[Fact, ...]
     _by_tid: dict[str, Fact] = field(default_factory=dict, compare=False, repr=False)
     _by_pred: dict[str, tuple[Fact, ...]] = field(default_factory=dict, compare=False, repr=False)
+    _probes: dict[tuple[str, tuple[int, ...]], dict[object, list[Fact]]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def build(schema: Mapping[str, int], facts: Iterable[Fact]) -> "Instance":
@@ -151,6 +163,19 @@ class Instance:
     def relation(self, pred: str) -> tuple[Fact, ...]:
         """Facts of one predicate, in tid order."""
         return self._by_pred.get(pred, ())
+
+    def probe(self, pred: str, positions: tuple[int, ...]) -> dict[object, list[Fact]]:
+        """Facts of one predicate by their values at the given positions
+        (the value itself for one position, their tuple for several), each
+        bucket in tid order; built at the first call, then kept."""
+        key = (pred, positions)
+        buckets = self._probes.get(key)
+        if buckets is None:
+            buckets, key_of = {}, itemgetter(*positions)
+            for f in self.relation(pred):
+                buckets.setdefault(key_of(f.vals), []).append(f)
+            self._probes[key] = buckets
+        return buckets
 
     @_once
     def tids(self) -> frozenset[str]:

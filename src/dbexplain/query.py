@@ -270,7 +270,8 @@ def _check_schema(query: Query, schema: Mapping[str, int]) -> None:
 
 # ---------------------------------------------------------------------------
 # conjunctive query evaluation (a backtracking join over atoms in textual
-# order, each atom probing a hash index of its facts on its bound positions)
+# order, each atom probing the instance's hash index of its facts on the
+# positions of its constants and bound variables)
 
 _tid = attrgetter("tid")
 
@@ -280,33 +281,43 @@ _Plan = tuple[Callable[[Mapping[str, str]], Sequence[Fact]],
               list[tuple[int, str]], list[tuple[int, int]]]
 
 
-def _plan(atom: Atom, pool: Sequence[Fact], env: Mapping[str, str]) -> _Plan:
+def _plan(atom: Atom, instance: Instance, env: Mapping[str, str]) -> _Plan:
     """How an atom extends an environment binding the variables of the
-    atoms before it.  The probe yields the pool, less the facts that miss
-    the atom's constants, hash-indexed on the positions of the bound
-    variables, buckets in pool order; so a candidate need only agree on
-    the positions of a new variable repeated in the atom, and then binds
-    each new variable from its first position."""
-    consts, positions, names, first, binds, agree = [], [], [], {}, [], []
+    atoms before it.  The probe yields the atom's facts that hold its
+    constants and agree with the environment on its bound variables: a
+    bucket of the instance's index of the relation on the positions of
+    both (see ``Instance.probe``), so built once per instance, in tid
+    order.  An atom with constants and no bound variable has one bucket,
+    fetched here; an atom with neither reads its whole relation.  So a
+    candidate need only agree on the positions of a new variable repeated
+    in the atom, and then binds each new variable from its first
+    position."""
+    positions, parts, names, first, binds, agree = [], [], [], {}, [], []
     for p, t in enumerate(atom.args):
         if isinstance(t, Const):
-            consts.append((p, t.value))
+            positions.append(p)
+            parts.append((False, t.value))
         elif t.name in env:
             positions.append(p)
+            parts.append((True, t.name))
             names.append(t.name)
         elif t.name in first:
             agree.append((first[t.name], p))
         else:
             first[t.name] = p
             binds.append((p, t.name))
-    if consts:
-        pool = [f for f in pool if all(f.vals[p] == v for p, v in consts)]
     if not positions:
+        pool = instance.relation(atom.pred)
         return (lambda env: pool), binds, agree
-    key_of, probe = itemgetter(*positions), itemgetter(*names)
-    index: dict[object, list[Fact]] = {}
-    for f in pool:
-        index.setdefault(key_of(f.vals), []).append(f)
+    index = instance.probe(atom.pred, tuple(positions))
+    if not names:
+        bucket = index.get(parts[0][1] if len(parts) == 1 else tuple(v for _, v in parts), ())
+        return (lambda env: bucket), binds, agree
+    if len(names) == len(parts):
+        probe = itemgetter(*names)
+    else:  # the key holds constants and bound values, in position order
+        def probe(env):
+            return tuple([env[v] if bound else v for bound, v in parts])
     return (lambda env: index.get(probe(env), ())), binds, agree
 
 
@@ -325,7 +336,6 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
     if not atoms:
         yield {}, ()
         return
-    pools = [instance.relation(a.pred) for a in atoms]
     env: dict[str, str] = {}
     facts: list = [None] * len(atoms)
     last = len(atoms) - 1
@@ -335,7 +345,7 @@ def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[st
     while True:
         if i == len(plans):
             # env binds exactly the variables of atoms[:i] on the first visit
-            plans.append(_plan(atoms[i], pools[i], env))
+            plans.append(_plan(atoms[i], instance, env))
         probe, binds, agree = plans[i]
         if i < last:
             stack.append(iter(probe(env)))
@@ -600,9 +610,8 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
         # comparable, so the family is already an antichain
         return tuple(Witness(frozenset(p)) for p in sorted(_simple_paths(instance, query)))
     index = _witness_index(query, instance)
-    # distinct sets have distinct keys, so no frozenset is ever compared
-    return tuple(Witness(s, dict(index.images[s]))
-                 for _, s in sorted([(tuple(sorted(s)), s) for s in index.minimal]))
+    images = index.images
+    return tuple(Witness(s, dict(images[s])) for s in sorted(index.minimal, key=sorted))
 
 
 def denial_constraint_of(query: Query) -> DenialConstraint:

@@ -4,10 +4,12 @@ import gc
 import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -40,8 +42,8 @@ from dbexplain import (
     parse_query,
 )
 
-from dbexplain.query import (_antichain, _assignments, _minimal_members, _simple_paths,
-                             _witness_index)
+from dbexplain.query import (_antichain, _assignments, _build_witness_index, _minimal_members,
+                             _simple_paths, _witness_index)
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
@@ -629,6 +631,13 @@ def test_join_order_on_self_join_shapes():
             assert list(index.antichain) == bruteforce.minimal_members(
                 list(dict.fromkeys(s & endo for s in index.minimal)))
             satisfied[shape] += bool(want)
+        # the same instance again, so each join reads probes that earlier
+        # queries built, in random order
+        shared = [shape.format(c=c) for shape in SELF_JOIN_SHAPES for c in "abc"]
+        rng.shuffle(shared)
+        for text in shared:
+            q = parse_query(text, schema=instance.schema)
+            assert list(_assignments(q, instance)) == bruteforce.assignments(q, instance), q
     assert len(satisfied) == len(SELF_JOIN_SHAPES) and min(satisfied.values()) >= 50, satisfied
 
 
@@ -757,6 +766,79 @@ def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
         assert 0 < sum(tried) < len(instance), (text, sum(tried))
 
 
+def test_probes_are_built_once_per_instance():
+    """The join's hash probes live with the instance: the witness index
+    reads the probes that ``evaluate`` built, a ``restrict`` copy starts
+    with none, and constants key a probe's buckets, not the probes."""
+    instance = scaling_instance(200)
+    for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
+        q = parse_query(text, instance)
+        assert evaluate(q, instance)
+        built = dict(instance._probes)
+        assert built
+        assert _build_witness_index(q, instance).minimal
+        assert instance._probes.keys() == built.keys()
+        assert all(instance._probes[k] is v for k, v in built.items())
+    part = instance.restrict(f.tid for f in instance.facts[::2])
+    assert part._probes == {}
+    assert instance._probes
+
+    rows = Instance.build({"R": 2}, [Fact(f"r{i:02d}", "R", (f"a{i % 7}", f"c_{i}"))
+                                     for i in range(50)])
+    for i in range(50):
+        q = parse_query(f"q :- R(x,'c_{i}').", schema=rows.schema)
+        assert [w.tuples for w in enumerate_witnesses(q, rows)] == [frozenset({f"r{i:02d}"})]
+    assert list(rows._probes) == [("R", (1,))]
+
+
+def test_threads_sharing_an_instance_read_whole_probes():
+    """Threads that join on one fresh instance at once, with the
+    interpreter switching threads often, each get the serial answers: a
+    probe another thread is still building is never read."""
+    texts = ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y).", "q :- R(x,y), T(y).",
+             "q :- T(y), R(x,y), S(x).")
+    base = scaling_instance(120)
+    queries = [parse_query(t, base) for t in texts]
+    want = [list(_assignments(q, base)) for q in queries]
+    wrong, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(150):
+            shared = Instance.build(base.schema, base.facts)
+
+            def work(order):
+                for i in order:
+                    if list(_assignments(queries[i], shared)) != want[i]:
+                        wrong.append(texts[i])
+            threads = [threading.Thread(target=work, args=(random.Random(n).sample(range(4), 4),))
+                       for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong, wrong
+
+
+def test_an_evaluated_instance_pickles_with_its_probes():
+    """An instance whose probes are built pickles, unpickles equal, and
+    answers as before; its probes hold its own facts, not copies."""
+    instance = scaling_instance(60)
+    q = parse_query("q :- S(x), R(x,y), S(y).", instance)
+    assert evaluate(q, instance)
+    want = enumerate_witnesses(q, instance)
+    copy = pickle.loads(pickle.dumps(instance))
+    assert copy == instance and copy is not instance
+    assert copy._probes.keys() == instance._probes.keys() != set()
+    assert all(f is copy.fact(f.tid) for probe in copy._probes.values()
+               for bucket in probe.values() for f in bucket)
+    assert evaluate(q, copy)
+    assert list(_assignments(q, copy)) == list(_assignments(q, instance))
+    assert enumerate_witnesses(q, copy) == want
+
+
 def test_witness_index_keeps_no_instance_alive():
     """The index of the most recent pair holds its instance weakly."""
     instance = scaling_instance(40)
@@ -795,8 +877,9 @@ def test_witness_index_tells_a_variable_from_an_equal_constant():
 
 
 def test_join_leaves_no_cyclic_garbage():
-    """The join's indexes are freed when a call returns, not when the
-    cyclic collector next runs."""
+    """The join's plans are freed when a call returns, not when the
+    cyclic collector next runs, and the probes it keeps with the instance
+    form no cycle."""
     instance = scaling_instance(40)
     q = parse_query("q :- S(x), R(x,y), S(y).", instance)
     gc.collect()
