@@ -1,7 +1,8 @@
 """Polynomial-time repair core and chase-style minimal sufficient sets.
 
-Both read the witness index of :mod:`dbexplain.query`: one enumeration of
-the satisfying combinations per instance and query, by a join in which
+Both read the witness index of :mod:`dbexplain.query`, which an instance
+keeps for the latest conjunctive query asked of it: one enumeration of
+the satisfying combinations, by a join in which
 each atom probes a hash index of its extension on the positions that
 earlier atoms bind.  It builds the indexes in time linear in the atoms'
 extensions and then tries only the partial combinations that agree on

@@ -80,10 +80,12 @@ class Instance:
     first time a join asks, and keeps the index while the instance lives,
     so every later join on the instance reuses it.  The indexes are keyed
     by predicate and positions, never by values, so there are at most as
-    many as predicates times position sets.  Two threads that ask for the
-    same index at once may both build it, and the later one is kept; both
-    are built from the same immutable facts, so either is correct, and a
-    reader sees a whole index or none.
+    many as predicates times position sets.  The instance also keeps the
+    witness index of the latest conjunctive query asked of it (see
+    ``query._witness_index``), one at a time, with that query.  Two
+    threads that ask for the same index at once may both build it, and
+    the later one is kept; both are built from the same immutable facts,
+    so either is correct, and a reader sees a whole index or none.
     """
 
     schema_items: tuple[tuple[str, int], ...]
@@ -219,12 +221,16 @@ class Instance:
 
 
 def _arity(pred: str, value) -> int:
-    """A declared arity as an integer; a numeric string such as ``"2"`` counts."""
+    """A declared arity as an integer; a numeric string such as ``"2"``
+    counts, a boolean or a number with a fraction does not."""
     try:
-        return int(value)
+        arity = int(value)
     except (TypeError, ValueError, OverflowError):
+        arity = None
+    if arity is None or isinstance(value, bool) or not isinstance(value, str) and arity != value:
         raise InstanceFormatError(
-            f"arity of predicate {pred!r} must be an integer, got {value!r}") from None
+            f"arity of predicate {pred!r} must be an integer, got {value!r}")
+    return arity
 
 
 def _facts_from_records(records: Iterable[dict]) -> list[Fact]:

@@ -1,8 +1,9 @@
 """Necessity and sufficiency families, derived from the witness antichain.
 
 Every family here is a function of one object: the antichain W of the
-endogenous projections of the minimal witnesses, built once per instance
-and query.
+endogenous projections of the minimal witnesses.  An instance keeps the
+W of the latest conjunctive query asked of it for as long as it lives,
+and a pickled instance carries it.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal

@@ -19,7 +19,6 @@ reachability queries the edge sets of simple source-to-target paths.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
@@ -534,35 +533,26 @@ class _WitnessIndex(NamedTuple):
         return frozenset().union(*self.antichain)
 
 
-# the most recent (instance, query) pair and its index
-_last_index: tuple[weakref.ref[Instance], BooleanCQ, _WitnessIndex] | None = None
-
-
 def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
-    """The witness index of the pair, built once per instance and query.
+    """The witness index of the pair.  An instance keeps the index of the
+    latest conjunctive query asked of it for as long as it lives, as it
+    keeps its probes, and a pickled instance carries it.  Only a
+    conjunctive query has one, so every operation read off it refuses any
+    other query here, with ``UnsupportedQuery``.
 
-    Only a conjunctive query has one, so every operation read off it
-    refuses any other query here, with ``UnsupportedQuery``.
-
-    One slot remembers the most recent pair, since calls on one pair come
-    together; an index per instance would keep one for every live
-    instance.  Instances are immutable, so identity matches the pair
-    exactly and cheaply, where hashing would hash every fact.  The query
-    is matched by identity too, since calls on one pair pass the same
-    query object and equality would compare every term of every atom.  The
-    slot holds the instance weakly, so it keeps none alive and a recycled
-    id never matches, and it holds the query strongly, so its id is not
-    reused while it is kept.  It is replaced by one assignment, so a
+    The query is matched by identity, since calls on one pair pass the
+    same query object and equality would compare every term of every
+    atom; the instance holds the query, so its id is not reused while it
+    is kept.  The (query, index) pair is replaced by one assignment, so a
     concurrent caller sees a whole pair or rebuilds."""
-    global _last_index
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("this operation reads the witness index, which only "
                                "Boolean conjunctive queries have")
-    last = _last_index
-    if last is not None and last[0]() is instance and last[1] is query:
-        return last[2]
+    kept = instance.__dict__.get("_witness_index")
+    if kept is not None and kept[0] is query:
+        return kept[1]
     index = _build_witness_index(query, instance)
-    _last_index = (weakref.ref(instance), query, index)
+    instance.__dict__["_witness_index"] = (query, index)
     return index
 
 

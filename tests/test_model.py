@@ -65,8 +65,10 @@ def test_auto_tid_generation():
         {"tid": "t1", "pred": "R", "vals": ["a", 3]}]}, "strings"),
     ({"schema": {"R": "x"}, "tuples": []}, "must be an integer"),
     ({"schema": {"R": 2}, "tuples": 5}, "list of tuple records"),
+    ({"schema": {"R": 2.5}, "tuples": []}, "must be an integer"),
+    ({"schema": {"R": True}, "tuples": []}, "must be an integer"),
 ], ids=["missing-key", "dup-tid", "arity", "dup-row", "unknown-pred", "typed",
-        "arity-type", "tuples-type"])
+        "arity-type", "tuples-type", "arity-fraction", "arity-bool"])
 def test_load_rejects_malformed_documents(doc, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):
         load_instance(doc)
@@ -135,6 +137,8 @@ def test_csv_rejects_malformed_manifests(tmp_path):
             ({"schema": {"R": 1}, "relations": ["R.csv"]}, "must be objects"),
             ({"schema": ["R"], "relations": {"R": "R.csv"}}, "must be objects"),
             ({"schema": {"R": "x"}, "relations": {"R": "R.csv"}}, "must be an integer"),
+            ({"schema": {"R": 2.5}, "relations": {"R": "R.csv"}}, "must be an integer"),
+            ({"schema": {"R": True}, "relations": {"R": "R.csv"}}, "must be an integer"),
             ({"schema": {"R": 1}, "relations": {"R": 5}}, "must be a path")]:
         (tmp_path / "m.json").write_text(json.dumps(manifest))
         with pytest.raises(InstanceFormatError, match=fragment):

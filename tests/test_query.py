@@ -41,6 +41,7 @@ from dbexplain import (
     evaluate,
     parse_query,
 )
+from dbexplain.fastpath import core_fast
 
 from dbexplain.query import (_antichain, _assignments, _build_witness_index, _minimal_members,
                              _simple_paths, _witness_index)
@@ -794,12 +795,16 @@ def test_probes_are_built_once_per_instance():
 def test_threads_sharing_an_instance_read_whole_probes():
     """Threads that join on one fresh instance at once, with the
     interpreter switching threads often, each get the serial answers: a
-    probe another thread is still building is never read."""
+    probe another thread is still building is never read.  Asking
+    different queries in different orders, the threads replace the
+    instance's kept witness index under each other, and each reader sees
+    a whole (query, index) pair."""
     texts = ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y).", "q :- R(x,y), T(y).",
              "q :- T(y), R(x,y), S(x).")
     base = scaling_instance(120)
     queries = [parse_query(t, base) for t in texts]
     want = [list(_assignments(q, base)) for q in queries]
+    serial = {id(q): _build_witness_index(q, base) for q in queries}
     wrong, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -808,8 +813,17 @@ def test_threads_sharing_an_instance_read_whole_probes():
 
             def work(order):
                 for i in order:
-                    if list(_assignments(queries[i], shared)) != want[i]:
-                        wrong.append(texts[i])
+                    try:
+                        if list(_assignments(queries[i], shared)) != want[i]:
+                            wrong.append(texts[i])
+                        index, expected = _witness_index(queries[i], shared), serial[id(queries[i])]
+                        if (index.minimal, index.antichain) != (expected.minimal, expected.antichain):
+                            wrong.append(("index", texts[i]))
+                        kept, kept_index = shared.__dict__["_witness_index"]
+                        if kept_index.minimal != serial[id(kept)].minimal:
+                            wrong.append(("kept", texts[i]))
+                    except Exception as exc:  # a thread's error would pass as a warning
+                        wrong.append((repr(exc), texts[i]))
             threads = [threading.Thread(target=work, args=(random.Random(n).sample(range(4), 4),))
                        for n in range(4)]
             for t in threads:
@@ -840,7 +854,9 @@ def test_an_evaluated_instance_pickles_with_its_probes():
 
 
 def test_witness_index_keeps_no_instance_alive():
-    """The index of the most recent pair holds its instance weakly."""
+    """The instance keeps its witness index, which refers to nothing that
+    refers back to the instance, so the instance is freed with its last
+    reference."""
     instance = scaling_instance(40)
     assert _witness_index(parse_query("q :- S(x), R(x,y), T(y).", instance),
                           instance).minimal
@@ -848,6 +864,42 @@ def test_witness_index_keeps_no_instance_alive():
     del instance
     gc.collect()
     assert alive() is None
+
+
+def test_each_instance_keeps_its_own_witness_index(monkeypatch):
+    """An instance keeps the witness index of the latest conjunctive query
+    asked of it: calls that alternate between two instances build one
+    index each, a second query replaces the first, and a ``restrict`` copy
+    starts with none."""
+    built, build = [], dbexplain.query._build_witness_index
+
+    def counted(query, instance):
+        built.append(query)
+        return build(query, instance)
+
+    monkeypatch.setattr(dbexplain.query, "_build_witness_index", counted)
+    first, second = scaling_instance(40), scaling_instance(40)
+    q1 = parse_query("q :- S(x), R(x,y), T(y).", first)
+    q2 = parse_query("q :- S(x), R(x,y), S(y).", first)
+    want = enumerate_witnesses(q1, scaling_instance(40))
+    built.clear()
+    for _ in range(3):
+        assert core_fast(first, q1).tuples == core_fast(second, q1).tuples
+    assert len(built) == 2
+    assert enumerate_witnesses(q1, first) == enumerate_witnesses(q1, second) == want
+    assert len(built) == 2
+
+    built.clear()
+    third = scaling_instance(40)
+    for q in (q1, q2, q1):
+        assert _witness_index(q, third).minimal
+        assert _witness_index(q, third) is _witness_index(q, third)
+    assert built == [q1, q2, q1]
+
+    part = third.restrict(f.tid for f in third.facts[::2])
+    assert "_witness_index" not in part.__dict__
+    assert _witness_index(q1, part) is not _witness_index(q1, third)
+    assert len(built) == 4
 
 
 def test_witness_assignments_are_copies(srs_prime, q_srs):
