@@ -138,6 +138,12 @@ class Instance:
         object.__setattr__(inst, "_by_pred", {p: tuple(fs) for p, fs in by_pred.items()})
         return inst
 
+    def __getstate__(self) -> dict:
+        """All but the witness index, whose query a copy could never match."""
+        state = self.__dict__.copy()
+        state.pop("_witness_index", None)
+        return state
+
     # -- lookups -----------------------------------------------------------
 
     @property

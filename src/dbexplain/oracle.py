@@ -2,8 +2,8 @@
 
 Every family here is a function of one object: the antichain W of the
 endogenous projections of the minimal witnesses.  An instance keeps the
-W of the latest conjunctive query asked of it for as long as it lives,
-and a pickled instance carries it.
+W of the latest conjunctive query asked of it for as long as it lives;
+a pickled instance leaves it out.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple,
-                    NoReturn, Optional, Sequence, Union)
+from operator import attrgetter
+from typing import (Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional,
+                    Union)
 
 from .errors import (
     PathBoundExceeded,
@@ -268,113 +268,95 @@ def _check_schema(query: Query, schema: Mapping[str, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# conjunctive query evaluation (a backtracking join over atoms in textual
-# order, each atom probing the instance's hash index of its facts on the
-# positions of its constants and bound variables)
+# conjunctive query evaluation: a lazy pipeline of stages, one per atom in
+# textual order, over binding tuples (one fact per atom bound so far).  A
+# stage is a generator extending each incoming binding by the atom's facts
+# in a bucket of the instance's hash index on the positions of its
+# constants and bound variables (``Instance.probe``), keyed by values read
+# off the binding; it builds that probe when the first binding reaches it.
+# Generator nesting never exceeds _GROUP stages, so neither the join nor
+# ``evaluate`` recurses with query length.
 
 _tid = attrgetter("tid")
-
-# (probe, the (position, name) of each new variable, the position pairs
-# that hold one repeated new variable)
-_Plan = tuple[Callable[[Mapping[str, str]], Sequence[Fact]],
-              list[tuple[int, str]], list[tuple[int, int]]]
+_GROUP = 32  # the stages chained in one group
 
 
-def _plan(atom: Atom, instance: Instance, env: Mapping[str, str]) -> _Plan:
-    """How an atom extends an environment binding the variables of the
-    atoms before it.  The probe yields the atom's facts that hold its
-    constants and agree with the environment on its bound variables: a
-    bucket of the instance's index of the relation on the positions of
-    both (see ``Instance.probe``), so built once per instance, in tid
-    order.  An atom with constants and no bound variable has one bucket,
-    fetched here; an atom with neither reads its whole relation.  So a
-    candidate need only agree on the positions of a new variable repeated
-    in the atom, and then binds each new variable from its first
-    position."""
-    positions, parts, names, first, binds, agree = [], [], [], {}, [], []
-    for p, t in enumerate(atom.args):
-        if isinstance(t, Const):
-            positions.append(p)
-            parts.append((False, t.value))
-        elif t.name in env:
-            positions.append(p)
-            parts.append((True, t.name))
-            names.append(t.name)
-        elif t.name in first:
-            agree.append((first[t.name], p))
+def _variables(query: BooleanCQ) -> dict[str, tuple[int, int]]:
+    """Each variable's first (atom, position), in order of first occurrence."""
+    first: dict[str, tuple[int, int]] = {}
+    for j, atom in enumerate(query.atoms):
+        for p, t in enumerate(atom.args):
+            if isinstance(t, Var):
+                first.setdefault(t.name, (j, p))
+    return first
+
+
+def _stage(stream: Iterator[tuple], instance: Instance, atom: Atom, j: int,
+           first: dict[str, tuple[int, int]]) -> Iterator[tuple]:
+    """Atom j's stage.  When the first binding arrives it files the atom's
+    new variables in ``first`` (each variable's first (atom, position); the
+    stages before it have filed theirs) and keys the probe on the
+    positions of the atom's constants, as (None, value), and of the
+    variables that earlier atoms bind, as their first (atom, position),
+    where each binding holds their values.  A fact must also agree on the
+    positions of a new variable that the atom repeats.  A key of one bound
+    position is read straight off each binding; any other is built."""
+    get = None
+    for b in stream:
+        if get is None:
+            positions, parts, agree = [], [], []
+            for p, t in enumerate(atom.args):
+                i, q = ((None, t.value) if isinstance(t, Const)
+                        else first.setdefault(t.name, (j, p)))
+                if i is None or i < j:
+                    positions.append(p)
+                    parts.append((i, q))
+                elif q < p:
+                    agree.append((q, p))
+            get = (instance.probe(atom.pred, tuple(positions)) if positions
+                   else {(): instance.relation(atom.pred)}).get
+            bj, bp = parts[0] if len(parts) == 1 and not agree else (None, None)
+        if bj is not None:
+            for f in get(b[bj].vals[bp], ()):
+                yield b + (f,)
         else:
-            first[t.name] = p
-            binds.append((p, t.name))
-    if not positions:
-        pool = instance.relation(atom.pred)
-        return (lambda env: pool), binds, agree
-    index = instance.probe(atom.pred, tuple(positions))
-    if not names:
-        bucket = index.get(parts[0][1] if len(parts) == 1 else tuple(v for _, v in parts), ())
-        return (lambda env: bucket), binds, agree
-    if len(names) == len(parts):
-        probe = itemgetter(*names)
-    else:  # the key holds constants and bound values, in position order
-        def probe(env):
-            return tuple([env[v] if bound else v for bound, v in parts])
-    return (lambda env: index.get(probe(env), ())), binds, agree
+            key = [v if i is None else b[i].vals[v] for i, v in parts]
+            for f in get(key[0] if len(key) == 1 else tuple(key), ()):
+                if not agree or all(f.vals[q] == f.vals[p] for q, p in agree):
+                    yield b + (f,)
 
 
-def _assignments(query: BooleanCQ, instance: Instance) -> Iterator[tuple[dict[str, str], tuple[Fact, ...]]]:
-    """All satisfying assignments, as (environment, per-atom fact binding),
-    atoms in textual order and facts in tid order: a backtracking join over
-    a stack of candidate iterators, one per atom but the last, so query
-    length is not bounded by recursion.  Once the atoms before the last
-    are bound, the last atom's probe is read in one loop, each candidate
-    that agrees yielding one assignment.  Each atom's ``_plan`` is built
-    when the search first reaches it, so the pairs come in the order of a
-    nested loop over the extensions, but only candidates that agree on the
-    bound positions are tried.  One environment changes in place; a deeper
-    atom's stale variables are rebound before they are read or yielded."""
-    atoms = query.atoms
-    if not atoms:
-        yield {}, ()
-        return
-    env: dict[str, str] = {}
-    facts: list = [None] * len(atoms)
-    last = len(atoms) - 1
-    plans: list[_Plan] = []
-    stack: list[Iterator[Fact]] = []
-    i = 0  # the atom to extend next: atoms[:i] are bound
-    while True:
-        if i == len(plans):
-            # env binds exactly the variables of atoms[:i] on the first visit
-            plans.append(_plan(atoms[i], instance, env))
-        probe, binds, agree = plans[i]
-        if i < last:
-            stack.append(iter(probe(env)))
+def _pipeline(query: BooleanCQ, instance: Instance, first: dict[str, tuple[int, int]],
+              lo: int, stream: Iterator[tuple]) -> Iterator[tuple]:
+    """The stream through the stages of atoms lo to lo + _GROUP - 1."""
+    for j in range(lo, min(lo + _GROUP, query.k)):
+        stream = _stage(stream, instance, query.atoms[j], j, first)
+    return stream
+
+
+def _bindings(query: BooleanCQ, instance: Instance) -> Iterator[tuple[Fact, ...]]:
+    """The bindings of the satisfying assignments, one fact per atom, in a
+    nested loop's order (atoms in textual order, facts in tid order),
+    trying only candidates that agree on the bound positions.  Lazy and
+    depth-first: ``evaluate`` stops at the first binding.  Past _GROUP
+    atoms, each binding out of a group of stages seeds a new pipeline of
+    the next group, pushed on an explicit stack."""
+    if query.k <= _GROUP:
+        return _pipeline(query, instance, {}, 0, iter(((),)))
+    return _grouped(query, instance)
+
+
+def _grouped(query: BooleanCQ, instance: Instance) -> Iterator[tuple[Fact, ...]]:
+    first: dict[str, tuple[int, int]] = {}
+    stack = [_pipeline(query, instance, first, 0, iter(((),)))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+        elif len(b) == query.k:
+            yield b
         else:
-            for fact in probe(env):
-                vals = fact.vals
-                if agree and any(vals[p] != vals[q] for p, q in agree):
-                    continue
-                for p, name in binds:
-                    env[name] = vals[p]
-                facts[last] = fact
-                yield dict(env), tuple(facts)
-        # bind the deepest open atom to its next candidate that agrees
-        while True:
-            if not stack:
-                return
-            i = len(stack) - 1
-            fact = next(stack[i], None)
-            if fact is None:
-                stack.pop()
-                continue
-            _, binds, agree = plans[i]
-            vals = fact.vals
-            if agree and any(vals[p] != vals[q] for p, q in agree):
-                continue
-            for p, name in binds:
-                env[name] = vals[p]
-            facts[i] = fact
-            i += 1
-            break
+            stack.append(_pipeline(query, instance, first, len(b), iter((b,))))
 
 
 def _reach(links: Mapping[str, list[str]], start: Iterable[str]) -> set[str]:
@@ -403,7 +385,7 @@ def evaluate(query: Query, instance: Instance) -> bool:
     _check_schema(query, instance.schema)
     if isinstance(query, ReachabilityQuery):
         return _reachable(instance, query)
-    return next(_assignments(query, instance), None) is not None
+    return next(_bindings(query, instance), None) is not None
 
 
 def _refuse_steps(steps: int) -> NoReturn:
@@ -523,7 +505,7 @@ def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 
 
 class _WitnessIndex(NamedTuple):
-    images: dict[frozenset[str], dict[str, str]]  # image -> first assignment
+    images: dict[frozenset[str], tuple[Fact, ...]]  # image -> its first binding
     minimal: tuple[frozenset[str], ...]  # the minimal images: the witnesses
     per_atom: tuple[frozenset[str], ...]  # per atom position, its tuples
     antichain: tuple[frozenset[str], ...]  # W: minimal endogenous projections
@@ -536,9 +518,9 @@ class _WitnessIndex(NamedTuple):
 def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
     """The witness index of the pair.  An instance keeps the index of the
     latest conjunctive query asked of it for as long as it lives, as it
-    keeps its probes, and a pickled instance carries it.  Only a
-    conjunctive query has one, so every operation read off it refuses any
-    other query here, with ``UnsupportedQuery``.
+    keeps its probes, and leaves it out of a pickle.  Only a conjunctive
+    query has one, so every operation read off it refuses any other query
+    here, with ``UnsupportedQuery``.
 
     The query is matched by identity, since calls on one pair pass the
     same query object and equality would compare every term of every
@@ -557,22 +539,22 @@ def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
 
 
 def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
-    """One pass over the satisfying assignments.  A set satisfies the
-    query when it contains an image, and a set of endogenous tuples is
-    sufficient when it contains an image's endogenous projection; so the
-    minimal images are the witnesses, and their minimal projections are
-    the minimal sufficient sets.  The pass keeps each binding, and each
-    atom's tuples are read off the kept bindings after it.  When no bound
-    tuple is exogenous each image is its own projection, so ``W`` is the
-    minimal images themselves, and the instance's endogenous part is not
-    built; otherwise the projections are deduplicated in the order of
-    the minimal images, so ``W`` is in family order either way."""
+    """One pass over the join's bindings.  A set satisfies the query when
+    it contains an image, and a set of endogenous tuples is sufficient
+    when it contains an image's endogenous projection; so the minimal
+    images are the witnesses, and their minimal projections are the
+    minimal sufficient sets.  The pass keeps each binding, files each
+    image under its first binding, and reads each atom's tuples off the
+    kept bindings.  When no bound tuple is exogenous each image is its own
+    projection, so ``W`` is the minimal images themselves, and the
+    instance's endogenous part is not built; otherwise the projections
+    are deduplicated in the order of the minimal images, so ``W`` is in
+    family order either way."""
     _check_schema(query, instance.schema)
-    images: dict[frozenset[str], dict[str, str]] = {}
-    bindings: list[tuple[Fact, ...]] = []
-    for env, bound in _assignments(query, instance):
-        images.setdefault(frozenset(map(_tid, bound)), env)
-        bindings.append(bound)
+    bindings = list(_bindings(query, instance))
+    images: dict[frozenset[str], tuple[Fact, ...]] = {}
+    for b in bindings:
+        images.setdefault(frozenset(map(_tid, b)), b)
     minimal = tuple(_minimal_members(images))
     per_atom = tuple(frozenset([b[i].tid for b in bindings]) for i in range(query.k))
     if all(f.endo for b in bindings for f in b):
@@ -588,9 +570,9 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
     iff the query is false.
 
     For a conjunctive query the minimal images of the witness index are
-    sorted once by their sorted tids, which are distinct, and each
-    witness gets a copy of its image's first assignment.  For a
-    reachability query these are the edge sets of the simple paths,
+    sorted once by their sorted tids, which are distinct, and each witness
+    gets a new dict of the assignment its image's first binding makes.
+    For a reachability query these are the edge sets of the simple paths,
     found by a walk that enters only nodes that reach the target and reads
     a forced run of one-edge nodes to it in one loop, each run node
     counting as a node entered against MAX_PATH_STEPS."""
@@ -600,8 +582,9 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
         # comparable, so the family is already an antichain
         return tuple(Witness(frozenset(p)) for p in sorted(_simple_paths(instance, query)))
     index = _witness_index(query, instance)
-    images = index.images
-    return tuple(Witness(s, dict(images[s])) for s in sorted(index.minimal, key=sorted))
+    images, variables = index.images, _variables(query).items()
+    return tuple(Witness(s, {name: images[s][j].vals[p] for name, (j, p) in variables})
+                 for s in sorted(index.minimal, key=sorted))
 
 
 def denial_constraint_of(query: Query) -> DenialConstraint:

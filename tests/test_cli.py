@@ -113,12 +113,12 @@ def test_mss_chase_enumerates_the_instance_once(capsys, monkeypatch):
     import dbexplain.query
 
     loaded, seen = [], []
-    load, assignments = dbexplain.cli._load, dbexplain.query._assignments
+    load, bindings = dbexplain.cli._load, dbexplain.query._bindings
     monkeypatch.setattr(dbexplain.cli, "_load",
                         lambda path: loaded.append(load(path)) or loaded[-1])
-    monkeypatch.setattr(dbexplain.query, "_assignments",
+    monkeypatch.setattr(dbexplain.query, "_bindings",
                         lambda query, instance: seen.append(instance)
-                        or assignments(query, instance))
+                        or bindings(query, instance))
     base = ["mss", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS, "--chase"]
     for tail in ([], ["--tuple", "S:b"]):
         loaded.clear()

@@ -520,7 +520,7 @@ def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
     total: every call reads the same witness index.  A different query, or
     an equal but distinct instance, enumerates again."""
     seen = []
-    original = dbexplain.query._assignments
+    original = dbexplain.query._bindings
 
     def counting(query, instance):
         seen.append(instance)
@@ -528,8 +528,8 @@ def test_fast_path_enumerates_the_instance_once(monkeypatch, rt_small, q_rt,
 
     # every module binding of the name, so that a direct import counts too
     for module in (dbexplain.query, dbexplain.fastpath):
-        if hasattr(module, "_assignments"):
-            monkeypatch.setattr(module, "_assignments", counting)
+        if hasattr(module, "_bindings"):
+            monkeypatch.setattr(module, "_bindings", counting)
 
     def enumerations(instance, calls):
         seen.clear()

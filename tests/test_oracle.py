@@ -258,8 +258,8 @@ def test_mss_enumerates_the_instance_once(monkeypatch):
     index instead of evaluating the query first, so a first call joins
     once and a second one on the same pair not at all."""
     runs = []
-    original = dbexplain.query._assignments
-    monkeypatch.setattr(dbexplain.query, "_assignments", lambda query, instance:
+    original = dbexplain.query._bindings
+    monkeypatch.setattr(dbexplain.query, "_bindings", lambda query, instance:
                         runs.append(instance) or original(query, instance))
     instance = inst("srs_prime.json")
     q = parse_query("q :- S(x), R(x,y), S(y).", instance)

@@ -43,8 +43,8 @@ from dbexplain import (
 )
 from dbexplain.fastpath import core_fast
 
-from dbexplain.query import (_antichain, _assignments, _build_witness_index, _minimal_members,
-                             _simple_paths, _witness_index)
+from dbexplain.query import (_GROUP, _antichain, _bindings, _build_witness_index,
+                             _minimal_members, _simple_paths, _variables, _witness_index)
 from dbexplain.synth import planted_query, random_instance, scaling_instance
 
 import bruteforce
@@ -556,6 +556,14 @@ def _random_cq(rng: random.Random, instance: Instance) -> BooleanCQ:
     return BooleanCQ(tuple(atoms))
 
 
+def _joined(q: BooleanCQ, instance: Instance) -> list:
+    """The join's bindings, each with the assignment it makes, as
+    ``bruteforce.assignments`` lists them."""
+    variables = _variables(q).items()
+    return [({name: b[j].vals[p] for name, (j, p) in variables}, b)
+            for b in _bindings(q, instance)]
+
+
 def test_join_yields_the_nested_loop_sequence():
     """The indexed join yields exactly the (environment, binding) pairs of
     a nested loop over each atom's whole extension, in the same order."""
@@ -567,7 +575,7 @@ def test_join_yields_the_nested_loop_sequence():
                                    domain_size=rng.choice([2, 3, 4]))
         q = _random_cq(rng, instance)
         want = bruteforce.assignments(q, instance)
-        assert list(_assignments(q, instance)) == want, q
+        assert _joined(q, instance) == want, q
         total += len(want)
         if not want:
             continue
@@ -623,8 +631,8 @@ def test_join_order_on_self_join_shapes():
         for shape in SELF_JOIN_SHAPES:
             q = parse_query(shape.format(c=rng.choice("abc")), schema=instance.schema)
             want = bruteforce.assignments(q, instance)
-            assert list(_assignments(q, instance)) == want, q
-            assert next(_assignments(q, instance), None) == (want[0] if want else None), q
+            assert _joined(q, instance) == want, q
+            assert next(_bindings(q, instance), None) == (want[0][1] if want else None), q
             images = list(dict.fromkeys(frozenset(f.tid for f in b) for _, b in want))
             index = _witness_index(q, instance)
             assert list(index.images) == images
@@ -638,8 +646,128 @@ def test_join_order_on_self_join_shapes():
         rng.shuffle(shared)
         for text in shared:
             q = parse_query(text, schema=instance.schema)
-            assert list(_assignments(q, instance)) == bruteforce.assignments(q, instance), q
+            assert _joined(q, instance) == bruteforce.assignments(q, instance), q
     assert len(satisfied) == len(SELF_JOIN_SHAPES) and min(satisfied.values()) >= 50, satisfied
+
+
+def _permutation_instance(rng: random.Random) -> Instance:
+    """Over four values: F a permutation, E the union of two, and S every
+    value, so a join keyed on one position of F or S has one candidate and
+    on one of E at most two; tids shuffled against the values."""
+    domain = list("abcd")
+    rows = [("S", (u,)) for u in domain]
+    for pred, count in (("F", 1), ("E", 2)):
+        pairs = {(u, v) for _ in range(count) for u, v in zip(domain, rng.sample(domain, 4))}
+        rows += [(pred, pair) for pair in sorted(pairs)]
+    names = rng.sample(range(100), len(rows))
+    return Instance.build({"F": 2, "E": 2, "S": 1}, [
+        Fact(f"t{name:02d}", pred, vals, rng.random() < 0.75)
+        for name, (pred, vals) in zip(names, rows)])
+
+
+def _planted_cq(rng: random.Random, instance: Instance, k: int) -> BooleanCQ:
+    """k atoms, each the image of a fact under one planted assignment:
+    every atom after the first holds an earlier variable, and its other
+    positions a constant, an earlier variable of the same value, a new
+    variable repeated in the atom or a new variable.  At most two atoms
+    over E and one atom sharing no variable, so the bindings stay few.
+    One query in three then has one term replaced by a constant, which
+    may make it false."""
+    value: dict[str, str] = {}
+    atoms, spare = [], {"E": 2, "free": 1}
+    for j in range(k):
+        pred = rng.choice("FFSE" if spare["E"] else "FFS")
+        spare["E"] -= pred == "E"
+        facts = instance.relation(pred)
+        anchor = None
+        if value and not (spare["free"] > 0 and rng.random() < 0.05):
+            anchor = rng.choice(sorted(value))
+            facts = [f for f in facts if value[anchor] in f.vals]
+        spare["free"] -= j > 0 and anchor is None
+        fact = rng.choice(facts)
+        held = None if anchor is None else fact.vals.index(value[anchor])
+        terms: list = []
+        for p, v in enumerate(fact.vals):
+            same = [name for name in sorted(value) if value[name] == v]
+            fresh = [t for t in terms if isinstance(t, Var) and t.name not in value]
+            r = rng.random()
+            if p == held:
+                terms.append(Var(anchor))
+            elif r < 0.15:
+                terms.append(Const(v))
+            elif r < 0.5 and same:
+                terms.append(Var(rng.choice(same)))
+            elif r < 0.6 and fresh and p and fact.vals[p - 1] == v:
+                terms.append(terms[p - 1])
+            else:
+                terms.append(Var(f"v{len(value) + len(fresh)}"))
+        for t, v in zip(terms, fact.vals):
+            if isinstance(t, Var):
+                value.setdefault(t.name, v)
+        atoms.append(Atom(pred, tuple(terms)))
+    if rng.random() < 1 / 3:
+        j = rng.randrange(k)
+        args = list(atoms[j].args)
+        args[rng.randrange(len(args))] = Const(rng.choice("abcd"))
+        atoms[j] = Atom(atoms[j].pred, tuple(args))
+    return BooleanCQ(tuple(atoms))
+
+
+def test_join_matches_the_nested_loop_across_group_boundaries():
+    """On queries of 1-4 atoms and of lengths around the size of one group
+    of stages (and past two groups), with constants, variables repeated
+    inside one atom and self-joins, the join's bindings are the nested
+    loop's, in its order, and ``evaluate`` is true exactly when there is
+    one, also on a fresh instance whose probes it builds."""
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(300):
+        instance = random_instance(rng, max_tuples=10, domain_size=3)
+        q = _random_cq(rng, instance)
+        want = [b for _, b in bruteforce.assignments(q, instance)]
+        assert list(_bindings(q, instance)) == want, q
+        assert evaluate(q, instance) == bool(want), q
+        seen["short", bool(want)] += 1
+    for k in (_GROUP - 1, _GROUP, _GROUP + 1, 2 * _GROUP + 1):
+        for _ in range(20):
+            instance = _permutation_instance(rng)
+            q = _planted_cq(rng, instance, k)
+            want = [b for _, b in bruteforce.assignments(q, instance)]
+            fresh = Instance.build(instance.schema, instance.facts)
+            assert evaluate(q, fresh) == bool(want), q
+            assert list(_bindings(q, instance)) == want, q
+            assert evaluate(q, instance) == bool(want), q
+            terms = [t for a in q.atoms for t in a.args]
+            names = [[t.name for t in a.args if isinstance(t, Var)] for a in q.atoms]
+            seen[k, bool(want)] += 1
+            seen["several"] += len(want) > 1
+            seen["constant"] += any(isinstance(t, Const) for t in terms)
+            seen["repeated"] += any(len(set(n)) < len(n) for n in names)
+    assert all(seen[k, True] >= 5 for k in (_GROUP - 1, _GROUP, _GROUP + 1, 2 * _GROUP + 1)), seen
+    assert min(seen["short", False], seen["short", True], seen["several"],
+               seen["constant"], seen["repeated"]) >= 10, seen
+
+
+def test_join_builds_no_probe_for_an_atom_no_binding_reaches():
+    """A stage builds its probe when the first binding reaches it: on a
+    ``restrict`` copy whose first atom has no facts, ``evaluate`` and the
+    witness index build no probe for any later atom, and when no fact of
+    the second atom agrees with the first, none for the third."""
+    instance = scaling_instance(200)
+    part = instance.restrict(f.tid for f in instance.facts if f.pred != "S")
+    for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y).",
+                 "q :- S('v1'), R(x,y), T(y)."):
+        q = parse_query(text, schema=part.schema)
+        assert not evaluate(q, part)
+        assert not _witness_index(q, part).images
+        assert all(pred == "S" for pred, _ in part._probes), text
+    assert list(part._probes) == [("S", (0,))]
+
+    apart = Instance.build({"R": 2, "S": 1, "T": 1}, [
+        Fact("r1", "R", ("b", "c")), Fact("s1", "S", ("a",)), Fact("t1", "T", ("c",))])
+    q = parse_query("q :- S(x), R(x,y), T(y).", apart)
+    assert not evaluate(q, apart) and not enumerate_witnesses(q, apart)
+    assert list(apart._probes) == [("R", (0,))]
 
 
 def test_antichain_is_the_minimal_images_when_no_bound_tuple_is_exogenous():
@@ -745,22 +873,31 @@ def test_witness_index_probes_fewer_candidates_than_tuples(monkeypatch):
     only on the facts that agree with its bound positions: fewer
     candidates than the instance has tuples, for the chain and the
     self-join shapes of the benchmark.  A nested loop over each atom's
-    whole extension tries about 7,500."""
+    whole extension tries about 7,500.  Each candidate list the join reads
+    (a whole relation or a probe's bucket) counts its length when it is
+    read; ``evaluate`` builds the probes first, so that building them
+    reads no relation under the count."""
     instance = scaling_instance(200)
-    plan = dbexplain.query._plan
+    texts = ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y).")
+    assert all(evaluate(parse_query(text, instance), instance) for text in texts)
+    probe, relation = Instance.probe, Instance.relation
     tried = []
 
-    def counted(atom, pool, env):
-        made, binds, agree = plan(atom, pool, env)
+    class Counted(tuple):
+        def __iter__(self):
+            tried.append(len(self))
+            return super().__iter__()
 
-        def probe(env):
-            found = made(env)
-            tried.append(len(found))
-            return found
-        return probe, binds, agree
+    class Buckets(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            return found if found is None else Counted(found)
 
-    monkeypatch.setattr(dbexplain.query, "_plan", counted)
-    for text in ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y)."):
+    monkeypatch.setattr(Instance, "probe", lambda self, pred, positions:
+                        Buckets(probe(self, pred, positions)))
+    monkeypatch.setattr(Instance, "relation", lambda self, pred:
+                        Counted(relation(self, pred)))
+    for text in texts:
         tried.clear()
         index = _witness_index(parse_query(text, instance), instance)
         assert index.minimal
@@ -803,7 +940,7 @@ def test_threads_sharing_an_instance_read_whole_probes():
              "q :- T(y), R(x,y), S(x).")
     base = scaling_instance(120)
     queries = [parse_query(t, base) for t in texts]
-    want = [list(_assignments(q, base)) for q in queries]
+    want = [list(_bindings(q, base)) for q in queries]
     serial = {id(q): _build_witness_index(q, base) for q in queries}
     wrong, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -814,7 +951,7 @@ def test_threads_sharing_an_instance_read_whole_probes():
             def work(order):
                 for i in order:
                     try:
-                        if list(_assignments(queries[i], shared)) != want[i]:
+                        if list(_bindings(queries[i], shared)) != want[i]:
                             wrong.append(texts[i])
                         index, expected = _witness_index(queries[i], shared), serial[id(queries[i])]
                         if (index.minimal, index.antichain) != (expected.minimal, expected.antichain):
@@ -849,8 +986,29 @@ def test_an_evaluated_instance_pickles_with_its_probes():
     assert all(f is copy.fact(f.tid) for probe in copy._probes.values()
                for bucket in probe.values() for f in bucket)
     assert evaluate(q, copy)
-    assert list(_assignments(q, copy)) == list(_assignments(q, instance))
+    assert list(_bindings(q, copy)) == list(_bindings(q, instance))
     assert enumerate_witnesses(q, copy) == want
+
+
+def test_a_pickled_instance_leaves_its_witness_index_out():
+    """An instance pickles without its kept witness index, whose query
+    would come back as a copy that the identity match never finds: the
+    pickle is as long as before the index was built, and the copy keeps
+    the probes and kept sets, builds its own index and answers as
+    before."""
+    instance = scaling_instance(200)
+    q = parse_query("q :- S(x), R(x,y), T(y).", instance)
+    assert evaluate(q, instance) and instance.domain()
+    size = len(pickle.dumps(instance))
+    want = enumerate_witnesses(q, instance)
+    assert "_witness_index" in instance.__dict__
+    data = pickle.dumps(instance)
+    assert len(data) == size
+    copy = pickle.loads(data)
+    assert "_witness_index" not in copy.__dict__ and "_domain" in copy.__dict__
+    assert copy._probes.keys() == instance._probes.keys()
+    assert enumerate_witnesses(q, copy) == want
+    assert "_witness_index" in instance.__dict__
 
 
 def test_witness_index_keeps_no_instance_alive():
@@ -929,7 +1087,7 @@ def test_witness_index_tells_a_variable_from_an_equal_constant():
 
 
 def test_join_leaves_no_cyclic_garbage():
-    """The join's plans are freed when a call returns, not when the
+    """The join's stages are freed when a call returns, not when the
     cyclic collector next runs, and the probes it keeps with the instance
     form no cycle."""
     instance = scaling_instance(40)
