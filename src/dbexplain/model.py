@@ -80,7 +80,8 @@ class Instance:
     first time a join asks, and keeps the index while the instance lives,
     so every later join on the instance reuses it.  The indexes are keyed
     by predicate and positions, never by values, so there are at most as
-    many as predicates times position sets.  The instance also keeps the
+    many as predicates times position sets.  The arity map is built once
+    and shared with ``restrict``'s copies.  The instance also keeps the
     witness index of the latest conjunctive query asked of it (see
     ``query._witness_index``), one at a time, with that query.  Two
     threads that ask for the same index at once may both build it, and
@@ -92,6 +93,7 @@ class Instance:
     facts: tuple[Fact, ...]
     _by_tid: dict[str, Fact] = field(default_factory=dict, compare=False, repr=False)
     _by_pred: dict[str, tuple[Fact, ...]] = field(default_factory=dict, compare=False, repr=False)
+    _arities: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     _probes: dict[tuple[str, tuple[int, ...]], dict[object, list[Fact]]] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -124,13 +126,14 @@ class Instance:
                 raise InstanceFormatError(
                     f"duplicate value list {f.vals!r} in predicate {f.pred!r}")
             seen_rows.add(row)
-        return Instance._indexed(schema_items, ordered)
+        return Instance._indexed(schema_items, arities, ordered)
 
     @staticmethod
-    def _indexed(schema_items: tuple[tuple[str, int], ...],
+    def _indexed(schema_items: tuple[tuple[str, int], ...], arities: dict[str, int],
                  ordered: tuple[Fact, ...]) -> "Instance":
         """Construct from valid facts already sorted by tid."""
         inst = Instance(schema_items, ordered)
+        object.__setattr__(inst, "_arities", arities)
         object.__setattr__(inst, "_by_tid", {f.tid: f for f in ordered})
         by_pred: dict[str, list[Fact]] = {p: [] for p, _ in schema_items}
         for f in ordered:
@@ -148,13 +151,12 @@ class Instance:
 
     @property
     def schema(self) -> dict[str, int]:
-        return dict(self.schema_items)
+        return dict(self._arities)
 
     def arity(self, pred: str) -> int:
-        for p, a in self.schema_items:
-            if p == pred:
-                return a
-        raise InstanceFormatError(f"unknown predicate {pred!r}")
+        if pred not in self._arities:
+            raise InstanceFormatError(f"unknown predicate {pred!r}")
+        return self._arities[pred]
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -211,7 +213,7 @@ class Instance:
         if unknown:
             raise UnknownTupleId(f"unknown tids {sorted(unknown)!r}")
         # a subset of valid facts is valid, and sorted tids keep tid order
-        return Instance._indexed(self.schema_items,
+        return Instance._indexed(self.schema_items, self._arities,
                                  tuple(self._by_tid[tid] for tid in sorted(keep)))
 
     # -- serialization -----------------------------------------------------

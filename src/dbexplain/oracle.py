@@ -86,7 +86,7 @@ def _mss(instance: Instance, query: Query) -> list[frozenset[str]]:
     if isinstance(query, BooleanCQ):
         mss = _witness_index(query, instance).antichain
     else:
-        _check_schema(query, instance.schema)
+        _check_schema(query, instance._arities)
         endo = instance.endogenous_part()
         mss = _minimal_members({endo.intersection(p) for p in _simple_paths(instance, query)})
     if not mss:

@@ -382,14 +382,14 @@ def _reachable(instance: Instance, query: ReachabilityQuery) -> bool:
 
 def evaluate(query: Query, instance: Instance) -> bool:
     """Does the instance satisfy the query?"""
-    _check_schema(query, instance.schema)
+    _check_schema(query, instance._arities)
     if isinstance(query, ReachabilityQuery):
         return _reachable(instance, query)
     return next(_bindings(query, instance), None) is not None
 
 
-def _refuse_steps(steps: int) -> NoReturn:
-    raise PathBoundExceeded(f"the simple-path walk entered {steps:,} nodes, "
+def _refuse_steps() -> NoReturn:
+    raise PathBoundExceeded(f"the simple-path walk entered {MAX_PATH_STEPS + 1:,} nodes, "
                             f"past the cap {MAX_PATH_STEPS:,}")
 
 
@@ -405,18 +405,22 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[tuple[st
     a live node other than the target whose one live edge leads to the
     target or to a run node; a cycle of such nodes never reaches the
     target, so each run ends there, and a second backward pass from the
-    target finds the runs.  The walk pushes no run node: at an edge
-    into one it reads the run to the target in one loop and keeps the
-    path.  No run node is on the path then, since only pushed nodes and
-    the source are, and a source that is a run node starts a walk that is
-    its run alone.  The visited set and the path's nodes and edges change
-    in place with the stack; the target is checked first, so cycles
-    through a source that is the target count.
+    target finds the runs.  The walk pushes no run node: at an edge into
+    one it keeps the path, the pushed edges plus the run's tids to the
+    target, which never change; so the first entry at a run node reads its
+    run up to the first node already read and keeps the sorted tids in a
+    memo local to the call, seeded with the target's empty run.  No run
+    node is on the path then, since only pushed nodes and the source are,
+    and a source that is a run node starts a walk that is its run alone.
+    The visited set and the path's nodes and edges change in place with
+    the stack; the memo is looked up first, so cycles through a source
+    that is the target count.
 
-    Each node entered, a run node read included, costs a step, so a walk
-    with few paths can still take exponential time: past MAX_PATHS paths
-    kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES tuples in the
-    paths kept the call raises."""
+    Each node entered costs a step, a run node on every path through it,
+    so a walk with few paths can still take exponential time: past
+    MAX_PATHS paths kept, MAX_PATH_STEPS nodes entered or MAX_HELD_TUPLES
+    tuples in the paths kept the call raises.  The memo holds one tail of
+    a kept path per run node entered."""
     source, target = query.source, query.target
     facts = instance.relation(query.edge_pred)
     into: dict[str, list[str]] = {}
@@ -436,6 +440,7 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[tuple[st
                 run[u] = out[u][0]
                 frontier.append(u)
     paths: list[tuple[str, ...]] = []
+    tails: dict[str, tuple[str, ...]] = {target: ()}  # node -> its run's sorted tids
     visited, nodes, tids, steps, held = {source}, [], [], 0, 0
     stack = [iter(out.get(source, ()))]
     while stack:
@@ -447,27 +452,33 @@ def _simple_paths(instance: Instance, query: ReachabilityQuery) -> list[tuple[st
                 tids.pop()
             continue
         tid, nxt = edge
-        if nxt == target or nxt in run:
-            tids.append(tid)
-            while nxt != target:
-                steps += 1
-                if steps > MAX_PATH_STEPS:
-                    _refuse_steps(steps)
-                tid, nxt = run[nxt]
-                tids.append(tid)
-            held += len(tids)
+        tail = tails.get(nxt)
+        if tail is None and nxt in run:
+            read, node = [], nxt
+            while node not in tails:
+                t, node = run[node]
+                read.append(t)
+            read += tails[node]
+            read.sort()
+            tail = tails[nxt] = tuple(read)
+        if tail is not None:
+            steps += len(tail)
+            if steps > MAX_PATH_STEPS:
+                _refuse_steps()
+            key = [*tids, tid, *tail]
+            held += len(key)
             if held > MAX_HELD_TUPLES:
                 raise PathBoundExceeded(f"{len(paths) + 1:,} simple paths would hold "
                                         f"{held:,} tuples, past the cap {MAX_HELD_TUPLES:,}")
-            paths.append(tuple(sorted(tids)))
+            key.sort()
+            paths.append(tuple(key))
             if len(paths) > MAX_PATHS:
                 raise PathBoundExceeded(
                     f"{len(paths):,} simple paths pass the cap {MAX_PATHS:,}")
-            del tids[len(nodes):]
         elif nxt not in visited:
             steps += 1
             if steps > MAX_PATH_STEPS:
-                _refuse_steps(steps)
+                _refuse_steps()
             visited.add(nxt)
             nodes.append(nxt)
             tids.append(tid)
@@ -550,7 +561,7 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     instance's endogenous part is not built; otherwise the projections
     are deduplicated in the order of the minimal images, so ``W`` is in
     family order either way."""
-    _check_schema(query, instance.schema)
+    _check_schema(query, instance._arities)
     bindings = list(_bindings(query, instance))
     images: dict[frozenset[str], tuple[Fact, ...]] = {}
     for b in bindings:
@@ -574,13 +585,16 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
     gets a new dict of the assignment its image's first binding makes.
     For a reachability query these are the edge sets of the simple paths,
     found by a walk that enters only nodes that reach the target and reads
-    a forced run of one-edge nodes to it in one loop, each run node
-    counting as a node entered against MAX_PATH_STEPS."""
+    each forced run of one-edge nodes once per node it is entered from
+    (see ``_simple_paths``); each is wrapped as a bare tuple, skipping the
+    named tuple's Python-level constructor."""
     if isinstance(query, ReachabilityQuery):
-        _check_schema(query, instance.schema)
+        _check_schema(query, instance._arities)
         # edge sets of distinct simple paths are distinct and never
         # comparable, so the family is already an antichain
-        return tuple(Witness(frozenset(p)) for p in sorted(_simple_paths(instance, query)))
+        paths = _simple_paths(instance, query)
+        paths.sort()
+        return tuple(tuple.__new__(Witness, (frozenset(p), None)) for p in paths)
     index = _witness_index(query, instance)
     images, variables = index.images, _variables(query).items()
     return tuple(Witness(s, {name: images[s][j].vals[p] for name, (j, p) in variables})

@@ -27,8 +27,9 @@ with every other.  ``minimal_hitting_sets`` scans the subsets of a
 family's elements by ascending cardinality, sharing no code with the
 library's transversals; ``simple_paths`` scans the subsets of a graph's
 edges the same way, deciding reachability by its own breadth-first
-search; and ``chase`` picks the least set of the scanned MSS family
-through the seed.
+search; ``depth_first_paths`` lists the same paths by a plain recursive
+search that counts the nodes it enters; and ``chase`` picks the least set
+of the scanned MSS family through the seed.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dbexplain import (
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
            "participating_sets", "minimal_hitting_sets", "simple_paths",
-           "assignments", "minimal_members", "chase"]
+           "depth_first_paths", "assignments", "minimal_members", "chase"]
 
 # The scans take 2^n steps in the n endogenous tuples.
 MAX_ENDO = 20
@@ -275,6 +276,42 @@ def simple_paths(instance: Instance, query: ReachabilityQuery) -> list[frozenset
                     _reaches(combo, query.source, query.target):
                 found.append(s)
     return sorted(found, key=sorted)
+
+
+def depth_first_paths(instance: Instance,
+                      query: ReachabilityQuery) -> tuple[list[frozenset[str]], int]:
+    """The edge sets of the simple source-to-target paths, ordered by
+    sorted tids, and the nodes a plain recursive depth-first search for
+    them enters.  The search follows only edges into nodes with a path of
+    zero or more edges to the target (a fixpoint over the edges finds
+    them), ends a path at each edge into the target, and enters every
+    other node not on the path, counting each entry."""
+    edges = instance.relation(query.edge_pred)
+    live, grown = {query.target}, True
+    while grown:
+        grown = False
+        for f in edges:
+            if f.vals[1] in live and f.vals[0] not in live:
+                live.add(f.vals[0])
+                grown = True
+    succ: dict[str, list[tuple[str, str]]] = {}
+    for f in edges:
+        if f.vals[1] in live:
+            succ.setdefault(f.vals[0], []).append((f.tid, f.vals[1]))
+    paths: list[frozenset[str]] = []
+    entered = 0
+
+    def enter(node: str, on_path: frozenset[str], tids: tuple[str, ...]) -> None:
+        nonlocal entered
+        for tid, nxt in succ.get(node, ()):
+            if nxt == query.target:
+                paths.append(frozenset(tids + (tid,)))
+            elif nxt not in on_path:
+                entered += 1
+                enter(nxt, on_path | {nxt}, tids + (tid,))
+
+    enter(query.source, frozenset([query.source]), ())
+    return sorted(paths, key=sorted), entered
 
 
 def _bind(args, vals, env: dict[str, str]) -> dict[str, str] | None:

@@ -373,11 +373,36 @@ def _subdivided(instance: Instance, rng: random.Random) -> tuple[Instance, dict[
     return Instance.build({"E": 2}, facts), chains
 
 
+def _assert_caps_trip_past(q: ReachabilityQuery, instance: Instance,
+                           paths: list[frozenset[str]], entered: int, monkeypatch) -> None:
+    """Each cap of the walk passes at the judge's measure (paths kept,
+    nodes entered, tuples in the paths kept) and refuses one below it,
+    naming the measure; a walk that enters no node has no step cap to
+    trip, since the cap is never below 0."""
+    held = sum(map(len, paths))
+    caps = [("MAX_PATHS", len(paths), f"{len(paths):,} simple paths pass the cap"),
+            ("MAX_PATH_STEPS", entered, f"the simple-path walk entered {entered:,} nodes, "
+                                        f"past the cap"),
+            ("MAX_HELD_TUPLES", held, f"{len(paths):,} simple paths would hold {held:,} "
+                                      f"tuples, past the cap")]
+    for name, measure, message in caps:
+        if not measure:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(dbexplain.query, name, measure)
+            assert len(enumerate_witnesses(q, instance)) == len(paths)
+            m.setattr(dbexplain.query, name, measure - 1)
+            with pytest.raises(PathBoundExceeded, match=f"^{message} {measure - 1:,}$"):
+                enumerate_witnesses(q, instance)
+
+
 def test_path_witnesses_read_runs_to_the_target(monkeypatch):
     """Chains of one-edge nodes make runs, long ones into the target among
     them: the simple paths equal the judge's scan of the plain digraph,
-    each edge read as its chain, in order, and the path bound trips
-    exactly past the path count."""
+    each edge read as its chain, in order, as do the paths of the judge's
+    depth-first search on the subdivided digraph.  Each cap trips exactly
+    past that search's measure: the paths, the nodes it enters and the
+    tuples its paths hold."""
     rng = random.Random(31)
     seen = dict.fromkeys(["run of 3+ nodes", "cycle through the source",
                           "subdivided cycle through the source", "self-loop",
@@ -391,14 +416,10 @@ def test_path_witnesses_read_runs_to_the_target(monkeypatch):
         assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == expected, \
             (sorted(instance.tids()), q)
         count = len(expected)
+        paths, entered = bruteforce.depth_first_paths(instance, q)
+        assert [sorted(p) for p in paths] == expected
         if count:
-            with monkeypatch.context() as m:
-                m.setattr(dbexplain.query, "MAX_PATHS", count)
-                assert len(enumerate_witnesses(q, instance)) == count
-                m.setattr(dbexplain.query, "MAX_PATHS", count - 1)
-                with pytest.raises(PathBoundExceeded,
-                                   match=f"{count} simple paths pass the cap {count - 1}"):
-                    enumerate_witnesses(q, instance)
+            _assert_caps_trip_past(q, instance, paths, entered, monkeypatch)
         into_target = [f for f in plain.facts if f.vals[1] == q.target]
         seen["run of 3+ nodes"] += count > 0 and any(len(chains[f.tid]) > 3
                                                      for f in into_target)
@@ -436,7 +457,7 @@ def test_run_nodes_count_as_entered_and_dead_ends_do_not(monkeypatch):
 def test_a_source_on_a_run_walks_its_run_alone(monkeypatch):
     """s -> m -> n -> t is forced: the source's other edge is a dead end, and
     x -> s, x -> m and t -> s lead into the run, so the walk reads m and n
-    in one loop: one path, two nodes entered."""
+    as one run: one path, two nodes entered."""
     instance = _edges("sm", "mn", "nt", "sd", "xs", "xm", "ts")
     q = ReachabilityQuery("E", "s", "t")
     assert [sorted(w.tuples) for w in enumerate_witnesses(q, instance)] == \
@@ -446,6 +467,35 @@ def test_a_source_on_a_run_walks_its_run_alone(monkeypatch):
     monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", 1)
     with pytest.raises(PathBoundExceeded, match="entered 2 nodes, past the cap 1"):
         enumerate_witnesses(q, instance)
+
+
+def test_path_caps_trip_past_the_judges_measures_on_a_funnel(monkeypatch):
+    """A 5 x 5 grid whose far corner feeds a run of 150 edges to t, and
+    whose other nodes enter that run part way along: the paths share the
+    run's tails, entered at several nodes, yet each path still enters each
+    of its run nodes.  The witnesses equal the judge's depth-first search,
+    and each cap trips exactly past that search's measure; a step cap that a
+    run passes names the node entered past it."""
+    grid = [[f"g{r}{c}" for c in range(5)] for r in range(5)]
+    run = [grid[4][4], *(f"r{i:03d}" for i in range(149)), "t"]
+    pairs = [(grid[r][c], grid[r][c + 1]) for r in range(5) for c in range(4)]
+    pairs += [(grid[r][c], grid[r + 1][c]) for r in range(4) for c in range(5)]
+    pairs += list(zip(run, run[1:]))
+    pairs += [(grid[0][4], run[100]), (grid[4][0], run[50]), (grid[2][2], run[120]),
+              (grid[3][1], run[50]), (grid[1][3], "t")]
+    instance = Instance.build({"E": 2}, [Fact(f"e{i:03d}", "E", p) for i, p in enumerate(pairs)])
+    q = ReachabilityQuery("E", grid[0][0], "t")
+    paths, entered = bruteforce.depth_first_paths(instance, q)
+    assert [w.tuples for w in enumerate_witnesses(q, instance)] == paths
+    assert len(paths) > 80 and entered > 50 * len(paths)
+    _assert_caps_trip_past(q, instance, paths, entered, monkeypatch)
+    for cap in (0, 1, entered // 3, entered // 2):
+        # a cap inside a run still names the node that passes it
+        monkeypatch.setattr(dbexplain.query, "MAX_PATH_STEPS", cap)
+        with pytest.raises(PathBoundExceeded,
+                           match=f"^the simple-path walk entered {cap + 1:,} nodes, "
+                                 f"past the cap {cap:,}$"):
+            enumerate_witnesses(q, instance)
 
 
 def test_dead_end_grid_costs_no_steps(monkeypatch):

@@ -380,6 +380,37 @@ def test_many_components_take_linear_time_and_space():
     assert peak < 8 * 2**20, f"{peak:,} bytes at k = 8,000"
 
 
+def test_many_two_member_components_take_linear_time_and_space():
+    """W of k components {a_i, b_i}, {a_i, c_i}: each has the two minimal
+    transversals {a_i} and {b_i, c_i}, and the lists a component of two
+    members keeps while it is dualized must not make the time grow faster
+    than k, as lists kept per member once did by starting full
+    collections."""
+    sizes, times = [2000, 4000, 8000], []
+    for k in sizes:
+        family = [frozenset({f"a{i:05d}", f"{x}{i:05d}"}) for i in range(k) for x in "bc"]
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            parts = _component_transversals(family)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+        assert [mask_sets(*part) for part in parts] == [
+            [{f"a{i:05d}"}, {f"b{i:05d}", f"c{i:05d}"}] for i in range(k)]
+    xs, ys = [math.log(n) for n in sizes], [math.log(t) for t in times]
+    xbar, ybar = sum(xs) / 3, sum(ys) / 3
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    assert slope <= 1.5, f"log-log slope {slope:.2f}, times {times}"
+    tracemalloc.start()
+    try:
+        _component_transversals(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"{peak:,} bytes at k = 8,000"
+
+
 def test_component_transversals_are_dual_on_scaling_instances():
     """Per component of W, the minimal transversals of its minimal
     transversals are the component again: a check on families far beyond
