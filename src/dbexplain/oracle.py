@@ -10,16 +10,17 @@ a pickled instance leaves it out.
   sufficient sets (MSS) are the members of W.
 * A set is necessary (its removal falsifies the query) exactly when it
   meets every member of W, so the minimal necessary sets (MNS) are the
-  minimal transversals of W.  When W holds the empty set, the exogenous
-  part alone satisfies the query: the MSS family is the empty set alone
-  and there is no MNS.
+  minimal transversals of W, which one depth-first search of
+  :mod:`dbexplain.repairs` lists per connected component of W.  When W
+  holds the empty set, the exogenous part alone satisfies the query: the
+  MSS family is the empty set alone and there is no MNS.
 * Degrees: eta(t) = 1/min{|N| : N an MNS, t in N} (0 when t is in no MNS)
   and sigma(t) likewise over the MSS.  An MNS is the union of one minimal
   transversal per connected component of W, so eta needs only the least
   size of each component's transversals and of those through t in t's
-  component, which a minimum-size search finds without listing any
-  transversal family (see :mod:`dbexplain.repairs`).  The responsibility
-  rho(t) = 1/(1+|G|) for the smallest contingency set G equals eta(t).
+  component, which the same search, bounded by a size, finds without
+  listing any transversal family.  The responsibility rho(t) =
+  1/(1+|G|) for the smallest contingency set G equals eta(t).
   The subset-minimal contingency sets of t are the sets N - {t} for the
   MNS N through t (Bertossi & Salimi, "From causes for database queries
   to repairs and model-based diagnosis and back", 2017).  All values are

@@ -507,14 +507,6 @@ def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]
             or not any(f < s for t in s for f in filed.get(t, ()))]
 
 
-def _antichain(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    """The subset-minimal members, deduplicated and ordered by (size, tids).
-    The sort keys hold tuples, not lists, so that the collector stops
-    tracking them at its first pass and promotes none to its oldest
-    generation (see repairs._bitmask_components)."""
-    return _minimal_members(sorted(set(sets), key=lambda s: (len(s), tuple(sorted(s)))))
-
-
 class _WitnessIndex(NamedTuple):
     images: dict[frozenset[str], tuple[Fact, ...]]  # image -> its first binding
     minimal: tuple[frozenset[str], ...]  # the minimal images: the witnesses

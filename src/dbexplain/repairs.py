@@ -13,17 +13,21 @@ connected), so the search runs on each component alone, on bitmasks over
 its own tuples.  The joined sets are sorted on integers: with the least
 tid on the highest of n bits, the key (popcount << n) - mask orders
 distinct sets by (size, tids), and a union of disjoint sets sums their
-keys.  Within a component Berge's dualization (C. Berge, *Hypergraphs*,
-1989; Eiter & Gottlob, SIAM J. Comput. 1995) extends the minimal hitting
-sets of the members seen so far by one member at a time; it serves where
-the whole family is the answer (the subset-repairs, and the MNS and
-causes of :mod:`dbexplain.oracle`).  Minimum-size questions need no such
-list: the cardinality repairs join each component's minimum-size hitting
-sets, and eta reads least sizes, both from a branch-and-bound search.  A
-hitting set of least size is minimal, so the search makes no minimality
-test.
+keys.  Within a component one depth-first search answers both kinds of
+question.  Where the whole family is the answer (the subset-repairs, and
+the MNS and causes of :mod:`dbexplain.oracle`), it lists the minimal
+hitting sets with the critical test of MMCS (Murakami & Uno, *Discrete
+Applied Mathematics* 170, 2014): every tuple chosen must keep a member
+that it alone meets, so each node is a minimal partial set and each set
+is found once, with no test against the sets found before; unlike
+Berge's dualization it keeps no working family, which can outgrow the
+answer (Eiter & Gottlob, SIAM J. Comput. 1995).  Minimum-size questions
+need no list: the cardinality repairs join each component's minimum-size
+hitting sets, and eta reads least sizes, both from the same search
+bounded by a size and pruned by packing.  A hitting set of least size is
+minimal, so the bounded search makes no critical test.
 
-Both searches can take exponential time, so one call raises
+The search can take exponential time, so one call raises
 OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
 tuples held (also by the repairs' kept sets); every function here also
 refuses more than ``max_deletable`` deletable tuples (20 by default).
@@ -45,21 +49,24 @@ some violation is witnessed by exogenous tuples alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, NoReturn
 
 from .errors import OracleBoundExceeded, RepairNotFound
 from .model import Instance
-from .query import MAX_HELD_TUPLES, DenialConstraint, _antichain, _witness_index
+from .query import MAX_HELD_TUPLES, DenialConstraint, _witness_index
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
     "enumerate_s_repairs", "enumerate_c_repairs", "core_naive",
 ]
 
-# The test cap of one listing (with CPython 3.11 on x86-64, 10M tests take
-# 0.3-3.5 s; the tuples held are capped by query.MAX_HELD_TUPLES), and the
+# The test cap of one request's searches (with CPython 3.11 on x86-64, the
+# 5x6 and 6x6 grid path listings and eta on the 6x7 grid reach 10M tests in
+# 0.65-1.15 s; the tuples held are capped by query.MAX_HELD_TUPLES), and the
 # default deletable bound.
 MAX_TRANSVERSAL_TESTS = 10_000_000
 DEFAULT_MAX_DELETABLE = 20
@@ -89,57 +96,18 @@ def _refuse(tests: int, held: int, where: str) -> NoReturn:
 
 
 def _component_transversals(
-        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+        family: Sequence[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """The minimal hitting sets of each connected component of the family,
     as a tuple of masks over _bitmask_components' tuples (see there why
-    not a list).  Per component, Berge's dualization: starting from the
-    empty set, take the members in turn, keep each hitting set that hits
-    the member and grow each one that misses it by each of its tuples; a
-    loop, so no recursion.  A kept set is never dominated, and grown sets
-    are distinct and incomparable, so a grown h | t is dropped only when it
-    contains a kept set through t.
-
-    Before the sets that miss a member grow, the step is counted: a test
-    per hitting set, per kept set and tuple of the member, and, per missed
-    h, per set grown and per kept set through each tuple; and the tuples
-    the kept and grown sets hold.  Past either cap the call raises, so no
-    set is grown past a cap."""
-    family = _antichain(family)
+    not a list), listed by one search over all components."""
     if any(not s for s in family):
         raise ValueError("family contains the empty set; it cannot be hit")
-    parts, tests = [], 0
-    for tuples, members in _bitmask_components(family):
-        hitting = [0]
-        for s in members:
-            step, missed, kept, grow = [], [], 0, 0
-            for h in hitting:
-                if h & s:
-                    step.append(h)
-                    kept += h.bit_count()
-                else:
-                    missed.append(h)
-                    grow += h.bit_count() + 1
-            through = {t: [k for k in step if k & t] for t in _bits(s)}
-            tests += (len(hitting) + len(through) * len(step)
-                      + len(missed) * (len(through) + sum(map(len, through.values()))))
-            held = kept + len(through) * grow
-            if tests > MAX_TRANSVERSAL_TESTS or held > MAX_HELD_TUPLES:
-                _refuse(tests, held, f"at a member of {len(through)} tuples and "
-                                     f"{len(hitting):,} hitting sets")
-            for h in missed:
-                for t, kept_through in through.items():
-                    grown = h | t
-                    for k in kept_through:
-                        if k & grown == k:
-                            break
-                    else:
-                        step.append(grown)
-            hitting = step
-        parts.append((tuples, tuple(hitting)))
-    return parts
+    search = _Search()
+    return [(tuples, tuple(search.hitting_sets(members)))
+            for tuples, members in _bitmask_components(family)]
 
 
-def _packing(members: Sequence[int], room: int) -> int:
+def _packing(members: Iterable[int], room: int) -> int:
     """How many of the members, taken in order, are disjoint from all those
     taken before (a lower bound on the size of a hitting set), counted up
     to room + 1."""
@@ -154,51 +122,84 @@ def _packing(members: Sequence[int], room: int) -> int:
 
 
 class _Search:
-    """Branch and bound for hitting sets of families of bitmasks, counting
-    the member tests of one request against MAX_TRANSVERSAL_TESTS."""
+    """Depth-first search for hitting sets of families of bitmasks,
+    counting the member tests of one request against MAX_TRANSVERSAL_TESTS."""
 
     def __init__(self) -> None:
         self.tests = 0
 
-    def hitting_sets(self, members: Sequence[int], size: int, first: bool) -> list[int]:
-        """The hitting sets of at most size tuples, or the first one found.
+    def hitting_sets(self, members: Sequence[int], size: int | None = None,
+                     first: bool = False) -> list[int]:
+        """The minimal hitting sets, or with a size the hitting sets of at
+        most size tuples, or the first one found.
 
-        A node holds the tuples chosen and the members they miss, less the
-        banned tuples.  It branches on a missed member with the fewest
-        tuples left: the i-th child chooses its i-th tuple and bans the
-        ones before it, so each set is reached once.  A node is pruned when
-        its chosen tuples plus a packing of its missed members pass size.
-        Each node counts a test per member of its parent's list and per
-        member of its own; past the test cap, or when the sets found would
-        hold more than MAX_HELD_TUPLES tuples, the call raises."""
+        A node holds the tuples chosen, the members they miss and its
+        candidates, the tuples not banned.  It branches on a missed member
+        with the fewest candidates: the i-th child chooses its i-th and
+        bans the ones before it, so each set is reached once.
+
+        With a size, a node keeps its missed members masked by its
+        candidates, and is pruned when its chosen tuples plus a packing of
+        those members pass size.  Else it keeps them whole, so that a wide
+        component holds its masks once, and also holds the members its
+        tuples meet once; it is pruned when some chosen tuple lies in none
+        of them (the critical test of MMCS, Murakami & Uno, DAM 170, 2014),
+        as that tuple could go from every superset.  So each node is a
+        minimal partial hitting set, and each minimal hitting set is found
+        once with no test against those found before.  When the branch
+        member has one candidate left, every missed member with one left
+        is forced, and their tuples are chosen in one step, else a star of
+        n members through one tuple would take n steps over n members.
+
+        Each node counts a test per member of the lists it filters and per
+        member it leaves missed; past the test cap, or when the sets found
+        would hold more than MAX_HELD_TUPLES tuples, the call raises."""
         found: list[int] = []
-        tests, stack = self.tests, [(0, 0, members, 0, 0)]
+        listing, held = size is None, 0
+        tests, stack = self.tests, [(0, 0, members, [], 0, -1)]
         while stack:
-            chosen, depth, missed, bit, ban = stack.pop()
-            tests += len(missed)
-            keep = ~ban
-            missed = [m & keep for m in missed if not m & bit]
+            chosen, depth, missed, once, new, cand = stack.pop()
+            tests += len(missed) + len(once)
+            if listing:
+                once = [m for m in once if not m & new]
+                once += [m for m in missed if (hit := m & new) and not hit & (hit - 1)]
+                if chosen & ~reduce(or_, once, 0):
+                    continue
+                missed = [m for m in missed if not m & new]
+            else:
+                missed = [m & cand for m in missed if not m & new]
             if not missed:
                 found.append(chosen)
                 if first:
                     break
-                if len(found) * size > MAX_HELD_TUPLES:
+                held += depth
+                if held > MAX_HELD_TUPLES:
                     self.tests = tests
-                    _refuse(tests, len(found) * size, f"with {len(found):,} hitting sets "
-                            f"of {size} tuples found among {len(members):,} members")
+                    _refuse(tests, held, f"with {len(found):,} {self._what(size)} found "
+                            f"among {len(members):,} members")
                 continue
             tests += len(missed)
             if tests > MAX_TRANSVERSAL_TESTS:
                 self.tests = tests
-                _refuse(tests, len(found) * size, f"in a search for hitting sets of "
-                        f"{size} tuples among {len(members):,} members")
-            if _packing(missed, size - depth) > size - depth:
+                _refuse(tests, held, f"in a search for {self._what(size)} "
+                        f"among {len(members):,} members")
+            if not listing and _packing(missed, size - depth) > size - depth:
                 continue
-            branch = min(missed, key=int.bit_count)
+            branch = min(map(cand.__and__, missed) if listing else missed, key=int.bit_count)
+            if listing and branch.bit_count() == 1:
+                branch = reduce(or_, (m for m in map(cand.__and__, missed) if m.bit_count() == 1))
+                stack.append((chosen | branch, depth + branch.bit_count(), missed, once, branch,
+                              cand))
+                continue
             for low in _bits(branch):
-                stack.append((chosen | low, depth + 1, missed, low, branch & (low - 1)))
+                stack.append((chosen | low, depth + 1, missed, once, low, cand))
+                cand ^= low
         self.tests = tests
         return found
+
+    @staticmethod
+    def _what(size: int | None) -> str:
+        return "minimal hitting sets" if size is None else f"hitting sets of {size} tuples"
 
     def least(self, members: Sequence[int], first: bool) -> tuple[int, list[int]]:
         """The least size of a hitting set and the hitting sets of that size

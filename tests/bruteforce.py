@@ -25,11 +25,13 @@ match terms to values through ``_bind``, so they share no code with the
 library's join.  ``minimal_members`` compares every member of a family
 with every other.  ``minimal_hitting_sets`` scans the subsets of a
 family's elements by ascending cardinality, sharing no code with the
-library's transversals; ``simple_paths`` scans the subsets of a graph's
-edges the same way, deciding reachability by its own breadth-first
-search; ``depth_first_paths`` lists the same paths by a plain recursive
-search that counts the nodes it enters; and ``chase`` picks the least set
-of the scanned MSS family through the seed.
+library's transversals, and ``berge_transversals`` lists them by
+Berge's dualization, fast enough for families far past that scan;
+``simple_paths`` scans the subsets of a graph's edges the same way,
+deciding reachability by its own breadth-first search;
+``depth_first_paths`` lists the same paths by a plain recursive search
+that counts the nodes it enters; and ``chase`` picks the least set of
+the scanned MSS family through the seed.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ from dbexplain import (
 )
 
 __all__ = ["enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
-           "participating_sets", "minimal_hitting_sets", "simple_paths",
-           "depth_first_paths", "assignments", "minimal_members", "chase"]
+           "participating_sets", "minimal_hitting_sets", "berge_transversals",
+           "simple_paths", "depth_first_paths", "assignments", "minimal_members", "chase"]
 
 # The scans take 2^n steps in the n endogenous tuples.
 MAX_ENDO = 20
@@ -244,6 +246,23 @@ def minimal_hitting_sets(family: Sequence[frozenset[str]]) -> list[frozenset[str
             if all(s & f for f in family) and not any(h <= s for h in found):
                 found.append(s)
     return found
+
+
+def berge_transversals(family: Sequence[frozenset[str]]) -> list[frozenset[str]]:
+    """The minimal hitting sets of a family of nonempty sets by Berge's
+    dualization, ordered by (size, tids): from the empty set, take the
+    members in turn, keep each set that meets the member and grow each
+    other set by each tuple of the member.  A grown h | {t} is dropped
+    when it contains a kept set, which then holds t; grown sets need no
+    test against each other, since those from distinct minimal sets are
+    incomparable."""
+    hitting = [frozenset()]
+    for member in family:
+        kept = [h for h in hitting if h & member]
+        through = {t: [k for k in kept if t in k] for t in member}
+        hitting = kept + [h | {t} for h in hitting if not h & member for t in member
+                          if not any(k <= h | {t} for k in through[t])]
+    return sorted(hitting, key=lambda s: (len(s), sorted(s)))
 
 
 def _reaches(edges: Sequence, source: str, target: str) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import dbexplain.query
+import dbexplain.repairs
 from dbexplain.cli import run
 from dbexplain.synth import SCALING_QUERY_TEXT, scaling_instance
 
@@ -266,15 +267,24 @@ def test_mss_tuple_rejects_an_unknown_tid(capsys):
         assert code == 1 and doc["error"]["type"] == "UnknownTupleId", tail
 
 
-def test_transversal_cap_is_a_semantic_error(capsys, tmp_path):
-    """A listing that passes its work cap exits 1 with a payload naming
-    the count, and stdout stays one JSON document."""
-    path = tmp_path / "scaling111.json"
-    path.write_text(json.dumps(scaling_instance(111).to_dict()))
-    code, doc, out = invoke(capsys, "mns", "-i", str(path), "-q", SCALING_QUERY_TEXT)
-    assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
-    assert doc["error"]["type"] == "OracleBoundExceeded"
-    assert "intersection and subset tests" in doc["error"]["message"]
+def test_transversal_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):
+    """A listing whose answer or work passes a cap exits 1 with a payload
+    naming the count, and stdout stays one JSON document: at n = 105 the
+    MNS joined from the listed transversals would hold too many tuples,
+    and at n = 111, under a test cap lowered to 1,000,000, the search
+    itself is refused."""
+    for n, cap, message in (
+            (105, 10_000_000, "403,137 unions of per-component minimal hitting sets "
+                              "would hold 6,060,015 tuples, past 2,000,000"),
+            (111, 1_000_000, "1,000,009 intersection and subset tests and 204,799 tuples "
+                             "held, in a search for minimal hitting sets among 20 members, "
+                             "pass the caps 1,000,000 and 2,000,000")):
+        path = tmp_path / f"scaling{n}.json"
+        path.write_text(json.dumps(scaling_instance(n).to_dict()))
+        monkeypatch.setattr(dbexplain.repairs, "MAX_TRANSVERSAL_TESTS", cap)
+        code, doc, out = invoke(capsys, "mns", "-i", str(path), "-q", SCALING_QUERY_TEXT)
+        assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
+        assert doc["error"] == {"type": "OracleBoundExceeded", "message": message}, n
 
 
 def test_path_walk_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from dbexplain import (
     verify_explanation,
 )
 from dbexplain.query import Query
-from dbexplain.repairs import _component_transversals
+from dbexplain.repairs import _bitmask_components
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
@@ -98,22 +100,30 @@ def test_mss_and_degrees_answer_on_two_hundred_tuples():
 
 
 def _counts(exc: pytest.ExceptionInfo) -> tuple[int, int]:
-    """The tests made and the tuples held, as a Berge refusal names them."""
+    """The tests made and the tuples held, as a refusal of the transversal
+    search names them."""
     found = re.match(r"([0-9,]+) intersection and subset tests and ([0-9,]+) tuples held",
                      str(exc.value))
     assert found, str(exc.value)
     return tuple(int(g.replace(",", "")) for g in found.groups())
 
 
-def test_transversal_listing_trips_the_test_cap():
-    """At n = 111 one component of W has 20 members and Berge's working
-    family outgrows the test cap; each listing names the count that the
-    next step would reach, and refuses it.  eta needs no listing."""
+def test_transversal_listing_trips_the_test_cap(monkeypatch):
+    """At n = 111 one component of W has 20 members and 109,439 minimal
+    hitting sets: the search lists them under the test cap, and the MNS
+    they join to are refused before one is built.  Under a cap lowered to
+    1,000,000 tests each listing names the count that tripped it.  eta
+    needs no listing."""
     instance, q = _scaling(111)
+    with pytest.raises(OracleBoundExceeded, match="984,897 unions of per-component minimal "
+                                                  "hitting sets would hold 16,588,026 tuples"):
+        enumerate_mns(instance, q)
+    monkeypatch.setattr(dbexplain.repairs, "MAX_TRANSVERSAL_TESTS", 1_000_000)
     for listing in (enumerate_mns, actual_causes):
-        with pytest.raises(OracleBoundExceeded) as exc:
+        with pytest.raises(OracleBoundExceeded, match="in a search for minimal hitting sets "
+                                                      "among 20 members") as exc:
             listing(instance, q)
-        assert _counts(exc) == (10_243_960, 166_401), listing.__name__
+        assert _counts(exc) == (1_000_009, 204_799), listing.__name__
     etas = Counter(d.eta for d in degrees(instance, q).per_tuple.values())
     assert etas == {0: 65, Fraction(1, 10): 22, Fraction(1, 11): 10,
                     Fraction(1, 12): 7, Fraction(1, 13): 7}
@@ -134,19 +144,21 @@ def _two_cycle_chain(k: int) -> tuple[Instance, Query]:
 
 
 def test_working_family_is_capped_by_the_tuples_it_holds(monkeypatch):
-    """On 24 chained two-cycles Berge's working family would double with
-    each of the first 24 members while making few tests per set; it is
-    refused on the tuples it would hold, long before the test cap (here the
-    cap is lowered to 20,000 tuples, to keep the test small)."""
+    """On k chained two-cycles the minimal hitting sets grow about fivefold
+    with every two more two-cycles (65,641 at k = 14), while the search
+    makes few tests per set: at k = 24 it is refused on the tuples the
+    sets it has found hold, long before the test cap (here the cap is
+    lowered to 20,000 tuples, to keep the test small)."""
     monkeypatch.setattr(dbexplain.repairs, "MAX_HELD_TUPLES", 20_000)
     instance, q = _two_cycle_chain(24)
     assert len(instance) == 71
     listings = (enumerate_mns, actual_causes, lambda i, q: enumerate_s_repairs(
         i, denial_constraint_of(q), max_deletable=len(i)))
     for listing in listings:
-        with pytest.raises(OracleBoundExceeded) as exc:
+        with pytest.raises(OracleBoundExceeded, match="with 482 minimal hitting sets found "
+                                                      "among 69 members") as exc:
             listing(instance, q)
-        assert _counts(exc) == (6_141, 22_528), str(exc.value)
+        assert _counts(exc) == (70_607, 20_012), str(exc.value)
     # as for 8 two-cycles, judged by Berge in test_eta_is_read_off_berges_listing
     etas = Counter(d.eta for d in degrees(instance, q).per_tuple.values())
     assert etas == {Fraction(1, 24): 26, Fraction(1, 25): 45}
@@ -226,10 +238,50 @@ def test_degrees_on_grid_paths():
         degrees(instance, q)
 
 
+def test_mns_of_a_5x5_grid_are_certified():
+    """The 5 x 5 grid's 70 paths have 6,458 minimal transversals, which
+    Berge's dualization could not list under the test cap.  Each MNS is checked
+    against the paths of a plain recursive search: it meets every path,
+    and each of its tuples is alone in some path."""
+    instance, q = _grid(5, 5)
+    paths, _ = bruteforce.depth_first_paths(instance, q)
+    mns = [s.tuples for s in enumerate_mns(instance, q)]
+    assert len(paths) == 70 and len(mns) == len(set(mns)) == 6_458
+    for s in mns:
+        assert all(p & s for p in paths), sorted(s)
+        assert {t for p in paths if len(met := p & s) == 1 for t in met} == s, sorted(s)
+
+
+def test_one_hub_star_forces_its_spokes_in_one_step():
+    """q :- R(x), S(x, y) on one R fact and 20,000 S facts: W is one
+    component of 20,000 members through r, with the two MNS {r} and the S
+    facts.  The search forces the S facts in one step, not one level per
+    fact over the members left, and copies no member mask, so it answers
+    in well under a second and holds little beyond the masks of W."""
+    n = 20_000
+    instance = Instance.build({"R": 1, "S": 2}, [Fact("r", "R", ("a",))] + [
+        Fact(f"s{i:05d}", "S", ("a", f"b{i}")) for i in range(n)])
+    q = parse_query("q :- R(x), S(x, y).", instance)
+    assert len(enumerate_mss(instance, q)) == n
+    t0 = time.perf_counter()
+    mns = enumerate_mns(instance, q)
+    elapsed = time.perf_counter() - t0
+    assert [s.tuples for s in mns] == [frozenset({"r"}), instance.tids() - {"r"}]
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    tracemalloc.start()
+    try:
+        enumerate_mns(instance, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{peak:,} bytes"
+
+
 def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
     """eta read off Berge's transversals of each component: the smallest
     through t in t's component, plus the other components' minima."""
-    parts = [mask_sets(tuples, part) for tuples, part in _component_transversals(mss)]
+    parts = [bruteforce.berge_transversals(mask_sets(tuples, members))
+             for tuples, members in _bitmask_components(mss)]
     least = sum(len(part[0]) for part in parts)
     eta: dict[str, Fraction] = {}
     for part in parts:
@@ -244,8 +296,8 @@ def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
     lambda: _grid(4, 5), lambda: _two_cycle_chain(8)],
     ids=["n60", "n100", "n109", "n120", "n200", "grid4x5", "two-cycles8"])
 def test_eta_is_read_off_berges_listing(make):
-    """eta by the minimum-size search equals eta read off the full
-    listing, where the listing finishes (at n = 109 it makes 6.5M tests)."""
+    """eta by the minimum-size search equals eta read off Berge's full
+    listing in tests/bruteforce.py (at n = 109 it takes about a second)."""
     instance, q = make()
     eta = _eta_by_listing([s.tuples for s in enumerate_mss(instance, q)])
     report = degrees(instance, q)

@@ -28,7 +28,7 @@ from dbexplain import (
 )
 import dbexplain.oracle
 import dbexplain.repairs
-from dbexplain.query import _antichain, _witness_index
+from dbexplain.query import _witness_index
 from dbexplain.repairs import (_bitmask_components, _component_transversals, _conflicts,
                                _least_transversals_through, _minimum_transversals, _repairs,
                                _unions)
@@ -37,6 +37,12 @@ from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
 
 import bruteforce
 from conftest import mask_sets, tids
+
+
+def antichain(sets) -> list[frozenset[str]]:
+    """The distinct minimal members of a family, by (size, tids)."""
+    return sorted(bruteforce.minimal_members(list(set(sets))),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 def removals(reps):
@@ -247,7 +253,7 @@ def test_component_transversals_match_bruteforce_per_component():
         family = _random_family(rng)
         assert [mask_sets(tuples, part) for tuples, part in _component_transversals(family)] == \
             [bruteforce.minimal_hitting_sets(mask_sets(tuples, members))
-             for tuples, members in _bitmask_components(_antichain(family))], family
+             for tuples, members in _bitmask_components(family)], family
 
 
 def test_bitmask_components_are_the_connected_components():
@@ -256,7 +262,7 @@ def test_bitmask_components_are_the_connected_components():
     as masks in family order, stably sorted by size; lone members too."""
     rng = random.Random(41)
     for _ in range(300):
-        family, expected, placed = _antichain(_random_family(rng)), [], set()
+        family, expected, placed = antichain(_random_family(rng)), [], set()
         for i, s in enumerate(family):
             if i in placed:
                 continue
@@ -274,13 +280,14 @@ def test_bitmask_components_are_the_connected_components():
 
 
 def test_minimum_transversals_are_the_least_of_berges():
-    """Per component, the branch-and-bound search finds exactly Berge's
-    transversals of least size, and the least size through each tuple."""
+    """Per component, the branch-and-bound search finds exactly the
+    transversals of least size that Berge's dualization in
+    tests/bruteforce.py lists, and the least size through each tuple."""
     rng = random.Random(17)
     for _ in range(300):
-        family = _antichain(_random_family(rng))
-        berge = sorted((mask_sets(tuples, part)
-                        for tuples, part in _component_transversals(family)),
+        family = antichain(_random_family(rng))
+        berge = sorted((bruteforce.berge_transversals(mask_sets(tuples, members))
+                        for tuples, members in _bitmask_components(family)),
                        key=lambda part: sorted(part[0]))
         least = [sorted(mask_sets(tuples, part), key=sorted)
                  for tuples, part in _minimum_transversals(family)]
@@ -309,8 +316,8 @@ def test_mask_keys_give_the_size_and_tid_order():
         by_size = sorted(family, key=lambda s: (len(s), sorted(s)))
         assert by_mask(family, lambda m, width: (m.bit_count(), -m)) == by_size, family
         assert by_mask(family, lambda m, width: (m.bit_count() << width) - m) == by_size
-        antichain = _antichain(family)
-        assert by_mask(antichain, lambda m, width: -m) == sorted(antichain, key=sorted)
+        minimal = antichain(family)
+        assert by_mask(minimal, lambda m, width: -m) == sorted(minimal, key=sorted)
 
 
 def test_unions_are_in_size_and_tid_order():
@@ -340,8 +347,8 @@ def test_unions_of_several_multi_member_parts_match_the_product():
         for i in range(rng.randint(2, 5)):
             pool, members = letters[4 * i:4 * i + 4], []
             while len(members) < (2 if i < 2 else 1):
-                members = _antichain(frozenset(rng.sample(pool, rng.randint(1, 3)))
-                                     for _ in range(rng.randint(1, 5)))
+                members = antichain(frozenset(rng.sample(pool, rng.randint(1, 3)))
+                                    for _ in range(rng.randint(1, 5)))
             tuples = rng.sample(pool, 4)
             parts.append((tuples, [sum(1 << tuples.index(t) for t in s) for s in members]))
             picks.append(members)
@@ -412,20 +419,20 @@ def test_many_two_member_components_take_linear_time_and_space():
 
 
 def test_component_transversals_are_dual_on_scaling_instances():
-    """Per component of W, the minimal transversals of its minimal
-    transversals are the component again: a check on families far beyond
-    the brute-force judge (at n = 45-47 and 57-59 one component has
-    1,075-1,827 minimal transversals)."""
+    """Per component of W, the search lists the minimal transversals that
+    Berge's dualization in tests/bruteforce.py lists: a check on families
+    far beyond the exhaustive judge (at n = 45-47 and 57-59 one component
+    has 1,075-1,827 minimal transversals)."""
     for n in (45, 46, 47, 57, 58, 59, 60, 80, 100, 120):
         instance = scaling_instance(n)
         w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
                                 instance).antichain)
-        components = _bitmask_components(_antichain(w))
+        components = _bitmask_components(w)
         parts = _component_transversals(w)
         assert len(parts) == len(components) > 1
         for (tuples, part), (_, members) in zip(parts, components):
-            assert minimal_hitting_sets(mask_sets(tuples, part)) == \
-                mask_sets(tuples, members), n
+            assert mask_sets(tuples, part) == \
+                bruteforce.berge_transversals(mask_sets(tuples, members)), n
 
 
 def _cardinality_filter(reps):
@@ -452,7 +459,7 @@ def test_c_repairs_equal_filtered_s_repairs_on_random_instances():
             least = _cardinality_filter(reps)
             assert all(r.cardinality_minimal == (r in least) for r in reps)
             assert enumerate_c_repairs(instance, dc, endogenous_only=endo_only) == least
-        family = _antichain(w.tuples for w in enumerate_witnesses(q, instance))
+        family = antichain(w.tuples for w in enumerate_witnesses(q, instance))
         multi += len(_bitmask_components(family)) > 1
     assert multi > 50
 
@@ -598,7 +605,7 @@ def test_unions_in_tid_order_need_no_second_sort():
             letters = pool[5 * c:5 * c + 5]
             family += [frozenset(rng.sample(letters, rng.randint(1, 3)))
                        for _ in range(rng.randint(1, 4))]
-        family = _antichain(family)
+        family = antichain(family)
         parts = _component_transversals(family)
         mixed += min(len(m) for _, m in parts) == 1 < max(len(m) for _, m in parts)
         expected = sorted(minimal_hitting_sets(family), key=sorted)
@@ -629,10 +636,10 @@ def test_core_naive_builds_no_repair(monkeypatch, srs_prime, q_srs):
 
 def test_degrees_and_c_repairs_list_no_transversal_family(monkeypatch, srs_prime, q_srs):
     """eta and the cardinality repairs come from the minimum-size search
-    alone: neither runs Berge's listing, which refuses n = 105 and 111 at
-    the test cap."""
+    alone: neither lists every minimal transversal, of which one
+    component has 109,439 at n = 111."""
     def refuse(*args, **kwargs):
-        raise AssertionError("Berge's listing ran")
+        raise AssertionError("the listing ran")
 
     monkeypatch.setattr(dbexplain.repairs, "_component_transversals", refuse)
     monkeypatch.setattr(dbexplain.oracle, "_component_transversals", refuse, raising=False)
