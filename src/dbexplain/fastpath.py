@@ -7,8 +7,10 @@ each atom probes a hash index of its extension on the positions that
 earlier atoms bind.  It builds the indexes in time linear in the atoms'
 extensions and then tries only the partial combinations that agree on
 those positions, so it reaches |D|^k steps only when that many partial
-combinations join.  Its antichain W
-holds the minimal endogenous projections of the images.  These are the
+combinations join.  Its antichain W holds the minimal endogenous
+projections of the images, and the index keeps the union of W once it
+is first read, so ``core_fast``, ``sufficient_set_from`` and
+``min_mss_sjf`` build it once per index.  The members of W are the
 minimal sufficient sets, and the removal sets of the repairs that delete
 endogenous tuples only are their minimal transversals (Bertossi & Salimi,
 "From causes for database queries to repairs and model-based diagnosis and

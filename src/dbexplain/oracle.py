@@ -2,8 +2,9 @@
 
 Every family here is a function of one object: the antichain W of the
 endogenous projections of the minimal witnesses.  An instance keeps the
-W of the latest conjunctive query asked of it for as long as it lives;
-a pickled instance leaves it out.
+W of the latest conjunctive query asked of it for as long as it lives,
+in tid order and split into its connected components once each is first
+needed; a pickled instance leaves it out.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal
@@ -41,8 +42,11 @@ scan and checks its sets with the definition-level checkers of
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .errors import OracleBoundExceeded, QueryNotSatisfied, RepairNotFound
 from .explanations import (
@@ -56,14 +60,16 @@ from .query import (
     MAX_HELD_TUPLES,
     BooleanCQ,
     Query,
+    ReachabilityQuery,
     _check_schema,
     _minimal_members,
     _simple_paths,
     _witness_index,
     denial_constraint_of,
 )
-from .repairs import (MAX_TRANSVERSAL_TESTS, _component_transversals, _conflicts,
-                      _least_transversals_through, _unions, minimal_hitting_sets)
+from .repairs import (MAX_TRANSVERSAL_TESTS, _bitmask_components, _component_transversals,
+                      _Components, _conflicts, _kept_components, _least_transversals_through,
+                      _unions)
 
 __all__ = [
     "enumerate_mss", "enumerate_mns", "degrees", "actual_causes",
@@ -79,28 +85,49 @@ def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
     return tuple(sorted(s))
 
 
-def _mss(instance: Instance, query: Query) -> list[frozenset[str]]:
-    """The witness antichain W, i.e. the MSS family, ordered by tids; it is
-    empty iff the query is false.  For a reachability query it is read off
-    the paths' endogenous parts; the simple-path walk enters no node when
-    the target is unreachable, so no reachability test comes first."""
+def _mss(instance: Instance,
+         query: Query) -> tuple[Sequence[frozenset[str]], Callable[[], _Components]]:
+    """The witness antichain W, i.e. the MSS family, ordered by tids, and a
+    function that gives its connected components; W is empty iff the query
+    is false.  The witness index of a conjunctive query keeps both.  A
+    reachability query has no index: W is read off the simple-path walk at
+    each call, and so are its components."""
     if isinstance(query, BooleanCQ):
-        mss = _witness_index(query, instance).antichain
+        index = _witness_index(query, instance)
+        mss, components = index.in_tid_order(), partial(_kept_components, index, index.antichain)
     else:
-        _check_schema(query, instance._arities)
-        endo = instance.endogenous_part()
-        mss = _minimal_members({endo.intersection(p) for p in _simple_paths(instance, query)})
+        mss = _path_mss(instance, query)
+        components = partial(_bitmask_components, mss)
     if not mss:
         raise QueryNotSatisfied("the query is false in the instance")
-    return sorted(mss, key=_by_tids)
+    return mss, components
 
 
-def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
+def _path_mss(instance: Instance, query: ReachabilityQuery) -> list[frozenset[str]]:
+    """W of a reachability query, ordered by tids.  Each path the walk
+    keeps is a sorted tuple of tids, so sorting them in place orders them
+    by tids; and distinct simple paths are never comparable, so when no
+    tuple on them is exogenous they are W.  Else W is the minimal members
+    of their endogenous parts.  The walk enters no node when the target is
+    unreachable, so no reachability test comes first."""
+    _check_schema(query, instance._arities)
+    paths = _simple_paths(instance, query)
+    exo = instance.exogenous_part()
+    if not exo or exo.isdisjoint(chain.from_iterable(paths)):
+        paths.sort()
+        return [frozenset(p) for p in paths]
+    endo = instance.endogenous_part()
+    return sorted(_minimal_members({endo.intersection(p) for p in paths}), key=_by_tids)
+
+
+def _mns(mss: Sequence[frozenset[str]],
+         components: Callable[[], _Components]) -> list[frozenset[str]]:
     """The minimal transversals of W, i.e. the MNS family, ordered by
-    tids; none when W holds the empty set."""
-    if frozenset() in mss:
+    tids, joined from those of its components; none when W holds the
+    empty set, which is then its only member."""
+    if not mss[0]:
         return []
-    return _unions(_component_transversals(mss), by_size=False)
+    return _unions(_component_transversals(components()), by_size=False)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +135,13 @@ def _mns(mss: list[frozenset[str]]) -> list[frozenset[str]]:
 
 def enumerate_mss(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
     """All minimal sufficient sets (subsets of the endogenous part)."""
-    return tuple(ExplanationSet("MSS", s) for s in _mss(instance, query))
+    return tuple(ExplanationSet("MSS", s) for s in _mss(instance, query)[0])
 
 
 def enumerate_mns(instance: Instance, query: Query) -> tuple[ExplanationSet, ...]:
     """All minimal necessary sets; empty when no endogenous deletion can
     falsify the query (e.g. the exogenous part alone satisfies it)."""
-    return tuple(ExplanationSet("MNS", s) for s in _mns(_mss(instance, query)))
+    return tuple(ExplanationSet("MNS", s) for s in _mns(*_mss(instance, query)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +160,8 @@ def degrees(instance: Instance, query: Query) -> DegreeReport:
     in every MNS exactly when {t} is a member (see :mod:`dbexplain.repairs`),
     that is, when sigma(t) = 1.
     """
-    mss = _mss(instance, query)
-    parts = [] if frozenset() in mss else _least_transversals_through(mss)
+    mss, components = _mss(instance, query)
+    parts = _least_transversals_through(components()) if mss[0] else []
     least = sum(size for size, _ in parts)
     eta_of = {tid: Fraction(1, least - size + through)
               for size, part in parts for tid, through in part.items()}
@@ -174,7 +201,7 @@ def actual_causes(instance: Instance, query: Query) -> ContingencyReport:
     t is an actual cause when some contingency set G (endogenous, t not in
     G) leaves the query true but removing t on top falsifies it.
     """
-    mns = _mns(_mss(instance, query))
+    mns = _mns(*_mss(instance, query))
     return ContingencyReport(contingencies=_contingencies(mns))
 
 
@@ -204,8 +231,8 @@ def check_duality(instance: Instance, query: Query) -> DualityResult:
     """Each MSS must be a minimal hitting set of the MNS family and vice versa;
     the certificate names each offending set.  Past MAX_TRANSVERSAL_TESTS
     intersections of a set with a member of the other family, none is made."""
-    mss = _mss(instance, query)
-    mns = _mns(mss)
+    mss, components = _mss(instance, query)
+    mns = _mns(mss, components)
     if (tests := 2 * len(mss) * len(mns)) > MAX_TRANSVERSAL_TESTS:
         raise OracleBoundExceeded(f"{tests:,} intersection tests of the duality check "
                                   f"exceed the cap {MAX_TRANSVERSAL_TESTS:,}")
@@ -235,13 +262,13 @@ def cause_repair_correspondence(instance: Instance,
     constraint, so it is refused.
     """
     dc = denial_constraint_of(query)
-    mns = _mns(_mss(instance, query))
+    mns = _mns(*_mss(instance, query))
     cause_sets = sorted(
         {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
         key=_by_tids)
     try:  # the s-repair removals, with no Repair (and no kept set) built
-        removals = minimal_hitting_sets(_conflicts(instance, dc, True,
-                                                   len(instance.endogenous_part())))
+        removals = _unions(_component_transversals(_kept_components(
+            *_conflicts(instance, dc, True, len(instance.endogenous_part())))))
     except RepairNotFound:
         removals = []
     c_removals = sorted((r for r in removals if len(r) == len(removals[0])), key=_by_tids)

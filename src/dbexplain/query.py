@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional,
-                    Union)
+from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn,
+                    Optional, TypeVar, Union)
 
 from .errors import (
     PathBoundExceeded,
@@ -507,15 +507,33 @@ def _minimal_members(family: Collection[frozenset[str]]) -> list[frozenset[str]]
             or not any(f < s for t in s for f in filed.get(t, ()))]
 
 
+_T = TypeVar("_T")
+
+
 class _WitnessIndex(NamedTuple):
     images: dict[frozenset[str], tuple[Fact, ...]]  # image -> its first binding
     minimal: tuple[frozenset[str], ...]  # the minimal images: the witnesses
     per_atom: tuple[frozenset[str], ...]  # per atom position, its tuples
     antichain: tuple[frozenset[str], ...]  # W: minimal endogenous projections
+    kept: dict[str, object]  # parts read off the fields above (see keep)
+
+    def keep(self, key: str, build: Callable[[], _T]) -> _T:
+        """The part kept under key, built at its first use.  It is stored
+        by one assignment, as the index itself is, so a concurrent caller
+        sees a whole part or builds its own; each index keeps its own
+        parts, and a pickled instance leaves them out with the index."""
+        part = self.kept.get(key)
+        if part is None:
+            part = self.kept[key] = build()
+        return part
 
     def union(self) -> frozenset[str]:
         """The tuples in some minimal sufficient set."""
-        return frozenset().union(*self.antichain)
+        return self.keep("union", lambda: frozenset().union(*self.antichain))
+
+    def in_tid_order(self) -> tuple[frozenset[str], ...]:
+        """W, ordered by tids."""
+        return self.keep("W", lambda: tuple(sorted(self.antichain, key=sorted)))
 
 
 def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
@@ -529,7 +547,11 @@ def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
     same query object and equality would compare every term of every
     atom; the instance holds the query, so its id is not reused while it
     is kept.  The (query, index) pair is replaced by one assignment, so a
-    concurrent caller sees a whole pair or rebuilds."""
+    concurrent caller sees a whole pair or rebuilds.  The index keeps what
+    the families read off it at their first use (``_WitnessIndex.keep``):
+    the union of W, W in tid order, and the connected components of W and
+    of the minimal images (see ``repairs._kept_components``), so a new
+    query's index starts with none of them."""
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("this operation reads the witness index, which only "
                                "Boolean conjunctive queries have")
@@ -565,7 +587,7 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     else:
         endo = instance.endogenous_part()
         antichain = tuple(_minimal_members(dict.fromkeys(s & endo for s in minimal)))
-    return _WitnessIndex(images, minimal, per_atom, antichain)
+    return _WitnessIndex(images, minimal, per_atom, antichain, {})
 
 
 def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]:

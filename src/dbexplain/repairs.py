@@ -27,6 +27,13 @@ hitting sets, and eta reads least sizes, both from the same search
 bounded by a size and pruned by packing.  A hitting set of least size is
 minimal, so the bounded search makes no critical test.
 
+The witness index keeps the components of W and of the minimal
+witnesses, each split at its first use, as each component's tuples and
+its members' positions among them; each call builds the bitmasks from
+those positions, since masks kept for a wide component would cost
+memory by its width.  The public ``minimal_hitting_sets`` splits its
+family at each call.
+
 The search can take exponential time, so one call raises
 OracleBoundExceeded past MAX_TRANSVERSAL_TESTS tests or MAX_HELD_TUPLES
 tuples held (also by the repairs' kept sets); every function here also
@@ -57,7 +64,7 @@ from typing import NamedTuple, NoReturn
 
 from .errors import OracleBoundExceeded, RepairNotFound
 from .model import Instance
-from .query import MAX_HELD_TUPLES, DenialConstraint, _witness_index
+from .query import MAX_HELD_TUPLES, DenialConstraint, _witness_index, _WitnessIndex
 
 __all__ = [
     "Repair", "CoreResult", "minimal_hitting_sets",
@@ -70,6 +77,10 @@ __all__ = [
 # default deletable bound.
 MAX_TRANSVERSAL_TESTS = 10_000_000
 DEFAULT_MAX_DELETABLE = 20
+
+# Connected components of a family: each its sorted tuples, and its members
+# as the sorted positions of their tuples there (see _bitmask_components).
+_Components = tuple[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], ...]
 
 
 class Repair(NamedTuple):
@@ -96,15 +107,13 @@ def _refuse(tests: int, held: int, where: str) -> NoReturn:
 
 
 def _component_transversals(
-        family: Sequence[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """The minimal hitting sets of each connected component of the family,
-    as a tuple of masks over _bitmask_components' tuples (see there why
-    not a list), listed by one search over all components."""
-    if any(not s for s in family):
-        raise ValueError("family contains the empty set; it cannot be hit")
+        components: _Components) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """The minimal hitting sets of each connected component, as a tuple of
+    masks over its tuples (see _bitmask_components why not a list), listed
+    by one search over all components."""
     search = _Search()
-    return [(tuples, tuple(search.hitting_sets(members)))
-            for tuples, members in _bitmask_components(family)]
+    return [(tuples, tuple(search.hitting_sets(_masks(members))))
+            for tuples, members in components]
 
 
 def _packing(members: Iterable[int], room: int) -> int:
@@ -220,19 +229,22 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bitmask_components(
-        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+def _bitmask_components(family: Sequence[frozenset[str]]) -> _Components:
     """The connected components of a family of nonempty sets, in order of
-    first member: each its own tuples, sorted, and its members as masks
-    over them (bit i for tuples[i]), fewest tuples first (a stable sort).  A
-    union-find links each member to the first member through each tuple.
+    first member: each its own tuples, sorted, and its members as the
+    sorted positions of their tuples there, fewest tuples first (a stable
+    sort); _masks turns those into bitmasks.  A union-find links each
+    member to the first member through each tuple.
 
-    A lone member, one that shares no tuple, is its own component and is
-    built at once, as tuples: the collector stops tracking a tuple of
-    strings or ints at its first pass, where lists kept for each of
-    thousands of lone members through the call would be promoted to its
-    oldest generation and start a full collection, which scans the whole
-    heap, so that the time would grow faster than the family."""
+    All it returns is tuples of strings or ints, or of such tuples, which
+    the collector stops tracking at its first pass; lists kept for each of
+    thousands of components, through a call or for as long as the witness
+    index keeps them, would be promoted to its oldest generation and start
+    full collections, which scan the whole heap, so that the time would
+    grow faster than the family.  A lone member, one that shares no tuple,
+    is its own component and is built at once.  No mask is kept: a mask
+    costs memory by its highest bit, so the masks of a component of width
+    n would hold about n^2/16 bytes."""
     root, first = list(range(len(family))), {}
     for i, s in enumerate(family):
         for t in s:
@@ -249,8 +261,9 @@ def _bitmask_components(
     components = {}
     for s, i in zip(family, roots):
         if i not in components:
-            components[i] = ([], []) if size[i] > 1 else (tuple(sorted(s)), ((1 << len(s)) - 1,))
-    at = {}  # positions, not one-bit masks: those would hold n^2/16 bytes
+            components[i] = (([], []) if size[i] > 1
+                             else (tuple(sorted(s)), (tuple(range(len(s))),)))
+    at = {}
     for t in sorted(first):
         i = roots[first[t]]
         if size[i] > 1:
@@ -259,24 +272,44 @@ def _bitmask_components(
             tuples.append(t)
     for s, i in zip(family, roots):
         if size[i] > 1:
-            m = 0
-            for t in s:
-                m |= 1 << at[t]
-            components[i][1].append(m)
-    return [(tuple(tuples), tuple(sorted(masks, key=int.bit_count))) if size[i] > 1
-            else (tuples, masks) for i, (tuples, masks) in components.items()]
+            components[i][1].append(tuple(sorted(map(at.__getitem__, s))))
+    return tuple((tuple(tuples), tuple(sorted(members, key=len))) if size[i] > 1
+                 else (tuples, members) for i, (tuples, members) in components.items())
 
 
-def _minimum_transversals(
-        family: list[frozenset[str]]) -> list[tuple[tuple[str, ...], list[int]]]:
+def _masks(members: Iterable[tuple[int, ...]]) -> list[int]:
+    """The bitmasks of a component's members, bit p for each position p,
+    built at each call (see _bitmask_components why none is kept)."""
+    masks = []
+    for positions in members:
+        m = 0
+        for p in positions:
+            m |= 1 << p
+        masks.append(m)
+    return masks
+
+
+def _kept_components(index: _WitnessIndex,
+                     family: tuple[frozenset[str], ...]) -> _Components:
+    """The connected components of a family the witness index holds, W or
+    the minimal images, split from it in tid order (the order of the MSS)
+    at their first use and kept by the index.  When no bound tuple is
+    exogenous the two families are one object, and share one split."""
+    if family is index.antichain:
+        return index.keep("W components", lambda: _bitmask_components(index.in_tid_order()))
+    return index.keep("minimal components",
+                      lambda: _bitmask_components(sorted(family, key=sorted)))
+
+
+def _minimum_transversals(components: _Components) -> list[tuple[tuple[str, ...], list[int]]]:
     """The minimum-size hitting sets of each connected component of an
     antichain of distinct nonempty sets, as masks over its tuples."""
     search = _Search()
-    return [(tuples, search.least(members, first=False)[1])
-            for tuples, members in _bitmask_components(family)]
+    return [(tuples, search.least(_masks(members), first=False)[1])
+            for tuples, members in components]
 
 
-def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int, dict[str, int]]]:
+def _least_transversals_through(components: _Components) -> list[tuple[int, dict[str, int]]]:
     """Per connected component C of an antichain of distinct nonempty sets:
     the least size m of a minimal hitting set of C, and for each tuple t
     of C the least size of a minimal hitting set of C through t.
@@ -291,7 +324,8 @@ def _least_transversals_through(family: list[frozenset[str]]) -> list[tuple[int,
     first minimum-size set found need no search.  The sub-families count
     a test per member they filter or build."""
     search, parts = _Search(), []
-    for tuples, members in _bitmask_components(family):
+    for tuples, positions in components:
+        members = _masks(positions)
         least, (found,) = search.least(members, first=True)
         through = {tuples[b.bit_length() - 1]: least for b in _bits(found)}
         for bit in _bits((1 << len(tuples)) - 1 & ~found):
@@ -345,15 +379,17 @@ def _unions(parts: Sequence[tuple[Sequence[str], Sequence[int]]], universe: int 
 def minimal_hitting_sets(family: list[frozenset[str]]) -> list[frozenset[str]]:
     """All subset-minimal hitting sets of a family of nonempty sets,
     ordered by (size, tids): the unions of one minimal hitting set per
-    connected component.  The empty family has the empty set as its sole
-    hitting set."""
-    return _unions(_component_transversals(family))
+    connected component, split at each call.  The empty family has the
+    empty set as its sole hitting set."""
+    if any(not s for s in family):
+        raise ValueError("family contains the empty set; it cannot be hit")
+    return _unions(_component_transversals(_bitmask_components(family)))
 
 
 def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
-               max_deletable: int) -> list[frozenset[str]]:
-    """The minimal deletable parts of the violations, read off the witness
-    index: W when only endogenous tuples may go, else the minimal
+               max_deletable: int) -> tuple[_WitnessIndex, tuple[frozenset[str], ...]]:
+    """The witness index of the violations and the minimal deletable parts
+    it holds: W when only endogenous tuples may go, else the minimal
     witnesses; none for a consistent instance."""
     deletable = instance.endogenous_part() if endogenous_only else instance.tids()
     if len(deletable) > max_deletable:
@@ -362,11 +398,11 @@ def _conflicts(instance: Instance, dc: DenialConstraint, endogenous_only: bool,
             "raise max_deletable explicitly for larger inputs")
     index = _witness_index(dc.body, instance)
     conflicts = index.antichain if endogenous_only else index.minimal
-    if frozenset() in conflicts:
+    if conflicts == (frozenset(),):  # W holds the empty set only as its sole member
         w = next(w for w in index.minimal if not w & deletable)
         raise RepairNotFound(f"violation {sorted(w)} cannot be resolved by deleting "
                              "endogenous tuples only")
-    return list(conflicts)
+    return index, conflicts
 
 
 def _repairs(instance: Instance,
@@ -388,7 +424,7 @@ def enumerate_s_repairs(instance: Instance, dc: DenialConstraint, *,
     A consistent instance has itself as its sole repair.
     """
     return _repairs(instance, _component_transversals(
-        _conflicts(instance, dc, endogenous_only, max_deletable)))
+        _kept_components(*_conflicts(instance, dc, endogenous_only, max_deletable))))
 
 
 def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
@@ -397,7 +433,7 @@ def enumerate_c_repairs(instance: Instance, dc: DenialConstraint, *,
     """The subset-repairs of minimum removal cardinality: one minimum-size
     removal per component, joined."""
     return _repairs(instance, _minimum_transversals(
-        _conflicts(instance, dc, endogenous_only, max_deletable)))
+        _kept_components(*_conflicts(instance, dc, endogenous_only, max_deletable))))
 
 
 def core_naive(instance: Instance, dc: DenialConstraint, *,
@@ -406,6 +442,6 @@ def core_naive(instance: Instance, dc: DenialConstraint, *,
     """Repair core, the intersection over all subset-repairs: D less the
     union of the minimal conflicts, which is the union of their minimal
     hitting sets, the repairs' removals."""
-    conflicts = _conflicts(instance, dc, endogenous_only, max_deletable)
+    _, conflicts = _conflicts(instance, dc, endogenous_only, max_deletable)
     return CoreResult(tuples=instance.tids() - frozenset().union(*conflicts),
                       method="naive-intersection")

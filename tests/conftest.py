@@ -110,6 +110,13 @@ def tids(family) -> list[list[str]]:
     return sorted(out)
 
 
+def position_sets(tuples: list[str], members) -> list[frozenset[str]]:
+    """The tid sets of a component's members, each given as the positions
+    of its tuples in the component's tuples, ordered by (size, tids)."""
+    return sorted((frozenset(tuples[p] for p in positions) for positions in members),
+                  key=lambda s: (len(s), sorted(s)))
+
+
 def mask_sets(tuples: list[str], masks) -> list[frozenset[str]]:
     """The tid sets that bitmasks over the tuples stand for (bit i for
     tuples[i]), ordered by (size, tids)."""

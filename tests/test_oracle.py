@@ -37,7 +37,7 @@ from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
 import bruteforce
-from conftest import inst, mask_sets, tids
+from conftest import inst, position_sets, tids
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_one_hub_star_forces_its_spokes_in_one_step():
 def _eta_by_listing(mss: list[frozenset[str]]) -> dict[str, Fraction]:
     """eta read off Berge's transversals of each component: the smallest
     through t in t's component, plus the other components' minima."""
-    parts = [bruteforce.berge_transversals(mask_sets(tuples, members))
+    parts = [bruteforce.berge_transversals(position_sets(tuples, members))
              for tuples, members in _bitmask_components(mss)]
     least = sum(len(part[0]) for part in parts)
     eta: dict[str, Fraction] = {}

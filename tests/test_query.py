@@ -25,6 +25,7 @@ from dbexplain import (
     Atom,
     BooleanCQ,
     Const,
+    ExplainError,
     Fact,
     Instance,
     PathBoundExceeded,
@@ -36,7 +37,10 @@ from dbexplain import (
     Var,
     Witness,
     denial_constraint_of,
+    enumerate_c_repairs,
+    enumerate_mns,
     enumerate_mss,
+    enumerate_s_repairs,
     enumerate_witnesses,
     evaluate,
     parse_query,
@@ -983,18 +987,38 @@ def test_threads_sharing_an_instance_read_whole_probes():
     probe another thread is still building is never read.  Asking
     different queries in different orders, the threads replace the
     instance's kept witness index under each other, and each reader sees
-    a whole (query, index) pair."""
+    a whole (query, index) pair.  On a second shared instance, every third
+    tuple exogenous, they also ask for the repairs in both modes and the
+    MNS, read off the components of the minimal images and of W that each
+    index keeps, and get the serial answers."""
     texts = ("q :- S(x), R(x,y), T(y).", "q :- S(x), R(x,y), S(y).", "q :- R(x,y), T(y).",
              "q :- T(y), R(x,y), S(x).")
     base = scaling_instance(120)
     queries = [parse_query(t, base) for t in texts]
     want = [list(_bindings(q, base)) for q in queries]
     serial = {id(q): _build_witness_index(q, base) for q in queries}
+    mixed = Instance.build(base.schema, [Fact(f.tid, f.pred, f.vals, i % 3 > 0)
+                                         for i, f in enumerate(scaling_instance(20).facts)])
+    mixed_queries = [parse_query(t, mixed) for t in texts]
+
+    def answers(q, instance):
+        dc, got = denial_constraint_of(q), []
+        for ask in (lambda: enumerate_s_repairs(instance, dc),
+                    lambda: enumerate_c_repairs(instance, dc, endogenous_only=True),
+                    lambda: enumerate_mns(instance, q)):
+            try:
+                got.append(ask())
+            except ExplainError as exc:
+                got.append(repr(exc))
+        return got
+    want_answers = [answers(q, Instance.build(mixed.schema, mixed.facts)) for q in mixed_queries]
+    assert all(isinstance(a, tuple) for got in want_answers for a in got[::2])
     wrong, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(150):
             shared = Instance.build(base.schema, base.facts)
+            repaired = Instance.build(mixed.schema, mixed.facts)
 
             def work(order):
                 for i in order:
@@ -1007,6 +1031,8 @@ def test_threads_sharing_an_instance_read_whole_probes():
                         kept, kept_index = shared.__dict__["_witness_index"]
                         if kept_index.minimal != serial[id(kept)].minimal:
                             wrong.append(("kept", texts[i]))
+                        if answers(mixed_queries[i], repaired) != want_answers[i]:
+                            wrong.append(("answers", texts[i]))
                     except Exception as exc:  # a thread's error would pass as a warning
                         wrong.append((repr(exc), texts[i]))
             threads = [threading.Thread(target=work, args=(random.Random(n).sample(range(4), 4),))

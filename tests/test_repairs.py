@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -14,6 +16,10 @@ from dbexplain import (
     OracleBoundExceeded,
     Repair,
     RepairNotFound,
+    actual_causes,
+    cause_repair_correspondence,
+    check_duality,
+    core_fast,
     core_naive,
     degrees,
     denial_constraint_of,
@@ -30,13 +36,13 @@ import dbexplain.oracle
 import dbexplain.repairs
 from dbexplain.query import _witness_index
 from dbexplain.repairs import (_bitmask_components, _component_transversals, _conflicts,
-                               _least_transversals_through, _minimum_transversals, _repairs,
-                               _unions)
+                               _kept_components, _least_transversals_through,
+                               _minimum_transversals, _repairs, _unions)
 from dbexplain.synth import (SCALING_QUERY_TEXT, planted_query, random_instance,
                              scaling_instance)
 
 import bruteforce
-from conftest import mask_sets, tids
+from conftest import mask_sets, position_sets, tids
 
 
 def antichain(sets) -> list[frozenset[str]]:
@@ -140,9 +146,105 @@ def test_conflicts_are_the_witness_index_antichains(srs_prime_exoR, q_srs):
     """The conflicts are read off the index, not projected again: W when
     only endogenous tuples may go, else the minimal witnesses."""
     dc, index = denial_constraint_of(q_srs), _witness_index(q_srs, srs_prime_exoR)
-    assert _conflicts(srs_prime_exoR, dc, True, 20) == list(index.antichain)
-    assert _conflicts(srs_prime_exoR, dc, False, 20) == list(index.minimal)
+    assert _conflicts(srs_prime_exoR, dc, True, 20) == (index, index.antichain)
+    assert _conflicts(srs_prime_exoR, dc, False, 20) == (index, index.minimal)
     assert len(index.antichain) < len(index.minimal)
+
+
+def _every_family(instance, q):
+    """Every answer read off W or the minimal images of one query."""
+    dc = denial_constraint_of(q)
+    for only in (False, True):
+        enumerate_s_repairs(instance, dc, endogenous_only=only)
+        enumerate_c_repairs(instance, dc, endogenous_only=only)
+        core_naive(instance, dc, endogenous_only=only)
+    for ask in (enumerate_mns, actual_causes, degrees, check_duality,
+                cause_repair_correspondence):
+        ask(instance, q)
+
+
+def test_each_family_is_split_once_per_instance(monkeypatch, srs_prime, srs_prime_exoR,
+                                                 g_routes, q_path_ab):
+    """The witness index keeps the components of W and of the minimal
+    images: asked twice over, the repairs in both modes, the naive core,
+    the MNS, the causes, the degrees and both checks split each family
+    once, one family in all when no tuple is exogenous (W is then the
+    minimal images).  A new query object gets an index of its own, which
+    splits afresh; a path query has no index, so it splits at each call."""
+    split, calls = dbexplain.repairs._bitmask_components, []
+
+    def counting(family):
+        calls.append(tuple(family))
+        return split(family)
+    monkeypatch.setattr(dbexplain.repairs, "_bitmask_components", counting)
+    monkeypatch.setattr(dbexplain.oracle, "_bitmask_components", counting)
+    for instance, families in ((srs_prime, 1), (srs_prime_exoR, 2)):
+        q = parse_query("q :- S(x), R(x,y), S(y).", instance)
+        for _ in range(2):
+            _every_family(instance, q)
+        index = _witness_index(q, instance)
+        assert len(calls) == len(set(calls)) == families
+        assert set(calls) == {index.in_tid_order(), tuple(sorted(index.minimal, key=sorted))}
+        calls.clear()
+        again = parse_query("q :- S(x), R(x,y), S(y).", instance)
+        enumerate_mns(instance, again)
+        enumerate_mns(instance, again)
+        assert calls == [index.in_tid_order()]
+        calls.clear()
+    for _ in range(2):
+        enumerate_mns(g_routes, q_path_ab)
+    assert len(calls) == 2
+
+
+def test_a_pickled_instance_carries_no_kept_parts(srs_prime_exoR, q_srs):
+    """The parts the witness index keeps (W in tid order, its union and the
+    two families' components) leave a pickle with the index: it is as long
+    as before the index was built, and the copy answers as before."""
+    instance = Instance.build(srs_prime_exoR.schema, srs_prime_exoR.facts)
+    for kept_set in (instance.tids, instance.endogenous_part, instance.exogenous_part,
+                     instance.domain):
+        kept_set()
+    assert evaluate(q_srs, instance)
+    size = len(pickle.dumps(instance))
+    dc = denial_constraint_of(q_srs)
+
+    def answers(instance):
+        return [enumerate_s_repairs(instance, dc),
+                enumerate_c_repairs(instance, dc, endogenous_only=True),
+                enumerate_mns(instance, q_srs), degrees(instance, q_srs),
+                core_fast(instance, q_srs)]
+    want = answers(instance)
+    assert set(_witness_index(q_srs, instance).kept) == {
+        "W", "union", "W components", "minimal components"}
+    data = pickle.dumps(instance)
+    assert len(data) == size
+    copy = pickle.loads(data)
+    assert "_witness_index" not in copy.__dict__
+    assert answers(copy) == want
+
+
+def test_kept_components_take_memory_linear_in_the_family():
+    """q :- R(x), S(x, y). with one R and 20,000 S facts: W is one
+    component of 20,000 two-tuple members.  What enumerate_mns leaves kept,
+    over what the witness index alone holds, is W in tid order and the
+    members' positions, linear in the family; a mask kept per member, as
+    wide as the component's 20,001 tuples, would hold about 2.5 KB each."""
+    n = 20_000
+    instance = Instance.build({"R": 1, "S": 2}, [Fact("r", "R", ("a",))] + [
+        Fact(f"s{i:05d}", "S", ("a", f"b{i}")) for i in range(n)])
+    q = parse_query("q :- R(x), S(x, y).", instance)
+    tracemalloc.start()
+    try:
+        _witness_index(q, instance)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(enumerate_mns(instance, q)) == 2
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert "W components" in _witness_index(q, instance).kept
+    assert kept < 160 * n, f"{kept:,} bytes kept past the index"
 
 
 def test_repair_bound(srs_prime, q_srs):
@@ -251,15 +353,17 @@ def test_component_transversals_match_bruteforce_per_component():
     rng = random.Random(5)
     for _ in range(300):
         family = _random_family(rng)
-        assert [mask_sets(tuples, part) for tuples, part in _component_transversals(family)] == \
-            [bruteforce.minimal_hitting_sets(mask_sets(tuples, members))
-             for tuples, members in _bitmask_components(family)], family
+        components = _bitmask_components(family)
+        assert [mask_sets(tuples, part) for tuples, part in _component_transversals(components)] \
+            == [bruteforce.minimal_hitting_sets(position_sets(tuples, members))
+                for tuples, members in components], family
 
 
 def test_bitmask_components_are_the_connected_components():
     """Against components grown member by member from their first member:
     in order of first member, each its own tuples sorted and its members
-    as masks in family order, stably sorted by size; lone members too."""
+    as the sorted positions of their tuples in family order, stably sorted
+    by size; lone members too."""
     rng = random.Random(41)
     for _ in range(300):
         family, expected, placed = antichain(_random_family(rng)), [], set()
@@ -274,8 +378,8 @@ def test_bitmask_components_are_the_connected_components():
                 grown = bool(joining)
             placed |= members
             order = sorted(tuples)
-            masks = [sum(1 << order.index(t) for t in family[j]) for j in sorted(members)]
-            expected.append((order, sorted(masks, key=int.bit_count)))
+            positions = [tuple(sorted(order.index(t) for t in family[j])) for j in sorted(members)]
+            expected.append((order, sorted(positions, key=len)))
         assert [(list(t), list(m)) for t, m in _bitmask_components(family)] == expected, family
 
 
@@ -286,16 +390,17 @@ def test_minimum_transversals_are_the_least_of_berges():
     rng = random.Random(17)
     for _ in range(300):
         family = antichain(_random_family(rng))
-        berge = sorted((bruteforce.berge_transversals(mask_sets(tuples, members))
-                        for tuples, members in _bitmask_components(family)),
+        components = _bitmask_components(family)
+        berge = sorted((bruteforce.berge_transversals(position_sets(tuples, members))
+                        for tuples, members in components),
                        key=lambda part: sorted(part[0]))
         least = [sorted(mask_sets(tuples, part), key=sorted)
-                 for tuples, part in _minimum_transversals(family)]
+                 for tuples, part in _minimum_transversals(components)]
         assert sorted(least, key=lambda part: sorted(part[0])) == \
             [[s for s in part if len(s) == len(part[0])] for part in berge], family
         through = [(len(part[0]), {t: min(len(s) for s in part if t in s)
                                    for t in frozenset().union(*part)}) for part in berge]
-        assert sorted(_least_transversals_through(family), key=lambda part: min(part[1])) == \
+        assert sorted(_least_transversals_through(components), key=lambda part: min(part[1])) == \
             sorted(through, key=lambda part: min(part[1])), family
 
 
@@ -399,7 +504,7 @@ def test_many_two_member_components_take_linear_time_and_space():
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            parts = _component_transversals(family)
+            parts = _component_transversals(_bitmask_components(family))
             best = min(best, time.perf_counter() - t0)
         times.append(best)
         assert [mask_sets(*part) for part in parts] == [
@@ -411,7 +516,7 @@ def test_many_two_member_components_take_linear_time_and_space():
     assert slope <= 1.5, f"log-log slope {slope:.2f}, times {times}"
     tracemalloc.start()
     try:
-        _component_transversals(family)
+        _component_transversals(_bitmask_components(family))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,11 +533,11 @@ def test_component_transversals_are_dual_on_scaling_instances():
         w = list(_witness_index(parse_query(SCALING_QUERY_TEXT, instance),
                                 instance).antichain)
         components = _bitmask_components(w)
-        parts = _component_transversals(w)
+        parts = _component_transversals(components)
         assert len(parts) == len(components) > 1
         for (tuples, part), (_, members) in zip(parts, components):
             assert mask_sets(tuples, part) == \
-                bruteforce.berge_transversals(mask_sets(tuples, members)), n
+                bruteforce.berge_transversals(position_sets(tuples, members)), n
 
 
 def _cardinality_filter(reps):
@@ -585,7 +690,7 @@ def test_kept_set_cap_needs_no_join():
              "71,685 repairs would keep 5,300,667 tuples")):
         instance = scaling_instance(n)
         dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, instance))
-        parts = listing(_conflicts(instance, dc, False, n))
+        parts = listing(_kept_components(*_conflicts(instance, dc, False, n)))
         with pytest.raises(OracleBoundExceeded, match=tripped):
             _repairs(instance, [(Unread(tuples), masks) for tuples, masks in parts])
         with pytest.raises(OracleBoundExceeded, match=tripped):
@@ -606,11 +711,11 @@ def test_unions_in_tid_order_need_no_second_sort():
             family += [frozenset(rng.sample(letters, rng.randint(1, 3)))
                        for _ in range(rng.randint(1, 4))]
         family = antichain(family)
-        parts = _component_transversals(family)
+        parts = _component_transversals(_bitmask_components(family))
         mixed += min(len(m) for _, m in parts) == 1 < max(len(m) for _, m in parts)
         expected = sorted(minimal_hitting_sets(family), key=sorted)
         assert _unions(parts, by_size=False) == expected, family
-        assert dbexplain.oracle._mns(family) == expected
+        assert dbexplain.oracle._mns(family, lambda: _bitmask_components(family)) == expected
     assert mixed > 50, mixed
 
 
