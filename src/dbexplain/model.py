@@ -85,11 +85,11 @@ class Instance:
     witness index of the latest conjunctive query asked of it (see
     ``query._witness_index``), one at a time, with that query, and with
     it the parts that the families read off the index at their first use:
-    W in tid order, its union and the components of W and of the minimal
-    witnesses, linear in those families.  Two
-    threads that ask for the same index at once may both build it, and
-    the later one is kept; both are built from the same immutable facts,
-    so either is correct, and a reader sees a whole index or none.
+    the union of W and the components of W and of the minimal witnesses,
+    linear in those families.  Two threads that ask for the same index at
+    once may both build it, and the later one is kept; both are built from
+    the same immutable facts, so either is correct, and a reader sees a
+    whole index or none.
     """
 
     schema_items: tuple[tuple[str, int], ...]

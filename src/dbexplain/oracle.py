@@ -3,8 +3,8 @@
 Every family here is a function of one object: the antichain W of the
 endogenous projections of the minimal witnesses.  An instance keeps the
 W of the latest conjunctive query asked of it for as long as it lives,
-in tid order and split into its connected components once each is first
-needed; a pickled instance leaves it out.
+in tid order, and its connected components once they are first needed;
+a pickled instance leaves it out.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal
@@ -46,7 +46,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 
 from .errors import OracleBoundExceeded, QueryNotSatisfied, RepairNotFound
 from .explanations import (
@@ -60,7 +59,6 @@ from .query import (
     MAX_HELD_TUPLES,
     BooleanCQ,
     Query,
-    ReachabilityQuery,
     _check_schema,
     _minimal_members,
     _simple_paths,
@@ -90,34 +88,22 @@ def _mss(instance: Instance,
     """The witness antichain W, i.e. the MSS family, ordered by tids, and a
     function that gives its connected components; W is empty iff the query
     is false.  The witness index of a conjunctive query keeps both.  A
-    reachability query has no index: W is read off the simple-path walk at
-    each call, and so are its components."""
+    reachability query has no index: W is read off the paths' endogenous
+    parts at each call, and so are its components; the simple-path walk
+    enters no node when the target is unreachable, so no reachability
+    test comes first."""
     if isinstance(query, BooleanCQ):
         index = _witness_index(query, instance)
-        mss, components = index.in_tid_order(), partial(_kept_components, index, index.antichain)
+        mss, components = index.antichain, partial(_kept_components, index, index.antichain)
     else:
-        mss = _path_mss(instance, query)
+        _check_schema(query, instance._arities)
+        endo = instance.endogenous_part()
+        paths = _simple_paths(instance, query)
+        mss = sorted(_minimal_members({endo.intersection(p) for p in paths}), key=_by_tids)
         components = partial(_bitmask_components, mss)
     if not mss:
         raise QueryNotSatisfied("the query is false in the instance")
     return mss, components
-
-
-def _path_mss(instance: Instance, query: ReachabilityQuery) -> list[frozenset[str]]:
-    """W of a reachability query, ordered by tids.  Each path the walk
-    keeps is a sorted tuple of tids, so sorting them in place orders them
-    by tids; and distinct simple paths are never comparable, so when no
-    tuple on them is exogenous they are W.  Else W is the minimal members
-    of their endogenous parts.  The walk enters no node when the target is
-    unreachable, so no reachability test comes first."""
-    _check_schema(query, instance._arities)
-    paths = _simple_paths(instance, query)
-    exo = instance.exogenous_part()
-    if not exo or exo.isdisjoint(chain.from_iterable(paths)):
-        paths.sort()
-        return [frozenset(p) for p in paths]
-    endo = instance.endogenous_part()
-    return sorted(_minimal_members({endo.intersection(p) for p in paths}), key=_by_tids)
 
 
 def _mns(mss: Sequence[frozenset[str]],

@@ -512,12 +512,12 @@ _T = TypeVar("_T")
 
 class _WitnessIndex(NamedTuple):
     images: dict[frozenset[str], tuple[Fact, ...]]  # image -> its first binding
-    minimal: tuple[frozenset[str], ...]  # the minimal images: the witnesses
+    minimal: tuple[frozenset[str], ...]  # the minimal images (the witnesses), by tids
     per_atom: tuple[frozenset[str], ...]  # per atom position, its tuples
-    antichain: tuple[frozenset[str], ...]  # W: minimal endogenous projections
-    kept: dict[str, object]  # parts read off the fields above (see keep)
+    antichain: tuple[frozenset[str], ...]  # W: minimal endogenous projections, by tids
+    kept: dict[object, object]  # parts read off the fields above (see keep)
 
-    def keep(self, key: str, build: Callable[[], _T]) -> _T:
+    def keep(self, key: object, build: Callable[[], _T]) -> _T:
         """The part kept under key, built at its first use.  It is stored
         by one assignment, as the index itself is, so a concurrent caller
         sees a whole part or builds its own; each index keeps its own
@@ -530,10 +530,6 @@ class _WitnessIndex(NamedTuple):
     def union(self) -> frozenset[str]:
         """The tuples in some minimal sufficient set."""
         return self.keep("union", lambda: frozenset().union(*self.antichain))
-
-    def in_tid_order(self) -> tuple[frozenset[str], ...]:
-        """W, ordered by tids."""
-        return self.keep("W", lambda: tuple(sorted(self.antichain, key=sorted)))
 
 
 def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
@@ -549,9 +545,9 @@ def _witness_index(query: Query, instance: Instance) -> _WitnessIndex:
     is kept.  The (query, index) pair is replaced by one assignment, so a
     concurrent caller sees a whole pair or rebuilds.  The index keeps what
     the families read off it at their first use (``_WitnessIndex.keep``):
-    the union of W, W in tid order, and the connected components of W and
-    of the minimal images (see ``repairs._kept_components``), so a new
-    query's index starts with none of them."""
+    the union of W and the connected components of W and of the minimal
+    images (see ``repairs._kept_components``), so a new query's index
+    starts with none of them."""
     if not isinstance(query, BooleanCQ):
         raise UnsupportedQuery("this operation reads the witness index, which only "
                                "Boolean conjunctive queries have")
@@ -573,20 +569,23 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     kept bindings.  When no bound tuple is exogenous each image is its own
     projection, so ``W`` is the minimal images themselves, and the
     instance's endogenous part is not built; otherwise the projections
-    are deduplicated in the order of the minimal images, so ``W`` is in
-    family order either way."""
+    are deduplicated and their minimal members sorted.  Both families are
+    ordered by their sorted tids, which are distinct, once here, so every
+    family read off them and every component split of them comes in tid
+    order."""
     _check_schema(query, instance._arities)
     bindings = list(_bindings(query, instance))
     images: dict[frozenset[str], tuple[Fact, ...]] = {}
     for b in bindings:
         images.setdefault(frozenset(map(_tid, b)), b)
-    minimal = tuple(_minimal_members(images))
+    minimal = tuple(sorted(_minimal_members(images), key=sorted))
     per_atom = tuple(frozenset([b[i].tid for b in bindings]) for i in range(query.k))
     if all(f.endo for b in bindings for f in b):
         antichain = minimal
     else:
         endo = instance.endogenous_part()
-        antichain = tuple(_minimal_members(dict.fromkeys(s & endo for s in minimal)))
+        antichain = tuple(sorted(_minimal_members(dict.fromkeys(s & endo for s in minimal)),
+                                 key=sorted))
     return _WitnessIndex(images, minimal, per_atom, antichain, {})
 
 
@@ -594,9 +593,9 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
     """All subset-minimal witnesses, ordered by their sorted tids; empty
     iff the query is false.
 
-    For a conjunctive query the minimal images of the witness index are
-    sorted once by their sorted tids, which are distinct, and each witness
-    gets a new dict of the assignment its image's first binding makes.
+    For a conjunctive query these are the minimal images of the witness
+    index, which keeps them in that order, and each witness gets a new
+    dict of the assignment its image's first binding makes.
     For a reachability query these are the edge sets of the simple paths,
     found by a walk that enters only nodes that reach the target and reads
     each forced run of one-edge nodes once per node it is entered from
@@ -612,7 +611,7 @@ def enumerate_witnesses(query: Query, instance: Instance) -> tuple[Witness, ...]
     index = _witness_index(query, instance)
     images, variables = index.images, _variables(query).items()
     return tuple(Witness(s, {name: images[s][j].vals[p] for name, (j, p) in variables})
-                 for s in sorted(index.minimal, key=sorted))
+                 for s in index.minimal)
 
 
 def denial_constraint_of(query: Query) -> DenialConstraint:

@@ -292,13 +292,11 @@ def _masks(members: Iterable[tuple[int, ...]]) -> list[int]:
 def _kept_components(index: _WitnessIndex,
                      family: tuple[frozenset[str], ...]) -> _Components:
     """The connected components of a family the witness index holds, W or
-    the minimal images, split from it in tid order (the order of the MSS)
-    at their first use and kept by the index.  When no bound tuple is
-    exogenous the two families are one object, and share one split."""
-    if family is index.antichain:
-        return index.keep("W components", lambda: _bitmask_components(index.in_tid_order()))
-    return index.keep("minimal components",
-                      lambda: _bitmask_components(sorted(family, key=sorted)))
+    the minimal images, both in tid order (the order of the MSS), split at
+    their first use and kept by the index under the family object, which
+    it holds as long as it lives.  When no bound tuple is exogenous the
+    two families are one object, and share one split."""
+    return index.keep(id(family), lambda: _bitmask_components(family))
 
 
 def _minimum_transversals(components: _Components) -> list[tuple[tuple[str, ...], list[int]]]:

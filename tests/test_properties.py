@@ -131,8 +131,8 @@ def _answer(ask, instance, q):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(deadline=None, max_examples=60)
 def test_kept_parts_give_the_answers_of_a_fresh_instance(seed):
-    """The witness index keeps W in tid order, its union and each family's
-    components for every later question: asked in two orders on one
+    """The witness index keeps the union of W and each family's components
+    for every later question: asked in two orders on one
     instance, each answer equals the answer on a fresh copy, under
     self-joins and every exogenous mode."""
     instance, q = _case(seed, exo_mode=("none", "tuples", "predicates")[seed % 3],

@@ -184,12 +184,12 @@ def test_each_family_is_split_once_per_instance(monkeypatch, srs_prime, srs_prim
             _every_family(instance, q)
         index = _witness_index(q, instance)
         assert len(calls) == len(set(calls)) == families
-        assert set(calls) == {index.in_tid_order(), tuple(sorted(index.minimal, key=sorted))}
+        assert set(calls) == {index.antichain, index.minimal}
         calls.clear()
         again = parse_query("q :- S(x), R(x,y), S(y).", instance)
         enumerate_mns(instance, again)
         enumerate_mns(instance, again)
-        assert calls == [index.in_tid_order()]
+        assert calls == [index.antichain]
         calls.clear()
     for _ in range(2):
         enumerate_mns(g_routes, q_path_ab)
@@ -197,9 +197,9 @@ def test_each_family_is_split_once_per_instance(monkeypatch, srs_prime, srs_prim
 
 
 def test_a_pickled_instance_carries_no_kept_parts(srs_prime_exoR, q_srs):
-    """The parts the witness index keeps (W in tid order, its union and the
-    two families' components) leave a pickle with the index: it is as long
-    as before the index was built, and the copy answers as before."""
+    """The parts the witness index keeps (the union of W and the two
+    families' components) leave a pickle with the index: it is as long as
+    before the index was built, and the copy answers as before."""
     instance = Instance.build(srs_prime_exoR.schema, srs_prime_exoR.facts)
     for kept_set in (instance.tids, instance.endogenous_part, instance.exogenous_part,
                      instance.domain):
@@ -214,8 +214,8 @@ def test_a_pickled_instance_carries_no_kept_parts(srs_prime_exoR, q_srs):
                 enumerate_mns(instance, q_srs), degrees(instance, q_srs),
                 core_fast(instance, q_srs)]
     want = answers(instance)
-    assert set(_witness_index(q_srs, instance).kept) == {
-        "W", "union", "W components", "minimal components"}
+    index = _witness_index(q_srs, instance)
+    assert set(index.kept) == {"union", id(index.antichain), id(index.minimal)}
     data = pickle.dumps(instance)
     assert len(data) == size
     copy = pickle.loads(data)
@@ -226,9 +226,10 @@ def test_a_pickled_instance_carries_no_kept_parts(srs_prime_exoR, q_srs):
 def test_kept_components_take_memory_linear_in_the_family():
     """q :- R(x), S(x, y). with one R and 20,000 S facts: W is one
     component of 20,000 two-tuple members.  What enumerate_mns leaves kept,
-    over what the witness index alone holds, is W in tid order and the
-    members' positions, linear in the family; a mask kept per member, as
-    wide as the component's 20,001 tuples, would hold about 2.5 KB each."""
+    over what the witness index alone holds, is the component's tuples
+    and its members' positions, linear in the family; a mask kept per
+    member, as wide as the component's 20,001 tuples, would hold about
+    2.5 KB each."""
     n = 20_000
     instance = Instance.build({"R": 1, "S": 2}, [Fact("r", "R", ("a",))] + [
         Fact(f"s{i:05d}", "S", ("a", f"b{i}")) for i in range(n)])
@@ -243,7 +244,8 @@ def test_kept_components_take_memory_linear_in_the_family():
         kept = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
-    assert "W components" in _witness_index(q, instance).kept
+    index = _witness_index(q, instance)
+    assert id(index.antichain) in index.kept
     assert kept < 160 * n, f"{kept:,} bytes kept past the index"
 
 
@@ -261,6 +263,27 @@ def test_repair_listing_trips_the_union_cap():
     dc = denial_constraint_of(parse_query("q :- R(x), S(x).", inst))
     with pytest.raises(OracleBoundExceeded, match="131,072 unions .* hold 2,228,224 tuples"):
         enumerate_s_repairs(inst, dc, max_deletable=len(inst))
+
+
+def test_repair_search_refusals_name_the_counts_of_a_tid_order_split(monkeypatch):
+    """The repairs search the components of the minimal images as the index
+    keeps them, split in tid order, so a refused search names the counts of
+    that order: on scaling_instance(80), under caps lowered to 2,000 and
+    200 tests, the s-repairs stop at 2,002 tests (2,018 when split in the
+    order of the bindings) and the c-repairs at 210 (211)."""
+    inst = scaling_instance(80)
+    dc = denial_constraint_of(parse_query(SCALING_QUERY_TEXT, inst))
+    for enumerate_repairs, cap, message in (
+            (enumerate_s_repairs, 2_000,
+             "2,002 intersection and subset tests and 468 tuples held, in a search for "
+             "minimal hitting sets among 10 members, pass the caps 2,000 and 2,000,000"),
+            (enumerate_c_repairs, 200,
+             "210 intersection and subset tests and 4 tuples held, in a search for "
+             "hitting sets of 4 tuples among 10 members, pass the caps 200 and 2,000,000")):
+        monkeypatch.setattr(dbexplain.repairs, "MAX_TRANSVERSAL_TESTS", cap)
+        with pytest.raises(OracleBoundExceeded) as refused:
+            enumerate_repairs(inst, dc, max_deletable=len(inst))
+        assert str(refused.value) == message
 
 
 def test_repair_is_an_immutable_named_tuple(srs_prime, q_srs):
