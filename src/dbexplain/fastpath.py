@@ -23,13 +23,13 @@ core of all repairs.  Finding W compares each image only with the smaller
 images filed under one of its own tuples, polynomial in data complexity.
 
 The chase reads the same index.  The minimal sufficient sets through a
-seed are the members of W that contain it, so ``chase_mss`` returns the
-least of them by (size, sorted tids), among those whose other tuples a
-given repair keeps, and ``min_mss_sjf`` the least member through its tuple
-or, without one, the least member of W.  Neither needs the predicates'
-extensions to be wholly endogenous or wholly exogenous.  Only a
-conjunctive query has a witness index, so every function here refuses
-any other query with ``UnsupportedQuery``.
+seed are the members of W that contain it, and W is in tid order, so the
+first of least size is the least by (size, sorted tids): ``chase_mss``
+returns it among those whose other tuples a given repair keeps, and
+``min_mss_sjf`` among those through its tuple, or in all of W.  Neither
+needs the predicates' extensions to be wholly endogenous or wholly
+exogenous.  Only a conjunctive query has a witness index, so every
+function here refuses any other query with ``UnsupportedQuery``.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def sufficient_set_from(instance: Instance, query: Query, repair: Repair,
 
 
 def _least(family) -> frozenset[str]:
-    """The least set by (size, sorted tids)."""
-    return min(family, key=lambda s: (len(s), sorted(s)))
+    """The least set by (size, sorted tids) of a family in tid order."""
+    return min(family, key=len)
 
 
 def chase_mss(instance: Instance, query: Query, tid: str,

@@ -3,8 +3,12 @@
 Every family here is a function of one object: the antichain W of the
 endogenous projections of the minimal witnesses.  An instance keeps the
 W of the latest conjunctive query asked of it for as long as it lives,
-in tid order, and its connected components once they are first needed;
-a pickled instance leaves it out.
+in tid order (by sorted tids), and its connected components once they
+are first needed; a pickled instance leaves it out.  Every family read
+off W comes in that order, and no reader sorts it again: deleting a
+tuple two sets hold keeps what fixes their order, the least tuple of
+their symmetric difference and whether one holds the other, so each
+cause's contingency sets N - {t} come in order too.
 
 * A set is sufficient (it satisfies the query together with all exogenous
   tuples) exactly when it contains a member of W, so the minimal
@@ -79,10 +83,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the witness antichain and its transversals
 
-def _by_tids(s: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(s))
-
-
 def _mss(instance: Instance,
          query: Query) -> tuple[Sequence[frozenset[str]], Callable[[], _Components]]:
     """The witness antichain W, i.e. the MSS family, ordered by tids, and a
@@ -99,7 +99,7 @@ def _mss(instance: Instance,
         _check_schema(query, instance._arities)
         endo = instance.endogenous_part()
         paths = _simple_paths(instance, query)
-        mss = sorted(_minimal_members({endo.intersection(p) for p in paths}), key=_by_tids)
+        mss = sorted(_minimal_members({endo.intersection(p) for p in paths}), key=sorted)
         components = partial(_bitmask_components, mss)
     if not mss:
         raise QueryNotSatisfied("the query is false in the instance")
@@ -169,7 +169,7 @@ def degrees(instance: Instance, query: Query) -> DegreeReport:
 
 def _contingencies(mns: list[frozenset[str]]) -> dict[str, tuple[frozenset[str], ...]]:
     """Each actual cause t mapped to its minimal contingency sets N - {t},
-    for the MNS N through t; none is built past MAX_HELD_TUPLES tuples."""
+    for the MNS N through t in order; none is built past MAX_HELD_TUPLES."""
     held = sum(len(s) * (len(s) - 1) for s in mns)
     if held > MAX_HELD_TUPLES:
         raise OracleBoundExceeded(f"the contingency sets of {len(mns):,} MNS would hold "
@@ -178,7 +178,7 @@ def _contingencies(mns: list[frozenset[str]]) -> dict[str, tuple[frozenset[str],
     for s in mns:
         for tid in s:
             through.setdefault(tid, []).append(s - {tid})
-    return {tid: tuple(sorted(through[tid], key=_by_tids)) for tid in sorted(through)}
+    return {tid: tuple(through[tid]) for tid in sorted(through)}
 
 
 def actual_causes(instance: Instance, query: Query) -> ContingencyReport:
@@ -249,16 +249,15 @@ def cause_repair_correspondence(instance: Instance,
     """
     dc = denial_constraint_of(query)
     mns = _mns(*_mss(instance, query))
-    cause_sets = sorted(
-        {frozenset(g | {t}) for t, gs in _contingencies(mns).items() for g in gs},
-        key=_by_tids)
+    cause_sets = sorted({g | {t} for t, gs in _contingencies(mns).items() for g in gs},
+                        key=sorted)
     try:  # the s-repair removals, with no Repair (and no kept set) built
         removals = _unions(_component_transversals(_kept_components(
-            *_conflicts(instance, dc, True, len(instance.endogenous_part())))))
+            *_conflicts(instance, dc, True, len(instance.endogenous_part())))), by_size=False)
     except RepairNotFound:
         removals = []
-    c_removals = sorted((r for r in removals if len(r) == len(removals[0])), key=_by_tids)
-    removals = sorted(removals, key=_by_tids)
+    least = min(map(len, removals), default=0)
+    c_removals = [r for r in removals if len(r) == least]
     least = min(map(len, mns), default=0)
     min_mns = [s for s in mns if len(s) == least]
     holds_a = mns == removals == cause_sets

@@ -7,6 +7,9 @@ targeted single-invariant checks, hypothesis-driven where shrinking helps.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,10 +98,14 @@ def test_degrees_are_unit_fractions(seed):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(deadline=None, max_examples=60)
-def test_degrees_equal_the_subset_scan(seed):
+def test_degrees_and_causes_equal_the_subset_scan(seed):
+    """Degrees and actual causes equal the exhaustive scan's; the scan
+    sorts each cause's contingency sets, so this also checks that they
+    come in tid order without a sort."""
     instance, q = _case(seed, exo_mode=("none", "tuples", "predicates")[seed % 3],
                         self_join=seed % 2 == 0, n_atoms=1 + seed % 3)
     assert degrees(instance, q) == bruteforce.degrees(instance, q)
+    assert actual_causes(instance, q) == bruteforce.actual_causes(instance, q)
 
 
 def test_witness_families_agree_with_mss_when_all_endogenous(srs_base):
@@ -143,3 +150,28 @@ def test_kept_parts_give_the_answers_of_a_fresh_instance(seed):
         shared = Instance.build(instance.schema, instance.facts)
         for i in order:
             assert _answer(_ASKED[i][1], shared, q) == fresh[i], _ASKED[i][0]
+
+
+_FAILING_GIVEN = """
+from hypothesis import given, settings, strategies as st
+
+@given(st.integers())
+@settings(max_examples=1, database=None)
+def test_fails(n):
+    assert False
+"""
+
+
+def test_a_failing_given_test_is_reported_not_an_internal_error(tmp_path):
+    """A failing Hypothesis test is listed as a failure under the project's
+    warning filters; reporting it imports code whose own deprecation
+    warnings must not turn into an INTERNALERROR that ends the session."""
+    (tmp_path / "test_given.py").write_text(_FAILING_GIVEN)
+    config = Path(__file__).parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config),
+                          "-p", "no:cacheprovider", "test_given.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "1 failed" in out
+    assert "INTERNALERROR" not in out
