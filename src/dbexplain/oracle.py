@@ -32,11 +32,11 @@ cause's contingency sets N - {t} come in order too.
   exact rationals.
 
 No family is bounded by the size of the instance.  The minimal
-transversals, their contingency sets, the search for eta and the
-duality check, which can take time exponential in |W|, run under the
-caps of :mod:`dbexplain.repairs`;
-the simple-path walk that builds W for a reachability query runs under
-the caps of :mod:`dbexplain.query`.
+transversals, the search for eta and the duality check, which can take
+time exponential in |W|, run under the caps of :mod:`dbexplain.repairs`;
+the actual causes' contingency sets under a cap on the tuples they hold;
+the join and the simple-path walk that build W under the caps of
+:mod:`dbexplain.query`.
 
 The families are right by construction, so they are returned as read
 off W; the test suite compares every family with an exhaustive subset
@@ -151,14 +151,13 @@ def degrees(instance: Instance, query: Query) -> DegreeReport:
     least = sum(size for size, _ in parts)
     eta_of = {tid: Fraction(1, least - size + through)
               for size, part in parts for tid, through in part.items()}
-    sigma_of: dict[str, Fraction] = {}
-    for s in sorted(mss, key=len):
-        for tid in s:
-            sigma_of.setdefault(tid, Fraction(1, len(s)))
+    # each tuple's least member size: the smallest member through it is written last
+    size_of = {tid: len(s) for s in sorted(mss, key=len, reverse=True) for tid in s}
     in_every_mss = frozenset.intersection(*mss) if mss else frozenset()
     per: dict[str, TupleDegrees] = {}
     for tid in sorted(instance.endogenous_part()):
-        eta, sigma = eta_of.get(tid, Fraction(0)), sigma_of.get(tid, Fraction(0))
+        eta = eta_of.get(tid, Fraction(0))
+        sigma = Fraction(1, size_of[tid]) if tid in size_of else Fraction(0)
         per[tid] = TupleDegrees(eta=eta, sigma=sigma, rho=eta, strong_necessary=sigma == 1,
                                 strong_sufficient=tid in in_every_mss)
     zero = TupleDegrees(Fraction(0), Fraction(0), Fraction(0), False, False)
@@ -243,14 +242,15 @@ def cause_repair_correspondence(instance: Instance,
     (b) the minimum-cardinality members of that family must equal the
         cardinality-repair removal sets.
 
-    When no repair exists within the endogenous part both sides are empty
+    The minimal contingency sets of t are N - {t} for the MNS N through t,
+    so every nonempty MNS is G + {t} for each t in it, and the cause side
+    of (a) is the MNS family itself: no contingency set is built.  When
+    no repair exists within the endogenous part both sides are empty
     and the correspondence holds vacuously.  A path query has no denial
     constraint, so it is refused.
     """
     dc = denial_constraint_of(query)
     mns = _mns(*_mss(instance, query))
-    cause_sets = sorted({g | {t} for t, gs in _contingencies(mns).items() for g in gs},
-                        key=sorted)
     try:  # the s-repair removals, with no Repair (and no kept set) built
         removals = _unions(_component_transversals(_kept_components(
             *_conflicts(instance, dc, True, len(instance.endogenous_part())))), by_size=False)
@@ -260,13 +260,12 @@ def cause_repair_correspondence(instance: Instance,
     c_removals = [r for r in removals if len(r) == least]
     least = min(map(len, mns), default=0)
     min_mns = [s for s in mns if len(s) == least]
-    holds_a = mns == removals == cause_sets
-    holds_b = min_mns == c_removals
+    listed = [sorted(s) for s in mns]
     detail = {
-        "mns": [sorted(s) for s in mns],
-        "cause_sets": [sorted(s) for s in cause_sets],
+        "mns": listed,
+        "cause_sets": listed,
         "s_repair_removals": [sorted(s) for s in removals],
         "minimum_mns": [sorted(s) for s in min_mns],
         "c_repair_removals": [sorted(s) for s in c_removals],
     }
-    return CorrespondenceResult(holds=holds_a and holds_b, detail=detail)
+    return CorrespondenceResult(holds=mns == removals and min_mns == c_removals, detail=detail)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import (Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn,
                     Optional, TypeVar, Union)
 
 from .errors import (
+    BoundExceeded,
     PathBoundExceeded,
     QuerySyntaxError,
     UnknownPredicate,
@@ -42,9 +44,9 @@ __all__ = [
 # enters (with CPython 3.11 on x86-64, 2M entries take about 1-2 s).
 MAX_PATHS = 100_000
 MAX_PATH_STEPS = 2_000_000
-# The tuples that the sets one listing keeps may hold: the walk's paths
-# here, the transversal searches' sets in :mod:`dbexplain.repairs` (2M
-# tuples in frozensets take 50-200 MB).
+# The tuples that the sets one listing keeps may hold: the join's bindings
+# and the walk's paths here, the transversal searches' sets in
+# :mod:`dbexplain.repairs` (2M tuples in frozensets take 50-200 MB).
 MAX_HELD_TUPLES = 2_000_000
 
 
@@ -566,15 +568,21 @@ def _build_witness_index(query: BooleanCQ, instance: Instance) -> _WitnessIndex:
     images are the witnesses, and their minimal projections are the
     minimal sufficient sets.  The pass keeps each binding, files each
     image under its first binding, and reads each atom's tuples off the
-    kept bindings.  When no bound tuple is exogenous each image is its own
-    projection, so ``W`` is the minimal images themselves, and the
-    instance's endogenous part is not built; otherwise the projections
-    are deduplicated and their minimal members sorted.  Both families are
-    ordered by their sorted tids, which are distinct, once here, so every
-    family read off them and every component split of them comes in tid
-    order."""
+    kept bindings; past MAX_HELD_TUPLES tuples held (one per atom) it
+    raises before any image is filed.  When no bound tuple is exogenous
+    each image is its own projection, so ``W`` is the minimal images
+    themselves, and the instance's endogenous part is not built;
+    otherwise the projections are deduplicated and their minimal members
+    sorted.  Both families are ordered by their sorted tids, which are
+    distinct, once here, so every family read off them and every
+    component split of them comes in tid order."""
     _check_schema(query, instance._arities)
-    bindings = list(_bindings(query, instance))
+    cap = MAX_HELD_TUPLES // max(query.k, 1)  # a query of no atoms has one empty binding
+    bindings = list(islice(_bindings(query, instance), cap + 1))
+    if len(bindings) > cap:
+        raise BoundExceeded(f"the join's {len(bindings):,} bindings of {query.k} atoms hold "
+                            f"{len(bindings) * query.k:,} tuples, past the cap "
+                            f"{MAX_HELD_TUPLES:,}")
     images: dict[frozenset[str], tuple[Fact, ...]] = {}
     for b in bindings:
         images.setdefault(frozenset(map(_tid, b)), b)

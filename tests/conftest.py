@@ -8,6 +8,23 @@ from dbexplain import Fact, Instance, load_instance, parse_query
 
 DATA = Path(__file__).parent / "data"
 
+Q_PATH_AB = "q :- path(E, a, b)."
+Q_SRS = "q :- S(x), R(x,y), S(y)."
+Q_RT = "q :- R(x,y), T(y)."
+# Each instance in DATA (a CSV one by its manifest) with the query it is asked.
+QUERIES = {
+    "g_diamond.json": "q :- path(E, s, t).",
+    "g_routes.json": Q_PATH_AB,
+    "g_routes_exo23.json": Q_PATH_AB,
+    "g_routes_exo24.json": Q_PATH_AB,
+    "rrs_loop.json": "q :- R(x,y), R(y,z), S(x,y).",
+    "rt_small.json": Q_RT,
+    "rt_small_csv/manifest.json": Q_RT,
+    "srs_base.json": Q_SRS,
+    "srs_prime.json": Q_SRS,
+    "srs_prime_exoR.json": Q_SRS,
+}
+
 
 def data_path(name: str) -> Path:
     return DATA / name
@@ -78,27 +95,27 @@ def rrs_loop() -> Instance:
 
 @pytest.fixture
 def q_path_ab(g_routes):
-    return parse_query("q :- path(E, a, b).", g_routes)
+    return parse_query(QUERIES["g_routes.json"], g_routes)
 
 
 @pytest.fixture
 def q_path_st(g_diamond):
-    return parse_query("q :- path(E, s, t).", g_diamond)
+    return parse_query(QUERIES["g_diamond.json"], g_diamond)
 
 
 @pytest.fixture
 def q_srs(srs_prime):
-    return parse_query("q :- S(x), R(x,y), S(y).", srs_prime)
+    return parse_query(QUERIES["srs_prime.json"], srs_prime)
 
 
 @pytest.fixture
 def q_rt(rt_small):
-    return parse_query("q :- R(x,y), T(y).", rt_small)
+    return parse_query(QUERIES["rt_small.json"], rt_small)
 
 
 @pytest.fixture
 def q_rrs(rrs_loop):
-    return parse_query("q :- R(x,y), R(y,z), S(x,y).", rrs_loop)
+    return parse_query(QUERIES["rrs_loop.json"], rrs_loop)
 
 
 def tids(family) -> list[list[str]]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -8,10 +11,10 @@ from jsonschema import Draft202012Validator
 
 import dbexplain.query
 import dbexplain.repairs
-from dbexplain.cli import run
+from dbexplain.cli import _load, run
 from dbexplain.synth import SCALING_QUERY_TEXT, scaling_instance
 
-from conftest import data_path, ladder
+from conftest import DATA, Q_RT, Q_SRS, QUERIES, data_path, ladder
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/dbexplain/schemas/report.schema.json")
@@ -26,10 +29,6 @@ def invoke(capsys, *argv: str) -> tuple[int, dict, str]:
     if doc is not None:
         VALIDATOR.validate(doc)
     return code, doc, captured.out
-
-
-Q_SRS = "q :- S(x), R(x,y), S(y)."
-Q_RT = "q :- R(x,y), T(y)."
 
 
 def test_eval_command(capsys):
@@ -287,6 +286,22 @@ def test_transversal_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):
         assert doc["error"] == {"type": "OracleBoundExceeded", "message": message}, n
 
 
+def test_join_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):
+    """A join whose bindings pass the tuple cap exits 1 with a payload
+    naming them; eval reads one binding and answers."""
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps({"schema": {"R": 1, "S": 1, "T": 1}, "tuples": [
+        {"tid": f"{p}:{i}", "pred": p, "vals": [f"c{i}"]} for p in "RST" for i in range(10)]}))
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 2_999)
+    argv = ["-i", str(path), "-q", "q :- R(x), S(y), T(z)."]
+    code, doc, out = invoke(capsys, "witnesses", *argv)
+    assert code == 1 and out.splitlines() == [json.dumps(doc, sort_keys=True)]
+    assert doc["error"] == {"type": "BoundExceeded", "message": "the join's 1,000 bindings "
+                            "of 3 atoms hold 3,000 tuples, past the cap 2,999"}
+    code, doc, _ = invoke(capsys, "eval", *argv)
+    assert code == 0 and doc["result"]["satisfied"] is True
+
+
 def test_path_walk_cap_is_a_semantic_error(capsys, tmp_path, monkeypatch):
     """A path walk that enters more nodes than its cap exits 1 with a
     payload naming the count, though the query has one simple path."""
@@ -316,11 +331,45 @@ def test_unreadable_instance_files_are_format_errors(capsys, tmp_path):
         assert code == 1 and doc["error"]["type"] == "InstanceFormatError", path
 
 
-def test_byte_identical_reports(capsys):
-    argv = ["degrees", "-i", str(data_path("srs_prime.json")), "-q", Q_SRS]
-    _, _, first = invoke(capsys, *argv)
-    _, _, second = invoke(capsys, *argv)
-    assert first == second
+DIGESTS = DATA / "cli_digests.json"
+
+
+def _variants(tids: list[str]) -> list[list[str]]:
+    """Every subcommand and flag variant, the --tuple ones once per tid."""
+    plain = [["eval"], ["witnesses"], ["mss"], ["mss", "--min"], ["mss", "--chase"],
+             ["mss", "--chase", "--min"], ["mns"], ["degrees"], ["causes"], ["repairs"],
+             ["repairs", "--cardinality"], ["core"], ["core", "--method=naive"], ["lineage"],
+             ["lineage", "--eliminate-exogenous"], ["check-duality"], ["check-correspondence"]]
+    seeded = [["mss", "--tuple"], ["mss", "--min", "--tuple"], ["mss", "--chase", "--tuple"],
+              ["mss", "--chase", "--min", "--tuple"]]
+    return plain + [[*argv, tid] for argv in seeded for tid in tids]
+
+
+def _cli_digests() -> dict[str, list]:
+    """Each run's exit code and stdout sha256, keyed by instance and argv,
+    over every instance in tests/data under its query, in both formats."""
+    out: dict[str, list] = {}
+    for name, query in QUERIES.items():
+        path = str(data_path(name))
+        for argv in _variants(sorted(_load(path).tids())):
+            for fmt in ("json", "table"):
+                stdout = io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                    code = run([*argv, "-i", path, "-q", query, f"--format={fmt}"])
+                digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+                out[" ".join([name, *argv, f"--format={fmt}"])] = [code, digest]
+    return out
+
+
+def test_byte_identical_reports():
+    """CLI stdout and exit codes equal the pinned ones; a change that means
+    to change them rewrites the file with ``PYTHONPATH=src python
+    tests/test_cli.py``."""
+    instances = {p.name if p.is_file() else f"{p.name}/manifest.json"
+                 for p in DATA.iterdir() if p != DIGESTS}
+    assert instances == set(QUERIES)
+    pinned, got = json.loads(DIGESTS.read_text()), _cli_digests()
+    assert [key for key in pinned.keys() | got.keys() if pinned.get(key) != got.get(key)] == []
 
 
 def test_table_format(capsys):
@@ -331,3 +380,7 @@ def test_table_format(capsys):
     code, _, out = invoke(capsys, "core", "-i", str(data_path("srs_prime.json")),
                           "-q", Q_SRS, "--format=table")
     assert "core (lemma1):" in out
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_cli_digests(), indent=1, sort_keys=True) + "\n")

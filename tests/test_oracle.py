@@ -167,7 +167,9 @@ def test_working_family_is_capped_by_the_tuples_it_holds(monkeypatch):
 def test_contingency_sets_are_refused_before_they_are_built():
     """5 conflicts R(c), S(c) beside 1,000 tuples R(d) that each satisfy
     the query with an exogenous S(d): 32 MNS of 1,005 tuples are listed,
-    but their contingency sets would hold about 32M tuples."""
+    but their contingency sets would hold about 32M tuples.  The
+    correspondence check reads the cause side off the MNS, so it builds
+    none and answers."""
     facts = [Fact(f"{p}:c{i}", p, (f"c{i}",)) for i in range(5) for p in "RS"]
     facts += [Fact(f"R:d{i}", "R", (f"d{i}",)) for i in range(1000)]
     facts += [Fact(f"S:d{i}", "S", (f"d{i}",), endo=False) for i in range(1000)]
@@ -175,9 +177,11 @@ def test_contingency_sets_are_refused_before_they_are_built():
     q = parse_query("q :- R(x), S(x).", instance)
     assert [len(s.tuples) for s in enumerate_mns(instance, q)] == [1005] * 32
     assert check_duality(instance, q).holds
-    for listing in (actual_causes, cause_repair_correspondence):
-        with pytest.raises(OracleBoundExceeded, match="contingency sets of 32 MNS"):
-            listing(instance, q)
+    with pytest.raises(OracleBoundExceeded, match="contingency sets of 32 MNS"):
+        actual_causes(instance, q)
+    res = cause_repair_correspondence(instance, q)
+    assert res.holds and [len(s) for s in res.detail["cause_sets"]] == [1005] * 32
+    assert res.detail["cause_sets"] == res.detail["mns"] == res.detail["s_repair_removals"]
 
 
 def test_duality_check_is_refused_before_its_first_test(monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dbexplain import (
     ExplainError,
     Instance,
+    RepairNotFound,
     actual_causes,
     cause_repair_correspondence,
     check_duality,
@@ -36,6 +37,7 @@ from dbexplain import (
 from dbexplain.synth import planted_query, random_instance
 
 import bruteforce
+from conftest import tids
 
 
 def _case(seed: int, *, exo_mode: str = "none", self_join: bool = False,
@@ -98,14 +100,29 @@ def test_degrees_are_unit_fractions(seed):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(deadline=None, max_examples=60)
-def test_degrees_and_causes_equal_the_subset_scan(seed):
+def test_degrees_causes_and_correspondence_equal_the_subset_scan(seed):
     """Degrees and actual causes equal the exhaustive scan's; the scan
     sorts each cause's contingency sets, so this also checks that they
-    come in tid order without a sort."""
+    come in tid order without a sort.  The correspondence check lists the
+    families that the public calls answer: the MNS, the sets G + {t} of
+    the causes, and the removals of the endogenous repairs."""
     instance, q = _case(seed, exo_mode=("none", "tuples", "predicates")[seed % 3],
                         self_join=seed % 2 == 0, n_atoms=1 + seed % 3)
     assert degrees(instance, q) == bruteforce.degrees(instance, q)
-    assert actual_causes(instance, q) == bruteforce.actual_causes(instance, q)
+    causes = actual_causes(instance, q)
+    assert causes == bruteforce.actual_causes(instance, q)
+    detail = cause_repair_correspondence(instance, q).detail
+    assert sorted(detail["mns"]) == tids(enumerate_mns(instance, q))
+    assert sorted(detail["cause_sets"]) == tids(
+        {g | {t} for t, gs in causes.contingencies.items() for g in gs})
+    for key, listing in (("s_repair_removals", enumerate_s_repairs),
+                         ("c_repair_removals", enumerate_c_repairs)):
+        try:
+            removals = tids(r.removed for r in listing(
+                instance, denial_constraint_of(q), endogenous_only=True))
+        except RepairNotFound:
+            removals = []
+        assert sorted(detail[key]) == removals, key
 
 
 def test_witness_families_agree_with_mss_when_all_endogenous(srs_base):

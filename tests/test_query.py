@@ -24,6 +24,7 @@ import dbexplain.query
 from dbexplain import (
     Atom,
     BooleanCQ,
+    BoundExceeded,
     Const,
     ExplainError,
     Fact,
@@ -306,6 +307,48 @@ def test_path_walk_is_capped_by_the_tuples_it_keeps(monkeypatch):
         enumerate_witnesses(q, instance)
     with pytest.raises(PathBoundExceeded, match=tripped):
         enumerate_mss(instance, q)
+
+
+def _cross_product(n: int) -> tuple[Instance, BooleanCQ]:
+    """q :- R(x), S(y), T(z). over n one-column facts per relation: n^3
+    bindings of 3 atoms, each binding its own minimal witness."""
+    instance = Instance.build({p: 1 for p in "RST"}, [
+        Fact(f"{p}:{i}", p, (f"c{i}",)) for p in "RST" for i in range(n)])
+    return instance, parse_query("q :- R(x), S(y), T(z).", instance)
+
+
+def test_join_is_capped_by_the_tuples_its_bindings_hold(monkeypatch):
+    """10 facts per relation give 1,000 bindings that hold 3,000 tuples: a
+    cap of 2,999 reads the 1,000th binding and refuses, and a cap of
+    3,000 answers.  evaluate stops at the first binding, so it is not
+    capped, and a query of no atoms has one empty binding."""
+    instance, q = _cross_product(10)
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 2_999)
+    tripped = "the join's 1,000 bindings of 3 atoms hold 3,000 tuples, past the cap 2,999"
+    for ask in (lambda: enumerate_witnesses(q, instance), lambda: enumerate_mss(instance, q)):
+        with pytest.raises(BoundExceeded) as refused:
+            ask()
+        assert type(refused.value) is BoundExceeded and str(refused.value) == tripped
+    assert evaluate(q, instance)
+    assert enumerate_witnesses(BooleanCQ(()), instance) == (Witness(frozenset(), {}),)
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 3_000)
+    assert len(enumerate_witnesses(q, instance)) == 1_000
+
+
+def test_refused_join_holds_what_the_cap_allows(monkeypatch):
+    """40 facts per relation give 64,000 bindings, and filing all their
+    images peaks at about 36 MB under tracemalloc; a cap of 30,000 tuples
+    refuses the join after 10,001 bindings, well under 2 MB."""
+    instance, q = _cross_product(40)
+    monkeypatch.setattr(dbexplain.query, "MAX_HELD_TUPLES", 30_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="10,001 bindings"):
+            enumerate_witnesses(q, instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak:,} bytes"
 
 
 def test_long_chain_walk_holds_its_path_only():
